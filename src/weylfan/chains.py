@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import fans, linalg, rdata as rdatamod, roots as rootsmod, typea
-from .errors import EmptyKeep, NotPreorder
+from .errors import EmptyKeep, NotPreorder, internal_check
 from .rdata import ProjectiveRatio
 
 
@@ -145,7 +145,7 @@ def chain_from_data(data, labels):
         for i in b[1:]:
             coords[i] = data_ratio(data, i, anchor)
     chain = MarkedChain.of(ctype, coords)
-    assert data_from_chain(chain) == dict(data), "chain does not reproduce its data"
+    internal_check(data_from_chain(chain) == dict(data), "chain does not reproduce its data")
     return chain
 
 
@@ -237,7 +237,7 @@ def curve_membership(data, labels, zs):
                 good = False
         if good:
             comps.append(k)
-    assert comps, "point satisfies the equations but lies on no component"
+    internal_check(comps, "point satisfies the equations but lies on no component")
     return True, tuple(comps)
 
 
@@ -315,7 +315,8 @@ def universal_curve_structure(n):
         # composition: include then project must be the identity
         if n >= 1:
             comp = linalg.matmul(proj, lat)
-            assert comp == linalg.identity_matrix(n), "section does not split the projection"
+            internal_check(comp == linalg.identity_matrix(n),
+                           "section does not split the projection")
 
     src = morphism.source
     v_last = tuple([0] * n + [-1])

@@ -23,7 +23,7 @@ from .errors import WeylFanError
 
 def _system_from_args(args):
     if args.factors:
-        spec = rootsmod.RootSystemSpec.parse(json.loads(args.factors))
+        spec = _payload(args, "--factors", rootsmod.RootSystemSpec.parse)
     elif args.type:
         if args.type.upper() == "G":
             spec = rootsmod.RootSystemSpec.parse([("G", 2)])
@@ -42,6 +42,27 @@ def _required(args, flag):
     if value is None:
         raise ValueError(f"{flag} is required")
     return value
+
+
+def _payload(args, flag, parse):
+    """``parse`` applied to the JSON value of ``flag``.
+
+    A value of the wrong JSON type or shape is invalid input, like a missing
+    one: the TypeError, IndexError or ZeroDivisionError it causes while being
+    read becomes a ValueError naming the flag.
+    """
+    try:
+        return parse(json.loads(_required(args, flag)))
+    except (TypeError, IndexError, ZeroDivisionError) as e:
+        raise ValueError(f"{flag} has the wrong shape: {e}") from None
+
+
+def _int_vectors(obj, dim):
+    """A JSON list of integer vectors of length ``dim``, as tuples."""
+    vectors = [tuple(v) for v in obj]
+    if any(len(v) != dim or not all(type(x) is int for x in v) for v in vectors):
+        raise TypeError(f"expected a list of integer vectors of length {dim}")
+    return vectors
 
 
 def _add_system_flags(p):
@@ -86,7 +107,7 @@ def cmd_morphism(args):
         }
     if not args.sub_roots:
         raise ValueError("morphism needs --sub-roots or --embed-products")
-    span = [tuple(v) for v in json.loads(args.sub_roots)]
+    span = _payload(args, "--sub-roots", lambda obj: _int_vectors(obj, r.ambient_dim))
     rp, mor = fans.subsystem_morphism(r, span)
     return {
         "subsystem": rootsmod.root_system_to_json(rp),
@@ -102,8 +123,8 @@ def cmd_morphism(args):
 def cmd_orbit(args):
     r = _system_from_args(args)
     f = fans.weyl_chamber_fan(r)
-    rays = [tuple(v) for v in json.loads(args.cone)]
-    tau = tuple(sorted(f.ray_index(v) for v in rays))
+    rays = _payload(args, "--cone", lambda obj: _int_vectors(obj, r.rank))
+    tau = tuple(sorted({f.ray_index(v) for v in rays}))
     orb = fans.orbit_closure(r, f, tau)
     sec = fans.opposite_sections(r, tau)
     return {
@@ -129,20 +150,20 @@ def cmd_orbit(args):
 def cmd_rdata(args):
     r = _system_from_args(args)
     if args.action == "validate":
-        d = rdatamod.rdata_from_json(r, json.loads(_required(args, "--data-json")))
+        d = _payload(args, "--data-json", lambda obj: rdatamod.rdata_from_json(r, obj))
         bad = rdatamod.validate_rdata(r, d)
         return {
             "ok": not bad,
             "violations": [[list(r.roots[x]) for x in triple] for triple in bad],
         }
     if args.action == "to-point":
-        d = rdatamod.rdata_from_json(r, json.loads(_required(args, "--data-json")))
+        d = _payload(args, "--data-json", lambda obj: rdatamod.rdata_from_json(r, obj))
         bad = rdatamod.validate_rdata(r, d)
         if bad:
             raise WeylFanError(f"{len(bad)} violated triple identities")
         return rdatamod.chart_point_to_json(r, rdatamod.rdata_to_point(r, d))
     if args.action == "universal-at":
-        p = rdatamod.chart_point_from_json(r, json.loads(_required(args, "--point-json")))
+        p = _payload(args, "--point-json", lambda obj: rdatamod.chart_point_from_json(r, obj))
         return rdatamod.rdata_to_json(r, rdatamod.universal_rdata_at(r, p))
     if args.action == "verify-gen":
         return {"ok": rdatamod.verify_relation_generation(r)}
@@ -164,9 +185,9 @@ def cmd_basis(args):
 
 
 def cmd_reduce(args):
-    terms, n = typea.cohom_class_from_json(json.loads(args.class_json))
+    terms, n = _payload(args, "--class-json", typea.cohom_class_from_json)
     if args.times_json:
-        other, n2 = typea.cohom_class_from_json(json.loads(args.times_json))
+        other, n2 = _payload(args, "--times-json", typea.cohom_class_from_json)
         if n2 != n:
             raise ValueError("the two classes live in different rings")
         prod = {}
@@ -194,7 +215,7 @@ def cmd_primcol(args):
 
 
 def cmd_nef(args):
-    coeffs = typea.divisor_from_json(json.loads(args.divisor_json), args.n)
+    coeffs = _payload(args, "--divisor-json", lambda obj: typea.divisor_from_json(obj, args.n))
     return {
         "nef": typea.is_nef(coeffs, args.n),
         "wall_convex": typea.nef_oracle(coeffs, args.n),
@@ -202,7 +223,7 @@ def cmd_nef(args):
 
 
 def cmd_ample(args):
-    coeffs = typea.divisor_from_json(json.loads(args.divisor_json), args.n)
+    coeffs = _payload(args, "--divisor-json", lambda obj: typea.divisor_from_json(obj, args.n))
     return {"ample": typea.is_ample(coeffs, args.n)}
 
 
@@ -227,11 +248,12 @@ def cmd_crepant(args):
 
 
 def _data_arg(args):
-    obj = json.loads(_required(args, "--data-json"))
-    if not obj["pairs"]:
-        raise ValueError("--data-json has no pairs; the rank is read from the first root")
-    n = len(obj["pairs"][0]["positive_root"]) - 1
-    return n, chains.an_data_from_json(n, obj)
+    def parse(obj):
+        if not obj["pairs"]:
+            raise ValueError("--data-json has no pairs; the rank is read from the first root")
+        n = len(obj["pairs"][0]["positive_root"]) - 1
+        return n, chains.an_data_from_json(n, obj)
+    return _payload(args, "--data-json", parse)
 
 
 def cmd_lm(args):
@@ -245,21 +267,23 @@ def cmd_lm(args):
         n, data = _data_arg(args)
         return chains.chain_to_json(chains.chain_from_data(data, tuple(range(1, n + 2))))
     if args.action == "extract":
-        c = chains.chain_from_json(json.loads(_required(args, "--chain-json")))
+        c = _payload(args, "--chain-json", chains.chain_from_json)
         n = len(c.labels) - 1
+        if c.labels != tuple(range(1, n + 2)):
+            raise ValueError("lm extract needs a --chain-json labelled 1..n+1")
         return chains.an_data_to_json(n, chains.data_from_chain(c))
     if args.action == "contract":
-        c = chains.chain_from_json(json.loads(_required(args, "--chain-json")))
+        c = _payload(args, "--chain-json", chains.chain_from_json)
         keep = {int(x) for x in _required(args, "--keep").split(",")}
         return chains.chain_to_json(chains.contract(c, keep))
     if args.action == "membership":
         n, data = _data_arg(args)
         labels = tuple(range(1, n + 2))
-        point = json.loads(_required(args, "--point-json"))
+        point = _payload(args, "--point-json",
+                         lambda obj: [rdatamod.ProjectiveRatio.from_json(z) for z in obj])
         if len(point) != len(labels):
             raise ValueError(f"--point-json needs {len(labels)} ratios, one per label")
-        zs = {i: rdatamod.ProjectiveRatio.from_json(point[i - 1]) for i in labels}
-        ok, comps = chains.curve_membership(data, labels, zs)
+        ok, comps = chains.curve_membership(data, labels, dict(zip(labels, point)))
         return {"ok": ok, "components": list(comps)}
     if args.action == "universal":
         uc = chains.universal_curve_structure(_required(args, "--n"))
@@ -284,11 +308,13 @@ def cmd_lm(args):
             ],
         }
     if args.action == "orbit-type":
-        chain = tuple(typea.mask_of(part) for part in json.loads(_required(args, "--cone")))
+        chain = _payload(args, "--cone", lambda obj: tuple(typea.mask_of(p) for p in obj))
         t = chains.comb_type_over_cone(_required(args, "--n"), chain)
         return {"blocks": [list(b) for b in t.blocks]}
     if args.action == "roundtrip":
         n = _required(args, "--n")
+        if args.samples < 0:
+            raise ValueError("--samples must be >= 0")
         rng = random.Random(args.seed)
         for _ in range(args.samples):
             c = chains.random_marked_chain(n, rng)

@@ -53,3 +53,15 @@ class EmptyKeep(WeylFanError):
 
 class InconsistentPL(WeylFanError):
     code = "InconsistentPL"
+
+
+class InternalCheckFailed(WeylFanError):
+    """A result failed a self-check that holds for every valid input."""
+
+    code = "InternalCheckFailed"
+
+
+def internal_check(ok, detail):
+    """Raise InternalCheckFailed unless ``ok``: an assert that ``-O`` keeps."""
+    if not ok:
+        raise InternalCheckFailed(detail)

@@ -4,6 +4,10 @@ A Fan lives in the lattice N(R) dual to the root lattice, in coordinates
 dual to the base simple set of the root system: the pairing of a root with a
 ray is the dot product of the root's base-coordinates with the ray vector.
 
+The Weyl chambers are the simple sets S of ``roots.enumerate_simple_root_sets``
+(the one orbit of W that the package walks); the rays of the chamber of S are
+the dual basis of S.
+
 Cones are sorted tuples of ray indices; the empty tuple is the zero cone.
 Rays and max-cone lists are canonicalized (lexicographic) on construction,
 so equal fans compare equal structurally.
@@ -62,66 +66,23 @@ def fan_from_json(obj):
 def _chamber_data(r):
     """(fan, chamber map) for the fan of Weyl chambers of ``r``.
 
-    The chamber map sends each max cone (sorted ray-index tuple) to its set
-    of simple roots (sorted root-index tuple).  Chambers are found as the
-    reflection orbit of the base chamber; the rays of a reflected chamber are
-    the duals of its simple roots, obtained by the contragredient reflection
-    v -> v - <alpha, v> alpha^vee on N(R).
+    The chamber of a simple set S is {v : <alpha, v> >= 0 for alpha in S},
+    so its rays are the dual basis of the rows ``r.mcoords[i]`` for i in S.
+    The chambers are read off ``roots.enumerate_simple_root_sets``, the one
+    walk over W.  The chamber map sends each max cone (sorted ray-index
+    tuple) to its set of simple roots (sorted root-index tuple).
     """
-    n = r.rank
-    table = rootsmod.reflection_table(r) if r.roots else ()
-    corts = rootsmod.coroot_ncoords(r) if r.roots else ()
-
-    def dual_reflect(a, v):
-        c = linalg.vec_dot(r.mcoords[a], v)
-        return linalg.vec_sub(v, linalg.vec_scale(c, corts[a]))
-
-    start = tuple(zip(r.base_simple_set, linalg.identity_matrix(n)))
-    seen = {tuple(sorted(r.base_simple_set))}
-    queue = [start]
-    chambers = []
-    while queue:
-        ch = queue.pop(0)
-        chambers.append(ch)
-        for a, _ in ch:
-            new = tuple(sorted((table[a][b], dual_reflect(a, v)) for b, v in ch))
-            key = tuple(p[0] for p in new)
-            if key not in seen:
-                seen.add(key)
-                queue.append(new)
-
-    ray_ids = {}
-    raw_cones = []
-    for ch in chambers:
-        cone = []
-        for _, v in ch:
-            if v not in ray_ids:
-                ray_ids[v] = len(ray_ids)
-            cone.append(ray_ids[v])
-        raw_cones.append(tuple(sorted(cone)))
-
-    rays = [None] * len(ray_ids)
-    for v, i in ray_ids.items():
-        rays[i] = v
-    order = sorted(range(len(rays)), key=lambda i: rays[i])
-    remap = {old: new for new, old in enumerate(order)}
-    fan = Fan(n, tuple(rays[i] for i in order),
-              tuple(sorted(tuple(sorted(remap[i] for i in c)) for c in raw_cones)))
-    chamber_map = {}
-    for ch, cone in zip(chambers, raw_cones):
-        key = tuple(sorted(remap[i] for i in cone))
-        chamber_map[key] = tuple(p[0] for p in ch)
-    return fan, chamber_map
+    sets = rootsmod.enumerate_simple_root_sets(r)
+    duals = [linalg.dual_basis(tuple(r.mcoords[i] for i in s)) for s in sets]
+    rays = sorted({v for d in duals for v in d})
+    ray_ids = {v: i for i, v in enumerate(rays)}
+    cones = [tuple(sorted(ray_ids[v] for v in d)) for d in duals]
+    return Fan(r.rank, tuple(rays), tuple(sorted(cones))), dict(zip(cones, sets))
 
 
 def weyl_chamber_fan(r):
     """The complete smooth fan whose maximal cones are the Weyl chambers."""
     return _chamber_data(r)[0]
-
-
-def chamber_simple_sets(r):
-    """Map max cone (ray-index tuple) -> simple root set (root-index tuple)."""
-    return _chamber_data(r)[1]
 
 
 @lru_cache(maxsize=None)

@@ -19,9 +19,6 @@ from math import gcd
 
 from .errors import NotUnimodular
 
-IntVector = tuple
-IntMatrix = tuple
-
 
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b, strict=True))
@@ -168,21 +165,19 @@ def dual_basis(b):
     """For a square unimodular b, the matrix d with b * d^T = identity.
 
     Rows of d are the dual basis of the rows of b under the standard pairing.
-    Raises NotUnimodular when |det b| != 1.
+    Raises NotUnimodular when b is not square or |det b| != 1.
+    """
+    return transpose(int_inverse(b))
+
+
+def int_inverse(b):
+    """Exact inverse of a unimodular integer matrix (integer entries).
+
+    Raises NotUnimodular when b is not square or |det b| != 1.
     """
     n = len(b)
     if any(len(row) != n for row in b):
         raise NotUnimodular("matrix is not square")
-    h, u = hermite_normal_form(b)
-    if h != identity_matrix(n):
-        raise NotUnimodular(f"determinant {det(b)} is not ±1")
-    # u = b^{-1}, so d^T = u.
-    return transpose(u)
-
-
-def int_inverse(b):
-    """Exact inverse of a unimodular integer matrix (integer entries)."""
-    n = len(b)
     h, u = hermite_normal_form(b)
     if h != identity_matrix(n):
         raise NotUnimodular(f"determinant {det(b)} is not ±1")
@@ -242,22 +237,3 @@ def in_rational_span(basis, v):
     if not basis:
         return False
     return rank(tuple(basis) + (tuple(v),)) == rank(basis)
-
-
-def fraction_inverse(m):
-    """Inverse of a square matrix over Q, as Fraction rows."""
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        pr = a[c][c]
-        a[c] = [x / pr for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(tuple(row[n:]) for row in a)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, roots as rootsmod
-from .errors import MissingPair, NoChartFound
+from .errors import MissingPair, NoChartFound, internal_check
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def rdata_to_point(r, d):
             coords.append(Fraction(t.num, t.den) if t.num else Fraction(0))
         point = ChartPoint(chart=s, coords=tuple(coords))
         check = universal_rdata_at(r, point)
-        assert check == d, "chart reconstruction failed on validated data"
+        internal_check(check == d, "chart reconstruction failed on validated data")
         return point
     raise NoChartFound("no admissible chart; the ratios violate the triple identities")
 
@@ -280,5 +280,7 @@ def chart_point_from_json(r, obj):
     chart = tuple(r.root_index(tuple(v)) for v in obj["chart"])
     order = sorted(range(len(chart)), key=lambda t: chart[t])
     coords = [Fraction(x) for x in obj["coords"]]
+    if len(chart) != r.rank or len(coords) != r.rank:
+        raise ValueError(f"a chart point has {r.rank} simple roots and {r.rank} coordinates")
     return ChartPoint(chart=tuple(chart[t] for t in order),
                       coords=tuple(coords[t] for t in order))

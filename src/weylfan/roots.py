@@ -7,12 +7,13 @@ its rows are the basis of the root lattice M(R), and every root's coordinates
 in that basis ("mcoords") are precomputed.  A root is *positive* when its
 mcoords are componentwise >= 0.
 
-Sets of simple roots are identified with Weyl chambers; they are enumerated
-as the reflection orbit of the base set.
+Sets of simple roots are identified with Weyl chambers.
+``enumerate_simple_root_sets`` walks W once, as the reflection orbit of the
+base set; ``fans`` reads each chamber's rays off its simple set as the dual
+basis, with no walk of its own.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -250,18 +251,6 @@ def reflection_table(r):
 
 
 @lru_cache(maxsize=None)
-def coroot_ncoords(r):
-    """Per root: the coroot as a vector of pairings with the base simple roots.
-
-    This is the coroot written in the coordinates of N(R) dual to the base.
-    """
-    out = []
-    for a in range(len(r.roots)):
-        out.append(tuple(cartan_pairing(r, b, a) for b in r.base_simple_set))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def enumerate_simple_root_sets(r):
     """All sets of simple roots, as sorted index tuples in canonical order.
 
@@ -269,17 +258,15 @@ def enumerate_simple_root_sets(r):
     members (breadth-first); the count is the Weyl group order.
     """
     table = reflection_table(r)
-    start = tuple(sorted(r.base_simple_set))
-    seen = {start}
-    queue = [start]
-    while queue:
-        s = queue.pop(0)
+    orbit = [tuple(sorted(r.base_simple_set))]
+    seen = set(orbit)
+    for s in orbit:
         for a in s:
             t = tuple(sorted(table[a][b] for b in s))
             if t not in seen:
                 seen.add(t)
-                queue.append(t)
-    return tuple(sorted(seen))
+                orbit.append(t)
+    return tuple(sorted(orbit))
 
 
 @lru_cache(maxsize=None)
@@ -363,10 +350,10 @@ def weyl_order(spec):
 
 def mcoords_of_vector(r, v):
     """Coordinates of an ambient lattice vector in the root lattice basis."""
-    x = linalg.solve_left(r.root_lattice_basis, tuple(v))
-    if x is None or any(f.denominator != 1 for f in x):
+    x = linalg.solve_left_int(r.root_lattice_basis, tuple(v))
+    if x is None:
         raise NotInSpan(f"{tuple(v)} is not in the root lattice")
-    return tuple(int(f) for f in x)
+    return x
 
 
 def pairing_with_ray(r, root_index, ray):

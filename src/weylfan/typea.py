@@ -19,10 +19,10 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 from . import linalg
-from .errors import InconsistentPL
+from .errors import InconsistentPL, internal_check
 from .fans import make_fan
 
-MAX_MEMBERS = 63  # bitmask width cap; asserted, never silently truncated
+MAX_MEMBERS = 63  # bitmask width cap; checked, never silently truncated
 
 
 def _check_n(n):
@@ -137,8 +137,9 @@ def betti_numbers(n):
         for j in range(e + 1):
             h[j] += f[k] * comb(e, j) * (-1) ** (e - j)
     h = tuple(h)
-    assert h == eulerian_numbers(n + 1), "h-vector disagrees with the Eulerian recurrence"
-    assert sum(h) == factorial(n + 1)
+    internal_check(h == eulerian_numbers(n + 1),
+                   "h-vector disagrees with the Eulerian recurrence")
+    internal_check(sum(h) == factorial(n + 1), "h-vector does not sum to (n+1)!")
     return h
 
 
@@ -267,7 +268,7 @@ def reduce_to_basis(terms, n, rng=None):
         t = bad[0] if rng is None else rng.choice(bad)
         key = sequence_key(chain, n)
         for new_chain, sign in _rewrite_step(chain, t, n).items():
-            assert sequence_key(new_chain, n) > key, "rewrite must increase the order"
+            internal_check(sequence_key(new_chain, n) > key, "rewrite must increase the order")
             c = work.get(new_chain, 0) + sign * coeff
             if c:
                 work[new_chain] = c
@@ -514,8 +515,8 @@ def delta_polytope(n):
     root_pts = _root_mcoords(n)
     normals = tuple(subset_ray(a, n) for a in range(1, full_mask(n)))
     verts = _h_polytope_vertices(normals)
-    assert verts == {tuple(map(Fraction, p)) for p in root_pts}, \
-        "facet description disagrees with the hull of the roots"
+    internal_check(verts == {tuple(map(Fraction, p)) for p in root_pts},
+                   "facet description disagrees with the hull of the roots")
 
     # lattice points: the polytope sits inside the unit box of these coords
     lattice, interior = [], []

@@ -21,6 +21,22 @@ def test_fan_verb(capsys):
     assert len(out["max_cones"]) == 4
 
 
+# `fan` output of G_2 and B_2, pinned before the chamber fan was read off the
+# simple-root sets as dual bases.
+G2_FAN = {"rank": 2, "rays": [[-2, 3], [-1, 0], [-1, 1], [-1, 2], [-1, 3], [0, -1], [0, 1],
+                              [1, -3], [1, -2], [1, -1], [1, 0], [2, -3]],
+          "max_cones": [[0, 2], [0, 3], [1, 2], [1, 5], [3, 4], [4, 6], [5, 7], [6, 10],
+                        [7, 8], [8, 11], [9, 10], [9, 11]]}
+B2_FAN = {"rank": 2, "rays": [[-2, 1], [-1, 0], [-1, 1], [0, -1], [0, 1], [1, -1], [1, 0],
+                              [2, -1]],
+          "max_cones": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 6], [5, 7], [6, 7]]}
+
+
+def test_fan_verb_pinned(capsys):
+    assert run_json(["fan", "--type", "G"], capsys) == G2_FAN
+    assert run_json(["fan", "--type", "B", "--rank", "2"], capsys) == B2_FAN
+
+
 def test_betti_verb(capsys):
     assert run_json(["betti", "--n", "3"], capsys) == [1, 11, 11, 1]
 
@@ -151,11 +167,50 @@ CHAIN = json.dumps({"n": 2, "blocks": [[1, 2, 3]], "coords": [
     (["rdata", "universal-at", "--type", "A", "--rank", "2"], "--point-json"),
     (["lm", "extract"], "--chain-json"),
     (["lm", "contract", "--chain-json", CHAIN], "--keep"),
+    # a payload of the wrong JSON type or shape
+    (["rdata", "validate", "--type", "A", "--rank", "2", "--data-json", "[]"], "--data-json"),
+    (["lm", "membership", "--data-json", A2_DATA, "--point-json", "[1,2,3]"], "--point-json"),
+    (["fan", "--factors", "5"], "--factors"),
+    (["nef", "--n", "2", "--divisor-json", "[]"], "--divisor-json"),
+    (["reduce", "--class-json", '{"n":2,"terms":[{"chain":[3],"coeff":1}]}'], "--class-json"),
+    (["lm", "contract", "--chain-json", "[]", "--keep", "1"], "--chain-json"),
+    (["orbit", "--type", "A", "--rank", "2", "--cone", "5"], "--cone"),
+    (["lm", "orbit-type", "--n", "2", "--cone", "[3]"], "--cone"),
+    (["morphism", "--type", "A", "--rank", "2", "--sub-roots", "[[1,-1]]"], "--sub-roots"),
+    (["lm", "extract", "--chain-json", json.dumps({"blocks": [[1], [5]], "coords": [
+        {"i": 1, "pos": ["1", "1"]}, {"i": 5, "pos": ["1", "1"]}]})], "--chain-json"),
+    (["lm", "roundtrip", "--n", "2", "--samples", "-1"], "--samples"),
 ])
 def test_missing_or_short_input_is_invalid_input(argv, flag, capsys):
     out = run_json(argv, capsys, expect_code=1)
     assert out["error"] == "InvalidInput"
     assert flag in out["detail"]
+
+
+def test_chart_point_needs_one_coordinate_per_simple_root(capsys):
+    for point in ({"chart": [], "coords": []},
+                  {"chart": [[1, -1, 0], [0, 1, -1]], "coords": ["1", "1", "5"]}):
+        out = run_json(["rdata", "universal-at", "--type", "A", "--rank", "2",
+                        "--point-json", json.dumps(point)], capsys, expect_code=1)
+        assert out["error"] == "InvalidInput"
+
+
+def test_orbit_cone_with_a_repeated_ray(capsys):
+    once = run_json(["orbit", "--type", "A", "--rank", "2", "--cone", "[[1,0]]"], capsys)
+    twice = run_json(["orbit", "--type", "A", "--rank", "2", "--cone", "[[1,0],[1,0]]"],
+                     capsys)
+    assert once == twice
+
+
+def test_internal_check_failure_is_a_domain_error(capsys, monkeypatch):
+    from weylfan import rdata
+
+    good = rdata.universal_rdata_at
+    monkeypatch.setattr(rdata, "universal_rdata_at",
+                        lambda r, p: rdata.RData(good(r, p).ratios[1:]))
+    out = run_json(["rdata", "to-point", "--type", "A", "--rank", "2",
+                    "--data-json", A2_DATA], capsys, expect_code=1)
+    assert out["error"] == "InternalCheckFailed"
 
 
 def test_lm_verbs(capsys, tmp_path):

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -41,6 +43,38 @@ def test_bcdg_fans_complete_smooth():
         assert len(f.max_cones) == roots.weyl_order(r.spec)
         assert fans.check_complete(f)
         assert fans.check_smooth(f)
+
+
+UP_TO_RANK_5 = ([(("A", n),) for n in range(1, 6)] + [(("B", n),) for n in range(2, 6)]
+                + [(("C", n),) for n in range(2, 6)] + [(("D", n),) for n in range(2, 6)]
+                + [(("G", 2),), (("A", 2), ("B", 2))])
+
+
+@pytest.mark.parametrize("factors", UP_TO_RANK_5,
+                         ids=lambda fs: "x".join(f"{f}{n}" for f, n in fs))
+def test_h_vector_is_descent_distribution(factors):
+    """h-vector of the chamber fan = distribution of descents over W.
+
+    The h-vector comes from the face counts f_k of the fan, h(t) =
+    sum_k f_k (t-1)^{n-k}.  The descents of a chamber are the base-negative
+    roots in its simple set (the Betti numbers of X(R): Dolgachev-Lunts,
+    Stembridge).
+    """
+    r = sys(*factors)
+    n = r.rank
+    f = fans.weyl_chamber_fan(r)
+    faces = {face for cone in f.max_cones for k in range(n + 1)
+             for face in combinations(cone, k)}
+    h = [0] * (n + 1)
+    for face in faces:
+        e = n - len(face)
+        for j in range(e + 1):
+            h[j] += comb(e, j) * (-1) ** (e - j)
+    descents = [0] * (n + 1)
+    for s in roots.enumerate_simple_root_sets(r):
+        descents[sum(i not in r.positive for i in s)] += 1
+    assert h == descents
+    assert sum(h) == roots.weyl_order(r.spec) and h == h[::-1]
 
 
 def test_fan_negation_symmetric():

@@ -78,6 +78,11 @@ def test_dual_basis():
     assert linalg.dual_basis(ident) == ident
     with pytest.raises(NotUnimodular):
         linalg.dual_basis(((2,),))
+    for non_square in (((1, 0), (0, 1), (1, 1)), ((1, 0, 0), (0, 1, 0))):
+        with pytest.raises(NotUnimodular):
+            linalg.int_inverse(non_square)
+        with pytest.raises(NotUnimodular):
+            linalg.dual_basis(non_square)
     # A2 simple roots in root-lattice coordinates are the identity already;
     # a sheared unimodular basis round-trips through the pairing.
     b = ((1, 1), (0, 1))
