@@ -308,8 +308,9 @@ def cmd_lm(args):
             ],
         }
     if args.action == "orbit-type":
-        chain = _payload(args, "--cone", lambda obj: tuple(typea.mask_of(p) for p in obj))
-        t = chains.comb_type_over_cone(_required(args, "--n"), chain)
+        n = _required(args, "--n")
+        chain = _payload(args, "--cone", lambda obj: tuple(typea.checked_mask(p, n) for p in obj))
+        t = chains.comb_type_over_cone(n, chain)
         return {"blocks": [list(b) for b in t.blocks]}
     if args.action == "roundtrip":
         n = _required(args, "--n")

@@ -6,7 +6,9 @@ ray is the dot product of the root's base-coordinates with the ray vector.
 
 The Weyl chambers are the simple sets S of ``roots.enumerate_simple_root_sets``
 (the one orbit of W that the package walks); the rays of the chamber of S are
-the dual basis of S.
+the dual basis of S.  The face containing a vector is found by descent from
+the base chamber (``chamber_face``), not by a scan of the chambers; the fan
+morphisms are built from it.
 
 Cones are sorted tuples of ray indices; the empty tuple is the zero cone.
 Rays and max-cone lists are canonicalized (lexicographic) on construction,
@@ -14,11 +16,10 @@ so equal fans compare equal structurally.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, roots as rootsmod
-from .errors import NotInSpan, NotRootSpan, NotSurjective
+from .errors import NotInSpan, NotRootSpan, NotSurjective, internal_check
 
 
 @dataclass(frozen=True)
@@ -69,15 +70,15 @@ def _chamber_data(r):
     The chamber of a simple set S is {v : <alpha, v> >= 0 for alpha in S},
     so its rays are the dual basis of the rows ``r.mcoords[i]`` for i in S.
     The chambers are read off ``roots.enumerate_simple_root_sets``, the one
-    walk over W.  The chamber map sends each max cone (sorted ray-index
-    tuple) to its set of simple roots (sorted root-index tuple).
+    walk over W.  The chamber map sends each simple set (sorted root-index
+    tuple) to its max cone (sorted ray-index tuple).
     """
     sets = rootsmod.enumerate_simple_root_sets(r)
     duals = [linalg.dual_basis(tuple(r.mcoords[i] for i in s)) for s in sets]
     rays = sorted({v for d in duals for v in d})
     ray_ids = {v: i for i, v in enumerate(rays)}
     cones = [tuple(sorted(ray_ids[v] for v in d)) for d in duals]
-    return Fan(r.rank, tuple(rays), tuple(sorted(cones))), dict(zip(cones, sets))
+    return Fan(r.rank, tuple(rays), tuple(sorted(cones))), dict(zip(sets, cones))
 
 
 def weyl_chamber_fan(r):
@@ -85,36 +86,21 @@ def weyl_chamber_fan(r):
     return _chamber_data(r)[0]
 
 
-@lru_cache(maxsize=None)
-def _cone_inverses(f):
-    """Integer inverse of each max cone's ray matrix (None if not square)."""
-    out = []
-    for cone in f.max_cones:
-        mat = tuple(f.rays[i] for i in cone)
-        if len(mat) != f.lattice_rank or abs(linalg.det(mat)) != 1:
-            out.append(None)
-        else:
-            out.append(linalg.int_inverse(mat))
-    return tuple(out)
+def chamber_face(r, v):
+    """The cone of ``weyl_chamber_fan(r)`` with v (rational entries allowed)
+    in its relative interior, as a sorted tuple of ray indices.
 
-
-def minimal_containing_cone(f, v):
-    """The unique cone of a complete simplicial unimodular fan containing v
-    in its relative interior, as a sorted tuple of ray indices."""
-    v = tuple(Fraction(x) for x in v)
-    for cone, inv in zip(f.max_cones, _cone_inverses(f)):
-        if inv is None:
-            raise ValueError("fan has a non-unimodular max cone")
-        coeffs = linalg.vec_matmul(v, inv)
-        if all(c >= 0 for c in coeffs):
-            return tuple(sorted(i for i, c in zip(cone, coeffs) if c > 0))
-    raise ValueError(f"{v} is not covered; fan is not complete")
-
-
-def cone_contains(f, cone, v):
-    """Membership of v in the closed cone (for simplicial unimodular fans)."""
-    face = minimal_containing_cone(f, v)
-    return set(face) <= set(cone)
+    ``roots.descend`` reflects in simple roots a with <a, v> < 0 until the
+    chamber S contains v.  As v = sum <a, v> w_a over the dual basis of S,
+    the face is spanned by the rays w_a of S with <a, v> > 0.
+    """
+    pairing = lambda a: linalg.vec_dot(r.mcoords[a], v)
+    walk = rootsmod.descend(r, lambda a: pairing(a) < 0)
+    internal_check(walk is not None, f"the descent for {tuple(v)} did not end")
+    fan, chambers = _chamber_data(r)
+    positive = [a for a in walk[0] if pairing(a) > 0]
+    return tuple(i for i in chambers[walk[0]]
+                 if any(rootsmod.pairing_with_ray(r, a, fan.rays[i]) for a in positive))
 
 
 def _cone_facets(f, cone):
@@ -177,18 +163,13 @@ class FanMorphism:
     def map_vector(self, v):
         return linalg.vec_matmul(v, self.lattice_map)
 
-    def image_cone(self, source_cone):
-        for src, dst in self.cone_image:
-            if src == source_cone:
-                return dst
-        raise KeyError(source_cone)
-
 
 def _morphism_from_lattice_inclusion(r, rprime):
     """Fan morphism Sigma(r) -> Sigma(rprime) for M(rprime) inside M(r).
 
     Both systems live in the same ambient space; the dual surjection
-    N(r) -> N(rprime) is computed in base coordinates.
+    N(r) -> N(rprime) is computed in base coordinates.  The image of a
+    chamber is the ``chamber_face`` of the image of its interior point.
     """
     f = weyl_chamber_fan(r)
     fp = weyl_chamber_fan(rprime)
@@ -196,15 +177,15 @@ def _morphism_from_lattice_inclusion(r, rprime):
     p = tuple(rootsmod.mcoords_of_vector(r, rprime.roots[i])
               for i in rprime.base_simple_set)
     lattice_map = linalg.transpose(p)  # v -> v * P^T
+    # every ray of a source cone must land inside the recorded image cone
+    ray_faces = [set(chamber_face(rprime, linalg.vec_matmul(v, lattice_map)))
+                 for v in f.rays]
     images = []
     for cone in f.max_cones:
         interior = tuple(sum(col) for col in zip(*(f.rays[i] for i in cone)))
-        w = linalg.vec_matmul(interior, lattice_map)
-        target = minimal_containing_cone(fp, w) if rprime.rank else ()
-        # every ray of the source cone must land inside the recorded cone
+        target = chamber_face(rprime, linalg.vec_matmul(interior, lattice_map))
         for i in cone:
-            img = linalg.vec_matmul(f.rays[i], lattice_map)
-            if rprime.rank and not cone_contains(fp, target, img):
+            if not ray_faces[i] <= set(target):
                 raise NotInSpan(f"ray {f.rays[i]} escapes the image cone")
         images.append((cone, target))
     return FanMorphism(f, fp, lattice_map, tuple(images))
@@ -315,22 +296,18 @@ def orbit_closure(r, f, tau):
     fan, chambers = _chamber_data(r)
     tau = tuple(sorted(tau))
     tau_rays = [fan.rays[i] for i in tau]
-    if not any(set(tau) <= set(c) for c in fan.max_cones):
-        raise NotInSpan(f"{tau} is not a cone of the fan")
 
     def orth(i):
         return all(rootsmod.pairing_with_ray(r, i, ray) == 0 for ray in tau_rays)
 
-    sub_idx = tuple(i for i in range(len(r.roots)) if orth(i))
     charts = []
-    for cone in fan.max_cones:
+    for s, cone in chambers.items():
         if set(tau) <= set(cone):
-            s = chambers[cone]
-            s_prime = tuple(i for i in s if orth(i))
-            vanish = tuple(i for i in s if not orth(i))
-            charts.append((tuple(sorted(s)), tuple(sorted(s_prime)),
-                           tuple(sorted(vanish))))
+            charts.append((s, tuple(i for i in s if orth(i)), tuple(i for i in s if not orth(i))))
+    if not charts:
+        raise NotInSpan(f"{tau} is not a cone of the fan")
     charts = tuple(sorted(charts))
+    sub_idx = tuple(i for i in range(len(r.roots)) if orth(i))
     if not tau:
         sub = r
     else:
@@ -359,12 +336,8 @@ def opposite_sections(r, tau):
     minus = tuple(sorted(fan.ray_index(linalg.vec_neg(fan.rays[i])) for i in tau))
     if not any(set(minus) <= set(c) for c in fan.max_cones):
         raise NotInSpan("the opposite cone is missing; fan is not symmetric")
-    if tau:
-        v = tuple(sum(col) for col in zip(*(fan.rays[i] for i in tau)))
-    else:
-        v = (0,) * fan.lattice_rank
+    v = tuple(sum(fan.rays[i][k] for i in tau) for k in range(fan.lattice_rank))
     plus_vanish = tuple(i for i in range(len(r.roots))
                         if rootsmod.pairing_with_ray(r, i, v) > 0)
-    minus_vanish = tuple(i for i in range(len(r.roots))
-                         if rootsmod.pairing_with_ray(r, i, v) < 0)
+    minus_vanish = tuple(sorted(r.neg[i] for i in plus_vanish))
     return SectionPair(tau, minus, plus_vanish, minus_vanish)

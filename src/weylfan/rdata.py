@@ -4,7 +4,9 @@ A point assigns to every pair of opposite roots {±a} a projective ratio
 (t_a : t_{-a}) over Q, subject to the multiplicative identity
 t_a t_b t_{-c} = t_{-a} t_{-b} t_c for every additive triple c = a + b.
 These are in bijection with points of the variety; the bijection with affine
-chart coordinates is implemented in both directions.
+chart coordinates is implemented in both directions.  From ratios to a point,
+the chart is found by descent from the base chamber (``roots.descend``), not
+by a scan of the chambers.
 
 Ratios are stored keyed by the positive root of each pair (positivity taken
 with respect to the base simple set); reading a pair in the opposite
@@ -12,9 +14,9 @@ orientation swaps the two components.  All identities are checked by
 cross-multiplication, never by division.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg, roots as rootsmod
 from .errors import MissingPair, NoChartFound, internal_check
@@ -30,7 +32,8 @@ class ProjectiveRatio:
     The JSON form is the primitive integer pair ``[str(p), str(q)]``: p and q
     coprime with q > 0, or exactly ``["1", "0"]`` when q = 0.  Two ratios are
     equal exactly when their JSON forms are equal.  ``from_json`` accepts any
-    non-zero scaling, fractions included.
+    non-zero scaling, fractions and decimals included, but no exponent
+    notation.
     """
 
     num: Fraction
@@ -73,7 +76,16 @@ class ProjectiveRatio:
 
     @staticmethod
     def from_json(pair):
-        return ProjectiveRatio.of(Fraction(pair[0]), Fraction(pair[1]))
+        return ProjectiveRatio.of(_exact(pair[0]), _exact(pair[1]))
+
+
+def _exact(x):
+    """A JSON integer, decimal or "p/q" string as a Fraction; no exponent
+    notation, as ``Fraction("1e300000")`` builds a 300,000-digit integer."""
+    if (isinstance(x, str) and ("e" in x or "E" in x)
+            or isinstance(x, float) and not math.isfinite(x)):
+        raise ValueError(f"{x!r}: exponent notation and non-finite numbers are not accepted")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -146,14 +158,6 @@ class ChartPoint:
         return self.coords[self.chart.index(root_index)]
 
 
-@lru_cache(maxsize=None)
-def _chart_positive(r, s):
-    """Indices of roots lying in the monoid generated by the chart ``s``."""
-    exp = rootsmod.simple_set_expansions(r, s)
-    return tuple(i for i, x in enumerate(exp)
-                 if all(v >= 0 for v in x) and any(v > 0 for v in x))
-
-
 def universal_rdata_at(r, p):
     """The tautological ratios over a chart point.
 
@@ -184,24 +188,22 @@ def universal_rdata_at(r, p):
 def rdata_to_point(r, d):
     """Invert the ratios to a chart point (the representability bijection).
 
-    Scans the simple sets in canonical order and takes the first chart whose
-    positive roots all have ratio different from (1:0); on that chart the
-    coordinate of a simple root s is t_s / t_{-s}.  The reconstruction is
-    checked to reproduce ``d`` exactly.
+    ``roots.descend`` reflects in simple roots with ratio (1:0); no chamber
+    is enumerated.  Under the triple identities a root with ratio (1:0) is a
+    sum of simple roots one of which has ratio (1:0), so no positive root of
+    the chart reached (not always the first in canonical order) has ratio
+    (1:0).  There the coordinate of a simple root s is t_s / t_{-s}; the
+    reconstruction is checked to reproduce ``d``.
     """
     _require_all_pairs(r, d)
-    for s in rootsmod.enumerate_simple_root_sets(r):
-        if any(ratio_for(r, d, i).is_one_zero for i in _chart_positive(r, s)):
-            continue
-        coords = []
-        for i in s:
-            t = ratio_for(r, d, i)
-            coords.append(Fraction(t.num, t.den) if t.num else Fraction(0))
-        point = ChartPoint(chart=s, coords=tuple(coords))
-        check = universal_rdata_at(r, point)
-        internal_check(check == d, "chart reconstruction failed on validated data")
-        return point
-    raise NoChartFound("no admissible chart; the ratios violate the triple identities")
+    walk = rootsmod.descend(r, lambda a: ratio_for(r, d, a).is_one_zero)
+    if walk is None:
+        raise NoChartFound("no admissible chart; the ratios violate the triple identities")
+    ratios = [ratio_for(r, d, i) for i in walk[0]]
+    point = ChartPoint(chart=walk[0], coords=tuple(t.num / t.den for t in ratios))
+    internal_check(universal_rdata_at(r, point) == d,
+                   "chart reconstruction failed on validated data")
+    return point
 
 
 def verify_relation_generation(r):
@@ -279,7 +281,7 @@ def chart_point_to_json(r, p):
 def chart_point_from_json(r, obj):
     chart = tuple(r.root_index(tuple(v)) for v in obj["chart"])
     order = sorted(range(len(chart)), key=lambda t: chart[t])
-    coords = [Fraction(x) for x in obj["coords"]]
+    coords = [_exact(x) for x in obj["coords"]]
     if len(chart) != r.rank or len(coords) != r.rank:
         raise ValueError(f"a chart point has {r.rank} simple roots and {r.rank} coordinates")
     return ChartPoint(chart=tuple(chart[t] for t in order),

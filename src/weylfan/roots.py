@@ -10,7 +10,10 @@ mcoords are componentwise >= 0.
 Sets of simple roots are identified with Weyl chambers.
 ``enumerate_simple_root_sets`` walks W once, as the reflection orbit of the
 base set; ``fans`` reads each chamber's rays off its simple set as the dual
-basis, with no walk of its own.
+basis, with no walk of its own.  Finding one chamber with a property never
+needs the whole orbit: ``descend`` walks from the base chamber, reflecting
+in a simple root on the wrong side, in at most |Phi+| steps.  It finds the
+chart of a point (``rdata``) and the face containing a vector (``fans``).
 """
 
 from dataclasses import dataclass
@@ -184,11 +187,8 @@ def _generic_base(roots, dim):
         t += 1
     pos = [v for v in roots if vals[v] > 0]
     pos_set = set(pos)
-    base = []
-    for v in pos:
-        if not any(tuple(a - b for a, b in zip(v, w)) in pos_set for w in pos if w != v):
-            base.append(v)
-    return sorted(base)
+    return sorted(v for v in pos
+                  if not any(linalg.vec_sub(v, w) in pos_set for w in pos if w != v))
 
 
 def _finish(spec, dim, roots, base):
@@ -269,6 +269,24 @@ def enumerate_simple_root_sets(r):
     return tuple(sorted(orbit))
 
 
+def descend(r, wrong):
+    """Walk from the sorted base simple set S to one with no ``wrong`` member.
+
+    While some a in S is ``wrong``, S becomes s_a(S) for the smallest such a.
+    If ``wrong(a)`` excludes ``wrong(-a)``, each step removes one wrong root
+    from the positive roots of S (s_a permutes the others), so the walk ends
+    within |Phi+| steps.  Returns (S, steps), or None after |Phi+| steps.
+    """
+    table = reflection_table(r)
+    s = tuple(sorted(r.base_simple_set))
+    for steps in range(len(r.positive) + 1):
+        a = next((a for a in s if wrong(a)), None)
+        if a is None:
+            return s, steps
+        s = tuple(sorted(table[a][b] for b in s))
+    return None
+
+
 @lru_cache(maxsize=None)
 def simple_set_expansions(r, s):
     """Expansion table of every root in the simple set ``s``.
@@ -285,11 +303,6 @@ def simple_set_expansions(r, s):
             raise NotInSpan(f"mixed-sign expansion in chart {s}")
         out.append(x)
     return tuple(out)
-
-
-def positive_root_expansion(r, s, root_index):
-    """Integer coefficients of a root in the simple basis ``s``."""
-    return simple_set_expansions(r, tuple(s))[root_index]
 
 
 @lru_cache(maxsize=None)

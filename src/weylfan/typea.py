@@ -52,6 +52,15 @@ def mask_of(member_list):
     return m
 
 
+def checked_mask(member_list, n):
+    """``mask_of`` for labels read from input: n and each label (in 1..n+1)
+    are checked before any shift can build a huge integer."""
+    _check_n(n)
+    if not all(1 <= k <= n + 1 for k in member_list):
+        raise ValueError(f"labels {member_list} are not all in 1..{n + 1}")
+    return mask_of(member_list)
+
+
 def subset_ray(mask, n):
     """v_A in the coordinates dual to the base simple roots."""
     return tuple(
@@ -623,7 +632,7 @@ def cohom_class_from_json(obj):
     _check_n(n)
     terms = {}
     for entry in obj["terms"]:
-        chain = tuple(mask_of(part) for part in entry["chain"])
+        chain = tuple(checked_mask(part, n) for part in entry["chain"])
         if not all(0 < a < full_mask(n) for a in chain) or not is_chain(chain):
             raise ValueError(f"not a nested chain of proper subsets: {entry['chain']}")
         terms[chain] = terms.get(chain, 0) + int(entry["coeff"])
@@ -643,7 +652,7 @@ def divisor_to_json(coeffs, n):
 def divisor_from_json(obj, n):
     out = {}
     for entry in obj["coeffs"]:
-        a = mask_of(entry["subset"])
+        a = checked_mask(entry["subset"], n)
         if not 0 < a < full_mask(n):
             raise ValueError(f"subset out of range: {entry['subset']}")
         out[a] = out.get(a, 0) + int(entry["a"])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -187,6 +188,63 @@ def test_missing_or_short_input_is_invalid_input(argv, flag, capsys):
     assert flag in out["detail"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["rdata", "universal-at", "--type", "A", "--rank", "2", "--point-json",
+     json.dumps({"chart": [[1, -1, 0], [0, 1, -1]], "coords": ["1e300000", "1"]})],
+    ["lm", "membership", "--data-json", A2_DATA, "--point-json",
+     json.dumps([["1", "1"], ["1E300000", "1"], ["2", "1"]])],
+    ["rdata", "validate", "--type", "A", "--rank", "2", "--data-json",
+     A2_DATA.replace('["2", "1"]', '["2", "1e300000"]', 1)],
+    ["rdata", "to-point", "--type", "A", "--rank", "2", "--data-json",
+     A2_DATA.replace('["1", "1"]', '["-1.5e300000", "1"]', 1)],
+])
+def test_exponent_notation_is_invalid_input(argv, capsys):
+    """A ratio or coordinate in exponent notation is refused before it is
+    turned into a 300,000-digit integer."""
+    out = run_json(argv, capsys, expect_code=1)
+    assert out["error"] == "InvalidInput"
+    assert "exponent" in out["detail"]
+
+
+def test_infinite_json_number_is_invalid_input(capsys):
+    point = '{"chart": [[1, -1, 0], [0, 1, -1]], "coords": [1e999, 1]}'
+    out = run_json(["rdata", "universal-at", "--type", "A", "--rank", "2",
+                    "--point-json", point], capsys, expect_code=1)
+    assert out["error"] == "InvalidInput"
+
+
+def test_integer_fraction_and_decimal_coordinates(capsys):
+    point = {"chart": [[1, -1, 0], [0, 1, -1]], "coords": ["3", "0.5"]}
+    out = run_json(["rdata", "universal-at", "--type", "A", "--rank", "2",
+                    "--point-json", json.dumps(point)], capsys)
+    point["coords"] = ["6/2", "1/2"]
+    assert run_json(["rdata", "universal-at", "--type", "A", "--rank", "2",
+                     "--point-json", json.dumps(point)], capsys) == out
+    assert {tuple(e["positive_root"]): e["ratio"] for e in out["pairs"]} == {
+        (1, -1, 0): ["3", "1"], (0, 1, -1): ["1", "2"], (1, 0, -1): ["3", "2"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--class-json",
+     json.dumps({"n": 2, "terms": [{"chain": [[50_000_000]], "coeff": 1}]})],
+    ["nef", "--n", "2", "--divisor-json",
+     json.dumps({"coeffs": [{"subset": [50_000_000], "a": 1}]})],
+    ["lm", "orbit-type", "--n", "2", "--cone", "[[50000000]]"],
+    ["lm", "orbit-type", "--n", "50000000", "--cone", "[[1]]"],
+], ids=["reduce", "nef", "orbit-type-label", "orbit-type-n"])
+def test_out_of_range_label_is_refused_before_any_shift(argv, capsys):
+    """A label or n far out of range exits 1 without building its bit mask:
+    label 50,000,000 as a mask is a 6 MB integer."""
+    tracemalloc.start()
+    try:
+        out = run_json(argv, capsys, expect_code=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["error"] == "InvalidInput"
+    assert peak < 1_000_000
+
+
 def test_chart_point_needs_one_coordinate_per_simple_root(capsys):
     for point in ({"chart": [], "coords": []},
                   {"chart": [[1, -1, 0], [0, 1, -1]], "coords": ["1", "1", "5"]}):
@@ -244,43 +302,106 @@ def test_lm_verbs(capsys, tmp_path):
     assert json.loads(target.read_text()) == [1, 4, 1]
 
 
-def test_every_operation_reachable():
-    """Each public library operation is exercised by at least one verb."""
-    import inspect
+# One small argv per verb and action; test_every_operation_reachable runs them.
+VERB_ARGV = [
+    ["fan", "--type", "A", "--rank", "2"],
+    ["morphism", "--type", "A", "--rank", "2", "--sub-roots", "[[1,-1,0]]"],
+    ["morphism", "--type", "A", "--rank", "2", "--embed-products"],
+    ["orbit", "--type", "A", "--rank", "2", "--cone", "[[1,0]]"],
+    ["rdata", "validate", "--type", "A", "--rank", "2", "--data-json", A2_DATA],
+    ["rdata", "to-point", "--type", "A", "--rank", "2", "--data-json", A2_DATA],
+    ["rdata", "universal-at", "--type", "A", "--rank", "2", "--point-json",
+     json.dumps({"chart": [[1, -1, 0], [0, 1, -1]], "coords": ["2", "0"]})],
+    ["rdata", "verify-gen", "--type", "B", "--rank", "2"],
+    ["betti", "--n", "2"],
+    ["basis", "--n", "2"],
+    ["reduce", "--class-json", json.dumps({"n": 2, "terms": [{"chain": [[3]], "coeff": 1}]})],
+    ["reduce", "--class-json", json.dumps({"n": 2, "terms": [{"chain": [[1]], "coeff": 1}]}),
+     "--times-json", json.dumps({"n": 2, "terms": [{"chain": [[2]], "coeff": 1}]})],
+    ["primcol", "--n", "2"],
+    ["nef", "--n", "2", "--divisor-json", json.dumps({"coeffs": [{"subset": [1], "a": 1}]})],
+    ["ample", "--n", "2", "--divisor-json", json.dumps({"coeffs": [{"subset": [1], "a": 1}]})],
+    ["polytope", "--n", "2"],
+    ["sigma-delta", "--n", "2"],
+    ["crepant", "--n", "2"],
+    ["lm", "type", "--data-json", A2_DATA],
+    ["lm", "from-data", "--data-json", A2_DATA],
+    ["lm", "extract", "--chain-json", CHAIN],
+    ["lm", "contract", "--chain-json", CHAIN, "--keep", "1,3"],
+    ["lm", "membership", "--data-json", A2_DATA, "--point-json",
+     json.dumps([["1", "1"], ["1", "1"], ["2", "1"]])],
+    ["lm", "universal", "--n", "1"],
+    ["lm", "orbit-type", "--n", "2", "--cone", "[[1]]"],
+    ["lm", "roundtrip", "--n", "2", "--samples", "2"],
+]
 
-    from weylfan import chains, fans, rdata, roots, typea
+
+def test_every_operation_reachable(capsys):
+    """Each public library operation is entered by at least one verb.
+
+    Every verb of VERB_ARGV runs under ``sys.setprofile`` with the library
+    caches emptied, so a cached result cannot hide a function.
+    """
+    import inspect
+    import sys
+
+    from weylfan import chains, fans, linalg, rdata, roots, typea
 
     covered = {
         # verb fan
         roots.build_root_system, roots.enumerate_simple_root_sets,
-        fans.weyl_chamber_fan, fans.check_complete, fans.check_smooth,
+        fans.weyl_chamber_fan,
         # morphism
         fans.subsystem_morphism, fans.projection_embedding_equations,
-        fans.minimal_containing_cone,
+        fans.chamber_face,
         # orbit
         fans.orbit_closure, fans.opposite_sections, roots.dynkin_components,
         # rdata
         rdata.validate_rdata, rdata.rdata_to_point, rdata.universal_rdata_at,
-        rdata.verify_relation_generation, rdata.orbit_rdata_pattern,
-        roots.positive_root_expansion, roots.additive_triples,
+        rdata.verify_relation_generation, roots.descend, roots.additive_triples,
         # type A
         typea.chain_fan, typea.betti_numbers, typea.eulerian_numbers,
-        typea.descent_basis, typea.d_statistic, typea.reduce_to_basis,
+        typea.descent_basis, typea.reduce_to_basis,
         typea.multiply, typea.primitive_collections, typea.is_nef,
         typea.is_ample, typea.nef_oracle, typea.delta_polytope,
         typea.sigma_delta_fan, typea.crepant_subdivision,
-        # lattice layer used everywhere
         # lm
         chains.comb_type_from_data, chains.chain_from_data, chains.data_from_chain,
         chains.contract, chains.curve_membership, chains.universal_curve_structure,
         chains.comb_type_over_cone,
     }
-    # the check: every covered symbol exists and is callable; and the
-    # verb table exercises them (smoke-run is done in the tests above)
-    for fn in covered:
+    # Library operations that no verb reaches; the tests of their modules
+    # exercise them.
+    library_only = {
+        fans.check_complete, fans.check_smooth,
+        rdata.orbit_rdata_pattern, typea.d_statistic,
+    }
+    for fn in covered | library_only:
         assert callable(fn)
     parser = cli.build_parser()
     verbs = set(parser._subparsers._group_actions[0].choices)
     assert verbs == {"fan", "morphism", "orbit", "rdata", "betti", "basis",
                      "reduce", "primcol", "nef", "ample", "polytope",
                      "sigma-delta", "crepant", "lm"}
+    assert {argv[0] for argv in VERB_ARGV} == verbs
+
+    for module in (linalg, roots, fans, rdata, typea, chains):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.run(argv) for argv in VERB_ARGV]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0] * len(VERB_ARGV)
+    name = lambda fn: f"{fn.__module__}.{fn.__name__}"
+    assert sorted(name(fn) for fn in covered
+                  if inspect.unwrap(fn).__code__ not in entered) == []

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import pytest
 
 from weylfan import fans, linalg, roots
-from weylfan.errors import NotRootSpan
+from weylfan.errors import NotInSpan, NotRootSpan
 
 
 def sys(*factors):
@@ -101,25 +103,87 @@ def test_deleting_a_chamber_breaks_completeness():
     assert fans.check_complete(f)
 
 
+# Oracle for chamber_face: a scan of every max cone of a complete simplicial
+# unimodular fan.
+@lru_cache(maxsize=None)
+def _cone_inverses(f):
+    """Integer inverse of each max cone's ray matrix (None if not square)."""
+    out = []
+    for cone in f.max_cones:
+        mat = tuple(f.rays[i] for i in cone)
+        if len(mat) != f.lattice_rank or abs(linalg.det(mat)) != 1:
+            out.append(None)
+        else:
+            out.append(linalg.int_inverse(mat))
+    return tuple(out)
+
+
+def minimal_containing_cone(f, v):
+    """The unique cone containing v in its relative interior, by a scan."""
+    v = tuple(Fraction(x) for x in v)
+    for cone, inv in zip(f.max_cones, _cone_inverses(f)):
+        if inv is None:
+            raise ValueError("fan has a non-unimodular max cone")
+        coeffs = linalg.vec_matmul(v, inv)
+        if all(c >= 0 for c in coeffs):
+            return tuple(sorted(i for i, c in zip(cone, coeffs) if c > 0))
+    raise ValueError(f"{v} is not covered; fan is not complete")
+
+
+def cone_contains(f, cone, v):
+    """Membership of v in the closed cone (for simplicial unimodular fans)."""
+    return set(minimal_containing_cone(f, v)) <= set(cone)
+
+
 def test_minimal_containing_cone():
-    f = fans.weyl_chamber_fan(sys(("A", 2)))
-    assert fans.minimal_containing_cone(f, (0, 0)) == ()
+    r = sys(("A", 2))
+    f = fans.weyl_chamber_fan(r)
+    assert fans.chamber_face(r, (0, 0)) == ()
     v1 = f.ray_index((1, 0))
-    assert fans.minimal_containing_cone(f, (1, 0)) == (v1,)
+    assert fans.chamber_face(r, (1, 0)) == (v1,)
     # 2 v1 + v2 = (1, 1) lies inside the chamber spanned by v1, v1+v2
-    cone = fans.minimal_containing_cone(f, (1, 1))
+    cone = fans.chamber_face(r, (1, 1))
     assert cone == tuple(sorted((v1, f.ray_index((0, 1)))))
     # rational points too
-    cone2 = fans.minimal_containing_cone(f, (Fraction(3, 2), Fraction(1, 2)))
+    cone2 = fans.chamber_face(r, (Fraction(3, 2), Fraction(1, 2)))
     assert cone2 == cone
 
 
 def test_minimal_cone_face_property():
-    f = fans.weyl_chamber_fan(sys(("B", 2)))
+    r = sys(("B", 2))
+    f = fans.weyl_chamber_fan(r)
     for v in [(2, 1), (1, 0), (0, 3), (-1, -1), (5, -2)]:
-        cone = fans.minimal_containing_cone(f, v)
+        cone = fans.chamber_face(r, v)
         assert any(set(cone) <= set(c) for c in f.max_cones)
-        assert fans.cone_contains(f, cone, v)
+        assert cone_contains(f, cone, v)
+
+
+FACE_SYSTEMS = ([(("A", n),) for n in range(1, 5)] + [(("B", n),) for n in range(2, 5)]
+                + [(("C", 3),), (("D", 4),), (("G", 2),), (("A", 2), ("B", 2))])
+
+
+@pytest.mark.parametrize("factors", FACE_SYSTEMS,
+                         ids=lambda fs: "x".join(f"{f}{n}" for f, n in fs))
+def test_chamber_face_equals_scan(factors):
+    """Descent and the scan over every chamber find the same face, for
+    integer vectors with small entries (often on walls), sums of a few rays
+    (on faces of every dimension) and rational vectors.  The descent takes
+    one step per positive root negative on v, so at most |Phi+| steps."""
+    r = sys(*factors)
+    f = fans.weyl_chamber_fan(r)
+    rng = random.Random("x".join(f"{fam}{n}" for fam, n in factors))
+    vectors = [tuple(rng.randint(-2, 2) for _ in range(r.rank)) for _ in range(25)]
+    for _ in range(25):
+        rays = rng.sample(f.rays, rng.randint(1, r.rank))
+        vectors.append(tuple(sum(rng.randint(0, 3) * w[k] for w in rays)
+                             for k in range(r.rank)))
+    vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(r.rank))
+                for _ in range(25)]
+    for v in vectors:
+        assert fans.chamber_face(r, v) == minimal_containing_cone(f, v), v
+        negative = lambda a: linalg.vec_dot(r.mcoords[a], v) < 0
+        _, steps = roots.descend(r, negative)
+        assert steps == sum(map(negative, r.positive)) <= len(r.positive)
 
 
 def test_subsystem_morphism_a2_to_a1():
@@ -227,6 +291,16 @@ def test_orbit_closure_examples():
     assert orb.subsystem.roots == ()
 
 
+def test_orbit_closure_of_a_non_cone():
+    r = sys(("A", 2))
+    f = fans.weyl_chamber_fan(r)
+    opposite = (f.ray_index((1, 0)), f.ray_index((-1, 0)))
+    with pytest.raises(NotInSpan):
+        fans.orbit_closure(r, f, opposite)
+    with pytest.raises(NotInSpan):
+        fans.opposite_sections(r, opposite)
+
+
 def test_orbit_closure_a3_ray_types():
     r = sys(("A", 3))
     f = fans.weyl_chamber_fan(r)
@@ -269,13 +343,26 @@ def test_opposite_sections():
     assert zero.plus_vanishing == zero.minus_vanishing == ()
 
 
+def test_opposite_sections_vanishing_sets_by_definition():
+    """The vanishing sets are the roots positive (negative) on the sum of
+    the rays of tau, as sorted index tuples."""
+    r = sys(("B", 3))
+    f = fans.weyl_chamber_fan(r)
+    for tau in [(i,) for i in range(len(f.rays))] + [c[:2] for c in f.max_cones[:6]]:
+        sec = fans.opposite_sections(r, tau)
+        v = tuple(sum(f.rays[i][k] for i in tau) for k in range(r.rank))
+        signs = [roots.pairing_with_ray(r, i, v) for i in range(len(r.roots))]
+        assert sec.plus_vanishing == tuple(i for i, x in enumerate(signs) if x > 0)
+        assert sec.minus_vanishing == tuple(i for i, x in enumerate(signs) if x < 0)
+
+
 def test_fan_morphism_rays_land_in_image_cones():
     r = sys(("A", 3))
     rp, mor = fans.subsystem_morphism(r, ((1, -1, 0, 0), (0, 1, -1, 0)))
     for src, dst in mor.cone_image:
         for i in src:
             img = mor.map_vector(mor.source.rays[i])
-            assert fans.cone_contains(mor.target, dst, img)
+            assert cone_contains(mor.target, dst, img)
 
 
 def test_fan_json_roundtrip():

@@ -46,6 +46,14 @@ def test_projective_ratio_from_json_any_scaling():
     assert ProjectiveRatio.from_json(["4", "2"]) == ProjectiveRatio.of(2, 1)
     assert ProjectiveRatio.from_json(["1", "1/2"]) == ProjectiveRatio.of(2, 1)
     assert ProjectiveRatio.from_json(["-2/3", "-1"]).to_json() == ["2", "3"]
+    assert ProjectiveRatio.from_json(["0.5", 1]) == ProjectiveRatio.of(1, 2)
+
+
+@pytest.mark.parametrize("pair", [["1e3", "1"], ["1", "2E-5"], ["1.5e300000", "1"],
+                                  [float("inf"), 1], ["1", float("nan")]])
+def test_projective_ratio_from_json_refuses_exponents_and_non_finite(pair):
+    with pytest.raises(ValueError):
+        ProjectiveRatio.from_json(pair)
 
 
 def test_validate_examples():
@@ -114,7 +122,7 @@ def test_rdata_to_point_roundtrip_examples():
     d = rdata.universal_rdata_at(r, p)
     q = rdata.rdata_to_point(r, d)
     assert rdata.universal_rdata_at(r, q) == d
-    # generic interior point: the first chart works, so coords match some chart
+    # the chart the descent reaches is one of the chambers
     assert set(q.chart) in [set(s) for s in roots.enumerate_simple_root_sets(r)]
 
     # all ratios (1:1): the torus identity, any chart, coords all 1
@@ -153,14 +161,73 @@ def test_functor_roundtrip_random(factors):
         assert rdata.validate_rdata(r, d) == []
         q = rdata.rdata_to_point(r, d)
         assert rdata.universal_rdata_at(r, q) == d
+        check_descent(r, d, q)
         if q.chart == p.chart:
             assert q.coords == p.coords
+
+
+def check_descent(r, d, q):
+    """The chart of q is admissible: no root in the monoid of the chart has
+    ratio (1:0).  It is where the descent ends, after one step per positive
+    root with ratio (1:0), so at most |Phi+| steps."""
+    exp = roots.simple_set_expansions(r, q.chart)
+    chart_positive = [i for i, x in enumerate(exp)
+                      if all(v >= 0 for v in x) and any(v > 0 for v in x)]
+    assert not any(rdata.ratio_for(r, d, i).is_one_zero for i in chart_positive)
+    one_zero = lambda a: rdata.ratio_for(r, d, a).is_one_zero
+    chart, steps = roots.descend(r, one_zero)
+    assert chart == q.chart
+    assert steps == sum(map(one_zero, r.positive)) <= len(r.positive)
+
+
+def random_walk_chart(r, rng, length):
+    """A chamber reached by ``length`` random simple reflections from the base."""
+    table = roots.reflection_table(r)
+    s = tuple(sorted(r.base_simple_set))
+    for _ in range(length):
+        a = rng.choice(s)
+        s = tuple(sorted(table[a][b] for b in s))
+    return s
+
+
+@pytest.mark.parametrize("factors", [(("A", 7),), (("D", 6),)], ids=["A7", "D6"])
+def test_roundtrip_without_chamber_enumeration(factors, monkeypatch):
+    """Points of A_7 (|W| = 40,320) and D_6 go to ratios and back without
+    enumerating the chambers."""
+    def refuse(r):
+        raise AssertionError("enumerate_simple_root_sets was called")
+
+    monkeypatch.setattr(roots, "enumerate_simple_root_sets", refuse)
+    r = sys(*factors)
+    rng = random.Random(factors[0][0])
+    for _ in range(12):
+        chart = random_walk_chart(r, rng, 2 * len(r.positive))
+        coords = tuple(Fraction(0) if rng.random() < 0.25
+                       else Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 4))
+                       for _ in chart)
+        d = rdata.universal_rdata_at(r, ChartPoint(chart=chart, coords=coords))
+        assert rdata.validate_rdata(r, d) == []
+        q = rdata.rdata_to_point(r, d)
+        assert rdata.universal_rdata_at(r, q) == d
+        check_descent(r, d, q)
 
 
 @pytest.mark.parametrize("factors", [(("A", 1),), (("A", 2),), (("A", 3),),
                                      (("B", 2),), (("B", 3),), (("C", 3),),
                                      (("D", 4),), (("G", 2),)])
 def test_verify_relation_generation(factors):
+    assert rdata.verify_relation_generation(sys(*factors))
+
+
+UP_TO_RANK_5 = ([(("A", n),) for n in range(1, 6)] + [(("B", n),) for n in range(2, 6)]
+                + [(("C", n),) for n in range(3, 6)] + [(("D", n),) for n in range(3, 6)]
+                + [(("G", 2),)])
+
+
+@pytest.mark.parametrize("factors", UP_TO_RANK_5, ids=lambda fs: f"{fs[0][0]}{fs[0][1]}")
+def test_relation_generation_up_to_rank_5(factors):
+    """The additive triples generate every linear relation among the
+    positive roots, for each family up to rank 5."""
     assert rdata.verify_relation_generation(sys(*factors))
 
 

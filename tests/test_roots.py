@@ -86,15 +86,15 @@ def test_positive_root_expansion_examples():
     beta = r.root_index((0, 1, -1))
     gamma = r.root_index((1, 0, -1))
     s = tuple(sorted((alpha, beta)))
-    exp = roots.positive_root_expansion(r, s, gamma)
+    exp = roots.simple_set_expansions(r, s)[gamma]
     # gamma = alpha + beta, coefficients ordered by the sorted simple set
     assert exp == (1, 1)
-    assert roots.positive_root_expansion(r, s, alpha) in ((1, 0), (0, 1))
+    assert roots.simple_set_expansions(r, s)[alpha] in ((1, 0), (0, 1))
 
     b = sys(("B", 2))
     s = tuple(sorted((b.root_index((1, -1)), b.root_index((0, 1)))))
     e1e2 = b.root_index((1, 1))
-    exp = roots.positive_root_expansion(b, s, e1e2)
+    exp = roots.simple_set_expansions(b, s)[e1e2]
     # e1+e2 = (e1-e2) + 2 e2
     coeffs = dict(zip(s, exp))
     assert coeffs[b.root_index((1, -1))] == 1
