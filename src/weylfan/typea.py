@@ -10,6 +10,13 @@ monomials"): the unit is the empty chain, and a chain of length m spans the
 codimension-m part.  The straightening relations rewrite any chain monomial
 into the basis indexed by permutation descent sets; the rewriting strictly
 increases a lexicographic sequence order, which forces termination.
+
+The chambers are the permutations pi of {1, ..., n+1}: the chamber of pi is
+spanned by the rays of its prefix sets {pi_1, ..., pi_t}.  The linear
+functional of a divisor's support function on a chamber is therefore read
+off pi in O(n) steps, with no matrix inverse.  The root polytope is
+reflexive, with the v_A as the vertices of its polar; both vertex sets are
+enumerated by exact integer double description, not by solving subsystems.
 """
 
 from dataclasses import dataclass
@@ -353,29 +360,36 @@ class PrimitiveRelationRecord:
     rhs: tuple      # masks on the right-hand side of v_A + v_A' = sum rhs
 
 
+@lru_cache(maxsize=None)
+def _incomparable_pairs(n):
+    """All pairs (A, A') of proper nonempty subsets, A < A' as masks, with
+    neither contained in the other."""
+    _check_n(n)
+    full = full_mask(n)
+    return tuple((a, b) for a in range(1, full) for b in range(a + 1, full)
+                 if not _comparable(a, b))
+
+
 def primitive_collections(n):
     """All primitive collections of the chamber fan with their relations.
 
     They are exactly the incomparable pairs of subsets; the relation type is
     decided by whether the union is everything and the intersection empty.
     """
-    _check_n(n)
+    pairs = _incomparable_pairs(n)
     full = full_mask(n)
     out = []
-    for a in range(1, full):
-        for b in range(a + 1, full):
-            if _comparable(a, b):
-                continue
-            inter, union = a & b, a | b
-            if inter == 0 and union == full:
-                kind, rhs = "opposite", ()
-            elif inter == 0:
-                kind, rhs = "union", (union,)
-            elif union == full:
-                kind, rhs = "intersection", (inter,)
-            else:
-                kind, rhs = "both", (inter, union)
-            out.append(PrimitiveRelationRecord((a, b), kind, rhs))
+    for a, b in pairs:
+        inter, union = a & b, a | b
+        if inter == 0 and union == full:
+            kind, rhs = "opposite", ()
+        elif inter == 0:
+            kind, rhs = "union", (union,)
+        elif union == full:
+            kind, rhs = "intersection", (inter,)
+        else:
+            kind, rhs = "both", (inter, union)
+        out.append(PrimitiveRelationRecord((a, b), kind, rhs))
     return tuple(out)
 
 
@@ -385,73 +399,97 @@ def _coeff(coeffs, mask, n):
     return coeffs.get(mask, 0)
 
 
+def _pairwise_margins(coeffs, n):
+    """a_A + a_A' - a_{A∩A'} - a_{A∪A'} over every incomparable pair (with
+    a of the empty and full set equal to 0), lazily."""
+    a = lambda mask: _coeff(coeffs, mask, n)
+    return (a(x) + a(y) - a(x & y) - a(x | y) for x, y in _incomparable_pairs(n))
+
+
 def is_nef(coeffs, n):
     """Pairwise criterion: a_A + a_A' >= a_{A∩A'} + a_{A∪A'} on every
-    incomparable pair (with a of the empty and full set equal to 0)."""
-    for rec in primitive_collections(n):
-        a, b = rec.pair
-        if (_coeff(coeffs, a, n) + _coeff(coeffs, b, n)
-                < _coeff(coeffs, a & b, n) + _coeff(coeffs, a | b, n)):
-            return False
-    return True
+    incomparable pair."""
+    return all(m >= 0 for m in _pairwise_margins(coeffs, n))
 
 
 def is_ample(coeffs, n):
     """Strict version of the pairwise criterion."""
-    for rec in primitive_collections(n):
-        a, b = rec.pair
-        if (_coeff(coeffs, a, n) + _coeff(coeffs, b, n)
-                <= _coeff(coeffs, a & b, n) + _coeff(coeffs, a | b, n)):
-            return False
-    return True
+    return all(m > 0 for m in _pairwise_margins(coeffs, n))
 
 
 @lru_cache(maxsize=None)
 def _wall_structure(n):
-    """Per max cone: ray list and the transposed inverse of its ray matrix;
-    plus all walls (facet, the two adjacent cones with their opposite rays)."""
-    f = chain_fan(n)
-    to_mask, _ = ray_masks(n)
-    inv_t = []
-    for cone in f.max_cones:
-        mat = tuple(f.rays[i] for i in cone)
-        if len(mat) != n or abs(linalg.det(mat)) != 1:
+    """Per chamber: its rays in chain order and its permutation; plus the
+    walls, each as (chamber, opposite ray of the neighbouring chamber).
+
+    The chamber of a permutation pi is spanned by the rays of the prefix
+    sets A_t = {pi_1, ..., pi_t}, t = 1..n.  Swapping pi_t and pi_{t+1}
+    changes A_t alone, so each wall is one chamber with pi_t < pi_{t+1} and
+    the ray A_{t-1} + {pi_{t+1}} of its neighbour.  Each chamber's ray
+    matrix must have determinant +-1, or the support function of a divisor
+    is not linear on it.
+    """
+    rays = chain_fan(n).rays
+    _, to_ray = ray_masks(n)
+    perms = list(permutations(range(1, n + 2)))
+    chambers = []
+    for perm in perms:
+        acc, chain = 0, []
+        for k in perm[:-1]:
+            acc |= 1 << (k - 1)
+            chain.append(to_ray[acc])
+        if abs(linalg.det(tuple(rays[i] for i in chain))) != 1:
             raise InconsistentPL("max cone rays do not determine a linear functional")
-        inv_t.append(linalg.transpose(linalg.int_inverse(mat)))
-    facets = {}
-    for idx, cone in enumerate(f.max_cones):
-        for drop in cone:
-            key = tuple(sorted(set(cone) - {drop}))
-            facets.setdefault(key, []).append((idx, drop))
-    walls = tuple(
-        (pair[0], pair[1]) for pair in facets.values() if len(pair) == 2
-    )
-    return f, to_mask, tuple(inv_t), walls
+        chambers.append((tuple(chain), perm))
+    walls = []
+    for idx, perm in enumerate(perms):
+        acc = 0
+        for t in range(n):
+            if perm[t] < perm[t + 1]:
+                walls.append((idx, to_ray[acc | 1 << (perm[t + 1] - 1)]))
+            acc |= 1 << (perm[t] - 1)
+    return tuple(chambers), tuple(walls)
+
+
+def _chamber_functional(b, perm):
+    """The m with <m, v_{A_t}> = b_t on the chain A_t = {pi_1, ..., pi_t}.
+
+    Put x_{pi_t} = b_t - b_{t-1} (b_0 = 0) and x_{pi_{n+1}} = -b_n; then
+    <m, v_A> = sum of x_j over j in A for m_j = x_1 + ... + x_j, because
+    the x sum to 0.
+    """
+    x = [0] * (len(perm) + 1)
+    prev = 0
+    for bt, j in zip(b, perm):
+        x[j] = bt - prev
+        prev = bt
+    x[perm[-1]] = -prev
+    m, total = [], 0
+    for xj in x[1:-1]:
+        total += xj
+        m.append(total)
+    return tuple(m)
 
 
 def nef_oracle(coeffs, n):
     """Wall-convexity check of the support function.
 
-    Builds the linear functional of each chamber interpolating -a on its
-    rays and verifies, across every wall, that the neighbouring chamber's
-    opposite ray evaluates to at least its own -a value.
+    Takes the linear functional of each chamber interpolating -a on its rays
+    in closed form from the chamber's permutation (``_chamber_functional``)
+    and verifies, across every wall, that the neighbouring chamber's opposite
+    ray evaluates to at least its own -a value.
     """
     _check_n(n)
-    f, to_mask, inv_t, walls = _wall_structure(n)
-    values = tuple(-_coeff(coeffs, to_mask[i], n) for i in range(len(f.rays)))
+    chambers, walls = _wall_structure(n)
+    rays = chain_fan(n).rays
+    to_mask, _ = ray_masks(n)
+    values = tuple(-_coeff(coeffs, a, n) for a in to_mask)
     functionals = {}
-
-    def functional(idx):
+    for idx, ray in walls:
         if idx not in functionals:
-            cone = f.max_cones[idx]
-            b = tuple(values[i] for i in cone)
-            functionals[idx] = linalg.vec_matmul(b, inv_t[idx])
-        return functionals[idx]
-
-    for (idx1, drop1), (idx2, drop2) in walls:
-        m = functional(idx1)
-        w = f.rays[drop2]
-        if linalg.vec_dot(m, w) < values[drop2]:
+            chain, perm = chambers[idx]
+            functionals[idx] = _chamber_functional([values[i] for i in chain], perm)
+        if linalg.vec_dot(functionals[idx], rays[ray]) < values[ray]:
             return False
     return True
 
@@ -483,44 +521,80 @@ def _root_mcoords(n):
     return tuple(sorted(set(out)))
 
 
-def _solve_cramer(rows, rhs):
-    d = linalg.det(rows)
-    if d == 0:
-        return None
-    k = len(rows)
-    sol = []
-    for t in range(k):
-        mt = tuple(r[:t] + (rhs[idx],) + r[t + 1:] for idx, r in enumerate(rows))
-        sol.append(Fraction(linalg.det(mt), d))
-    return tuple(sol)
+def _into_hyperplane(a, p, v):
+    """The primitive multiple of <a, p> v - <a, v> p, which lies on a = 0."""
+    dot = linalg.vec_dot
+    return linalg.vec_primitive(linalg.vec_sub(linalg.vec_scale(dot(a, p), v),
+                                               linalg.vec_scale(dot(a, v), p)))
 
 
 def _h_polytope_vertices(normals):
-    """Vertices of {x : <x, w> >= -1 for w in normals}, by basic solutions."""
+    """Vertices of {x : <x, w> >= -1 for w in normals}, by double description.
+
+    The polyhedron is the slice t = 1 of the cone {(x, t) : <x, w> + t >= 0,
+    t >= 0}, and its vertices are the extreme rays with t > 0.  The rows are
+    added one at a time (Motzkin-Raiffa-Thompson-Thrall; Fukuda-Prodon).  A
+    ray is a primitive integer vector with its zero set, the bitmask of the
+    added rows it is tight on.  While the cone has a lineality space, a row
+    that is nonzero on it turns one lineality vector p (with <a, p> > 0) into
+    a ray and moves the other generators into the hyperplane along p; the
+    other rows wait.  Once the cone is pointed, a row keeps the rays on its
+    nonnegative side and adds one ray on its hyperplane for each adjacent
+    pair it separates.  Two rays are adjacent iff no third ray is tight on
+    every row tight on both; this combinatorial test stays exact at
+    degenerate vertices, where more than k rows are tight.  No vertices are
+    returned when the normals do not span.
+    """
     k = len(normals[0])
-    rhs = (-1,) * k
-    seen = set()
-    verts = set()
-    for sub in combinations(normals, k):
-        x = _solve_cramer(sub, rhs)
-        if x is None or x in seen:
+    rows = [tuple(w) + (1,) for w in normals] + [(0,) * k + (1,)]
+    dot = linalg.vec_dot
+    lineality = list(linalg.identity_matrix(k + 1))
+    rays = []   # (ray, zero set)
+    added = 0
+    waiting = []
+    for i, a in enumerate(rows):
+        j = next((j for j, p in enumerate(lineality) if dot(a, p)), None)
+        if j is None:
+            waiting.append(i)
             continue
-        seen.add(x)
-        if all(linalg.vec_dot(x, w) >= -1 for w in normals):
-            verts.add(x)
-    return verts
+        p = lineality.pop(j)
+        if dot(a, p) < 0:
+            p = linalg.vec_neg(p)
+        lineality = [_into_hyperplane(a, p, v) for v in lineality]
+        rays = [(_into_hyperplane(a, p, v), z | 1 << i) for v, z in rays]
+        rays.append((p, added))
+        added |= 1 << i
+    if lineality:
+        return set()
+    for i in waiting:
+        a = rows[i]
+        side = [dot(a, v) for v, _ in rays]
+        new = [(v, z | 1 << i if s == 0 else z) for (v, z), s in zip(rays, side) if s >= 0]
+        for x in (x for x, s in enumerate(side) if s > 0):
+            for y in (y for y, s in enumerate(side) if s < 0):
+                common = rays[x][1] & rays[y][1]
+                if common.bit_count() >= k - 1 and not any(
+                        common & z == common
+                        for u, (_, z) in enumerate(rays) if u != x and u != y):
+                    new.append((_into_hyperplane(a, rays[x][0], rays[y][0]), common | 1 << i))
+        rays = new
+    return {tuple(Fraction(c, v[-1]) for c in v[:-1]) for v, _ in rays if v[-1] > 0}
 
 
 @lru_cache(maxsize=None)
 def delta_polytope(n):
     """The convex hull of the roots: vertices, lattice points, reflexivity.
 
-    Vertex sets of the polytope and of its polar are enumerated exactly from
-    the facet descriptions; reflexivity holds iff the polar has only lattice
-    vertices.  Coordinates are in the base simple basis (polytope side) and
-    its dual (polar side).
+    The polytope is {x : <x, v_A> >= -1 for all A}.  Both vertex sets, of
+    the polytope and of its polar {y : <r, y> >= -1 for all roots r}, are
+    enumerated exactly from these facet descriptions by double description,
+    and the polytope's vertices are checked to be the roots; reflexivity
+    holds iff the polar has only lattice vertices.  Coordinates are in the
+    base simple basis (polytope side) and its dual (polar side).
     """
     _check_n(n)
+    if n < 1:
+        raise ValueError("the root polytope needs n >= 1")
     root_pts = _root_mcoords(n)
     normals = tuple(subset_ray(a, n) for a in range(1, full_mask(n)))
     verts = _h_polytope_vertices(normals)

@@ -133,6 +133,120 @@ def test_typea_verbs(capsys):
     assert crepant == out
 
 
+# Literal stdout of `polytope --n 2` and of `nef`/`ample` on the
+# anticanonical divisor of X(A_3) (nef, not ample), pinned before the
+# double-description vertices and the closed-form chamber functionals.
+POLYTOPE_2_STDOUT = """\
+{
+  "n": 2,
+  "vertices": [
+    [
+      -1,
+      -1
+    ],
+    [
+      -1,
+      0
+    ],
+    [
+      0,
+      -1
+    ],
+    [
+      0,
+      1
+    ],
+    [
+      1,
+      0
+    ],
+    [
+      1,
+      1
+    ]
+  ],
+  "lattice_points": [
+    [
+      -1,
+      -1
+    ],
+    [
+      -1,
+      0
+    ],
+    [
+      0,
+      -1
+    ],
+    [
+      0,
+      0
+    ],
+    [
+      0,
+      1
+    ],
+    [
+      1,
+      0
+    ],
+    [
+      1,
+      1
+    ]
+  ],
+  "interior_points": [
+    [
+      0,
+      0
+    ]
+  ],
+  "is_reflexive": true,
+  "polar_vertices": [
+    [
+      -1,
+      0
+    ],
+    [
+      -1,
+      1
+    ],
+    [
+      0,
+      -1
+    ],
+    [
+      0,
+      1
+    ],
+    [
+      1,
+      -1
+    ],
+    [
+      1,
+      0
+    ]
+  ]
+}
+"""
+NEF_3_STDOUT = '{\n  "nef": true,\n  "wall_convex": true\n}\n'
+AMPLE_3_STDOUT = '{\n  "ample": false\n}\n'
+
+
+def test_typea_verbs_pinned(capsys):
+    assert cli.run(["polytope", "--n", "2"]) == 0
+    assert capsys.readouterr().out == POLYTOPE_2_STDOUT
+    anti = json.dumps({"coeffs": [
+        {"subset": s, "a": 1}
+        for s in ([1], [2], [3], [4], [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4],
+                  [1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4])]})
+    assert cli.run(["nef", "--n", "3", "--divisor-json", anti]) == 0
+    assert capsys.readouterr().out == NEF_3_STDOUT
+    assert cli.run(["ample", "--n", "3", "--divisor-json", anti]) == 0
+    assert capsys.readouterr().out == AMPLE_3_STDOUT
+
+
 def test_reduce_times(capsys):
     # Every boundary divisor of X(A_2), the hexagon, is a (-1)-curve; the
     # rays {1} and {1,2} span a cone, so [[1],[1,2]] is the point class.
@@ -181,6 +295,7 @@ CHAIN = json.dumps({"n": 2, "blocks": [[1, 2, 3]], "coords": [
     (["lm", "extract", "--chain-json", json.dumps({"blocks": [[1], [5]], "coords": [
         {"i": 1, "pos": ["1", "1"]}, {"i": 5, "pos": ["1", "1"]}]})], "--chain-json"),
     (["lm", "roundtrip", "--n", "2", "--samples", "-1"], "--samples"),
+    (["polytope", "--n", "0"], "n >= 1"),
 ])
 def test_missing_or_short_input_is_invalid_input(argv, flag, capsys):
     out = run_json(argv, capsys, expect_code=1)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -315,18 +315,128 @@ def test_nef_ample_examples():
     assert not typea.nef_oracle(bad, 2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_nef_matches_oracle_random(n):
     rng = random.Random(40 + n)
     full = typea.full_mask(n)
     for _ in range(60):
         coeffs = {a: rng.randint(-5, 5) for a in range(1, full)}
         assert typea.is_nef(coeffs, n) == typea.nef_oracle(coeffs, n)
+    # a strictly concave function of |A| is ample; for n >= 2 the noise
+    # makes some of these divisors not nef, so both answers occur
+    answers = set()
+    for _ in range(30):
+        s = rng.randint(1, 3)
+        coeffs = {a: s * bin(a).count("1") * (n + 1 - bin(a).count("1"))
+                  + rng.choice((-1, 0, 1)) for a in range(1, full)}
+        nef = typea.is_nef(coeffs, n)
+        assert nef == typea.nef_oracle(coeffs, n)
+        answers.add(nef)
+    assert answers == ({True, False} if n >= 2 else {True})
     assert typea.nef_oracle(anticanonical(n), n)
     assert typea.nef_oracle({}, n)
 
 
-@pytest.mark.parametrize("n,verts,pts", [(1, 2, 3), (2, 6, 7), (3, 12, 13)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chamber_functional_equals_inverse(n):
+    """On every max cone, the closed form from the permutation equals the
+    functional b (M^-1)^T of the cone's ray matrix M in chain order."""
+    rng = random.Random(70 + n)
+    f = typea.chain_fan(n)
+    to_mask, _ = typea.ray_masks(n)
+    chambers, _ = typea._wall_structure(n)
+    assert len(chambers) == factorial(n + 1)
+    for chain, perm in chambers:
+        assert sorted(perm) == list(range(1, n + 2))
+        assert [to_mask[i] for i in chain] == [
+            typea.mask_of(perm[:t]) for t in range(1, n + 1)]
+        mat = tuple(f.rays[i] for i in chain)
+        b = tuple(rng.randint(-9, 9) for _ in range(n))
+        m = typea._chamber_functional(b, perm)
+        assert m == linalg.vec_matmul(b, linalg.transpose(linalg.int_inverse(mat)))
+        assert tuple(linalg.vec_dot(m, v) for v in mat) == b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walls_are_the_shared_facets(n):
+    """Oracle: walls found by matching the facets of every max cone.  A wall
+    (chamber, opposite ray) spans the union of the two cones on its sides."""
+    f = typea.chain_fan(n)
+    chambers, walls = typea._wall_structure(n)
+    assert sorted(tuple(sorted(chain)) for chain, _ in chambers) == list(f.max_cones)
+    facets = {}
+    for cone in f.max_cones:
+        for drop in cone:
+            facets.setdefault(frozenset(cone) - {drop}, []).append(frozenset(cone))
+    assert all(len(sides) == 2 for sides in facets.values())
+    unions = [frozenset(chambers[idx][0]) | {ray} for idx, ray in walls]
+    assert len(unions) == len(facets)
+    assert set(unions) == {a | b for a, b in facets.values()}
+
+
+def _solve_cramer(rows, rhs):
+    d = linalg.det(rows)
+    if d == 0:
+        return None
+    k = len(rows)
+    sol = []
+    for t in range(k):
+        mt = tuple(r[:t] + (rhs[idx],) + r[t + 1:] for idx, r in enumerate(rows))
+        sol.append(Fraction(linalg.det(mt), d))
+    return tuple(sol)
+
+
+def basic_solution_vertices(normals):
+    """Oracle: vertices of {x : <x, w> >= -1 for w in normals} as the
+    feasible basic solutions, one Cramer solve per k-subset of normals."""
+    k = len(normals[0])
+    rhs = (-1,) * k
+    seen = set()
+    verts = set()
+    for sub in combinations(normals, k):
+        x = _solve_cramer(sub, rhs)
+        if x is None or x in seen:
+            continue
+        seen.add(x)
+        if all(linalg.vec_dot(x, w) >= -1 for w in normals):
+            verts.add(x)
+    return verts
+
+
+def _mcoords(family, rank):
+    r = roots.build_root_system(roots.RootSystemSpec.parse([(family, rank)]))
+    return tuple(sorted(set(r.mcoords)))
+
+
+H_SYSTEMS = {
+    **{f"vA-{n}": (lambda n=n: tuple(typea.subset_ray(a, n)
+                                     for a in range(1, typea.full_mask(n))))
+       for n in (1, 2, 3, 4)},
+    **{f"rootsA-{n}": (lambda n=n: typea._root_mcoords(n)) for n in (1, 2, 3, 4)},
+    # degenerate vertices: more than k tight normals
+    "rootsB-3": lambda: _mcoords("B", 3),
+    "rootsC-3": lambda: _mcoords("C", 3),
+    "rootsD-4": lambda: _mcoords("D", 4),
+    # k = 4: dropping the containment test of the adjacency check, or
+    # reversing it, returns non-vertices here
+    "rootsC-4": lambda: _mcoords("C", 4),
+    "rootsG-2": lambda: _mcoords("G", 2),
+    "octahedron": lambda: tuple(product((-1, 1), repeat=3)),
+    "cube": lambda: ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+    # a pointed unbounded polyhedron, and one with a line (no vertex)
+    "quadrant": lambda: ((1, 0), (0, 1), (1, 1)),
+    "strip": lambda: ((1, 0), (-1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(H_SYSTEMS))
+def test_h_polytope_vertices_equals_basic_solution_scan(name):
+    normals = H_SYSTEMS[name]()
+    assert typea._h_polytope_vertices(normals) == basic_solution_vertices(normals)
+
+
+@pytest.mark.parametrize("n,verts,pts", [(1, 2, 3), (2, 6, 7), (3, 12, 13), (4, 20, 21),
+                                         (5, 30, 31)])
 def test_delta_polytope(n, verts, pts):
     info = typea.delta_polytope(n)
     assert len(info.vertices) == verts == n * (n + 1)
