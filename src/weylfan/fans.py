@@ -4,11 +4,13 @@ A Fan lives in the lattice N(R) dual to the root lattice, in coordinates
 dual to the base simple set of the root system: the pairing of a root with a
 ray is the dot product of the root's base-coordinates with the ray vector.
 
-The Weyl chambers are the simple sets S of ``roots.enumerate_simple_root_sets``
-(the one orbit of W that the package walks); the rays of the chamber of S are
-the dual basis of S.  The face containing a vector is found by descent from
-the base chamber (``chamber_face``), not by a scan of the chambers; the fan
-morphisms are built from it.
+The Weyl chambers are the simple sets S of ``roots.chamber_orbit``, the one
+orbit of W that the package walks.  The walk carries each chamber's rays
+across the walls by the contragredient action of W on N (Humphreys, section
+1.12), so no chamber's root matrix is inverted.  The face containing a vector
+is found by descent from the base chamber (``chamber_face``), not by a scan
+of the chambers; the fan morphisms are built from it.  Completeness and
+smoothness share one determinant per max cone.
 
 Cones are sorted tuples of ray indices; the empty tuple is the zero cone.
 Rays and max-cone lists are canonicalized (lexicographic) on construction,
@@ -67,17 +69,17 @@ def fan_from_json(obj):
 def _chamber_data(r):
     """(fan, chamber map) for the fan of Weyl chambers of ``r``.
 
-    The chamber of a simple set S is {v : <alpha, v> >= 0 for alpha in S},
-    so its rays are the dual basis of the rows ``r.mcoords[i]`` for i in S.
-    The chambers are read off ``roots.enumerate_simple_root_sets``, the one
-    walk over W.  The chamber map sends each simple set (sorted root-index
-    tuple) to its max cone (sorted ray-index tuple).
+    The chamber of a simple set S is {v : <alpha, v> >= 0 for alpha in S}.
+    Its rays come from ``roots.chamber_orbit``, the one walk over W, which
+    carries them from chamber to chamber by wall-crossing.  The chamber map
+    sends each simple set (sorted root-index tuple) to its max cone (sorted
+    ray-index tuple).
     """
-    sets = rootsmod.enumerate_simple_root_sets(r)
-    duals = [linalg.dual_basis(tuple(r.mcoords[i] for i in s)) for s in sets]
-    rays = sorted({v for d in duals for v in d})
+    orbit = rootsmod.chamber_orbit(r)
+    rays = sorted({v for _, w in orbit for v in w})
     ray_ids = {v: i for i, v in enumerate(rays)}
-    cones = [tuple(sorted(ray_ids[v] for v in d)) for d in duals]
+    cones = [tuple(sorted(ray_ids[v] for v in w)) for _, w in orbit]
+    sets = rootsmod.enumerate_simple_root_sets(r)
     return Fan(r.rank, tuple(rays), tuple(sorted(cones))), dict(zip(sets, cones))
 
 
@@ -91,8 +93,9 @@ def chamber_face(r, v):
     in its relative interior, as a sorted tuple of ray indices.
 
     ``roots.descend`` reflects in simple roots a with <a, v> < 0 until the
-    chamber S contains v.  As v = sum <a, v> w_a over the dual basis of S,
-    the face is spanned by the rays w_a of S with <a, v> > 0.
+    chamber S contains v.  As v = sum <a, v> w_a over the rays w_a of S
+    (<a, w_b> = 1 if a = b, else 0), the face is spanned by the rays w_a of S
+    with <a, v> > 0.
     """
     pairing = lambda a: linalg.vec_dot(r.mcoords[a], v)
     walk = rootsmod.descend(r, lambda a: pairing(a) < 0)
@@ -131,12 +134,23 @@ def _cone_facets(f, cone):
     return facets
 
 
+@lru_cache(maxsize=None)
+def _cone_dets(f):
+    """Determinant of each max cone's ray matrix; None for a cone that is
+    not simplicial.  Shared by ``check_complete`` and ``check_smooth``."""
+    return tuple(linalg.det(tuple(f.rays[i] for i in cone))
+                 if len(cone) == f.lattice_rank else None
+                 for cone in f.max_cones)
+
+
 def check_complete(f):
-    """Every max cone full-dimensional and every facet shared by exactly two."""
+    """Every max cone full-dimensional (det != 0, or ``linalg.rank`` when
+    not simplicial) and every facet shared by exactly two."""
     counts = {}
-    for cone in f.max_cones:
-        mat = tuple(f.rays[i] for i in cone)
-        if linalg.rank(mat) != f.lattice_rank:
+    for cone, d in zip(f.max_cones, _cone_dets(f)):
+        full = d != 0 if d is not None else (
+            linalg.rank(tuple(f.rays[i] for i in cone)) == f.lattice_rank)
+        if not full:
             return False
         for facet in _cone_facets(f, cone):
             counts[facet] = counts.get(facet, 0) + 1
@@ -145,12 +159,7 @@ def check_complete(f):
 
 def check_smooth(f):
     """Each max cone's rays form a Z-basis of N."""
-    for cone in f.max_cones:
-        if len(cone) != f.lattice_rank:
-            return False
-        if abs(linalg.det(tuple(f.rays[i] for i in cone))) != 1:
-            return False
-    return True
+    return all(d in (1, -1) for d in _cone_dets(f))
 
 
 @dataclass(frozen=True)
@@ -225,7 +234,9 @@ def projection_embedding_equations(r, rprime, mu):
     are images of the standard basis vectors), carrying every root of rprime
     to an integer multiple of a root of r and M(rprime) onto M(r).  Returns
     the kernel lattice and, per simple set S' of rprime, binomial equations
-    prod x^{alpha_i} = prod x^{beta_j} with alpha_i, beta_j in S'.
+    prod x^{alpha_i} = prod x^{beta_j} with alpha_i, beta_j in S'.  A kernel
+    vector x expands in S' with coefficients <x, w> over the rays w of the
+    chamber of S' (``roots.chamber_orbit``), which invert the rows of S'.
     """
     mu = tuple(tuple(row) for row in mu)
     for v in rprime.roots:
@@ -244,14 +255,12 @@ def projection_embedding_equations(r, rprime, mu):
     kern_ambient = tuple(
         linalg.vec_matmul(x, rprime.root_lattice_basis) for x in kern)
     charts = []
-    for s in rootsmod.enumerate_simple_root_sets(rprime):
-        basis = tuple(rprime.mcoords[i] for i in s)
-        inv = linalg.int_inverse(basis)
+    for s, rays in rootsmod.chamber_orbit(rprime):
         eqs = []
         for x in kern:
-            c = linalg.vec_matmul(x, inv)
             pos, neg = [], []
-            for root_idx, coeff in zip(s, c):
+            for root_idx, w in zip(s, rays):
+                coeff = linalg.vec_dot(x, w)
                 if coeff > 0:
                     pos.extend([root_idx] * coeff)
                 elif coeff < 0:

@@ -161,15 +161,6 @@ def det(m):
     return sign * a[n - 1][n - 1]
 
 
-def dual_basis(b):
-    """For a square unimodular b, the matrix d with b * d^T = identity.
-
-    Rows of d are the dual basis of the rows of b under the standard pairing.
-    Raises NotUnimodular when b is not square or |det b| != 1.
-    """
-    return transpose(int_inverse(b))
-
-
 def int_inverse(b):
     """Exact inverse of a unimodular integer matrix (integer entries).
 

@@ -7,13 +7,16 @@ its rows are the basis of the root lattice M(R), and every root's coordinates
 in that basis ("mcoords") are precomputed.  A root is *positive* when its
 mcoords are componentwise >= 0.
 
-Sets of simple roots are identified with Weyl chambers.
-``enumerate_simple_root_sets`` walks W once, as the reflection orbit of the
-base set; ``fans`` reads each chamber's rays off its simple set as the dual
-basis, with no walk of its own.  Finding one chamber with a property never
-needs the whole orbit: ``descend`` walks from the base chamber, reflecting
-in a simple root on the wrong side, in at most |Phi+| steps.  It finds the
-chart of a point (``rdata``) and the face containing a vector (``fans``).
+Sets of simple roots are identified with Weyl chambers.  ``chamber_orbit``
+walks W once, as the reflection orbit of the base set, and carries each
+chamber's rays across the walls: crossing the wall of a in S replaces the
+ray w_a by w_a - a^vee and keeps the others (the contragredient action of W
+on N, Humphreys section 1.12).  ``fans`` reads the chamber fan off this
+walk, with no walk or matrix inverse of its own.  Finding one chamber with a
+property never needs the whole orbit: ``descend`` walks from the base
+chamber, reflecting in a simple root on the wrong side, in at most |Phi+|
+steps.  It finds the chart of a point (``rdata``) and the face containing a
+vector (``fans``).
 """
 
 from dataclasses import dataclass
@@ -251,22 +254,48 @@ def reflection_table(r):
 
 
 @lru_cache(maxsize=None)
-def enumerate_simple_root_sets(r):
-    """All sets of simple roots, as sorted index tuples in canonical order.
+def chamber_orbit(r):
+    """Every set S of simple roots with the rays of its chamber, sorted by S.
 
-    Computed as the orbit of the base set under reflections in its own
-    members (breadth-first); the count is the Weyl group order.
+    Each entry is (S, rays): S a sorted root-index tuple and rays[k] the ray
+    w of the chamber {v : <alpha, v> >= 0 for alpha in S} with <S[k], w> = 1
+    and <b, w> = 0 for the other b in S.  The orbit of the base set under
+    reflections in its own members is walked once, breadth-first; its size
+    is the Weyl group order.  W acts on N contragrediently (Humphreys,
+    *Reflection Groups and Coxeter Groups*, section 1.12), so crossing the
+    wall of a in S carries the chamber's rays along: the ray of each b != a
+    moves unchanged to s_a(b), and the ray w_a becomes w_a - a^vee, the ray
+    of -a.  The base chamber's rays are the unit vectors of N.
     """
     table = reflection_table(r)
-    orbit = [tuple(sorted(r.base_simple_set))]
-    seen = set(orbit)
-    for s in orbit:
-        for a in s:
-            t = tuple(sorted(table[a][b] for b in s))
-            if t not in seen:
-                seen.add(t)
-                orbit.append(t)
-    return tuple(sorted(orbit))
+    # a^vee in N-coordinates: (<beta_j, a^vee>)_j over the base simple roots
+    coroots = [tuple(cartan_pairing(r, b, a) for b in r.base_simple_set)
+               for a in range(len(r.roots))]
+    unit = linalg.identity_matrix(r.rank)
+    base = tuple(sorted(r.base_simple_set))
+    orbit = [(base, tuple(unit[r.base_simple_set.index(b)] for b in base))]
+    seen = {base}
+    shared = {v: v for v in unit}   # equal rays share one tuple, to save memory
+    for s, rays in orbit:
+        for a, wa in zip(s, rays):
+            image = table[a]
+            t = tuple(sorted(image[b] for b in s))
+            if t in seen:
+                continue
+            seen.add(t)
+            moved = dict(zip((image[b] for b in s), rays))
+            crossed = linalg.vec_sub(wa, coroots[a])
+            moved[image[a]] = shared.setdefault(crossed, crossed)
+            orbit.append((t, tuple(moved[b] for b in t)))
+    orbit.sort(key=lambda entry: entry[0])
+    return tuple(orbit)
+
+
+@lru_cache(maxsize=None)
+def enumerate_simple_root_sets(r):
+    """All sets of simple roots, as sorted index tuples in canonical order:
+    the sets of ``chamber_orbit``, the one walk over W."""
+    return tuple(s for s, _ in chamber_orbit(r))
 
 
 def descend(r, wrong):

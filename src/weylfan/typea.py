@@ -22,8 +22,9 @@ enumerated by exact integer double description, not by solving subsystems.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import comb, factorial
+from operator import itemgetter, sub
 
 from . import linalg
 from .errors import InconsistentPL, internal_check
@@ -425,11 +426,12 @@ def _wall_structure(n):
     The chamber of a permutation pi is spanned by the rays of the prefix
     sets A_t = {pi_1, ..., pi_t}, t = 1..n.  Swapping pi_t and pi_{t+1}
     changes A_t alone, so each wall is one chamber with pi_t < pi_{t+1} and
-    the ray A_{t-1} + {pi_{t+1}} of its neighbour.  Each chamber's ray
-    matrix must have determinant +-1, or the support function of a divisor
-    is not linear on it.
+    the ray A_{t-1} + {pi_{t+1}} of its neighbour.  ``_chamber_functional``
+    must invert each chamber's ray matrix (``_chain_pairings``), or the
+    support function of a divisor is not linear on it.
     """
-    rays = chain_fan(n).rays
+    suffixes = [tuple(accumulate(v[::-1]))[::-1] + (0,) for v in chain_fan(n).rays]
+    identity = linalg.identity_matrix(n)
     _, to_ray = ray_masks(n)
     perms = list(permutations(range(1, n + 2)))
     chambers = []
@@ -438,7 +440,7 @@ def _wall_structure(n):
         for k in perm[:-1]:
             acc |= 1 << (k - 1)
             chain.append(to_ray[acc])
-        if abs(linalg.det(tuple(rays[i] for i in chain))) != 1:
+        if _chain_pairings(perm, [suffixes[i] for i in chain]) != identity:
             raise InconsistentPL("max cone rays do not determine a linear functional")
         chambers.append((tuple(chain), perm))
     walls = []
@@ -449,6 +451,19 @@ def _wall_structure(n):
                 walls.append((idx, to_ray[acc | 1 << (perm[t + 1] - 1)]))
             acc |= 1 << (perm[t] - 1)
     return tuple(chambers), tuple(walls)
+
+
+def _chain_pairings(perm, suffixes):
+    """The matrix (<m(e_t), v_{A_s}>)_{s,t} for m = ``_chamber_functional``
+    of pi, from the suffix sums V_i = v_i + ... + v_n (V_{n+1} = 0) of the
+    rays of the chain A_1, ..., A_n: the identity iff the closed form
+    inverts the chain matrix.
+
+    m(e_t) is the prefix-sum vector of x = e_{pi_t} - e_{pi_{t+1}}, so
+    <m(e_t), v> = sum_i x_i V_i = V_{pi_t} - V_{pi_{t+1}}: O(n^2) in all.
+    """
+    at_perm = itemgetter(*(k - 1 for k in perm))
+    return tuple(tuple(map(sub, w, w[1:])) for w in map(at_perm, suffixes))
 
 
 def _chamber_functional(b, perm):

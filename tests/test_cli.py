@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -36,6 +37,34 @@ B2_FAN = {"rank": 2, "rays": [[-2, 1], [-1, 0], [-1, 1], [0, -1], [0, 1], [1, -1
 def test_fan_verb_pinned(capsys):
     assert run_json(["fan", "--type", "G"], capsys) == G2_FAN
     assert run_json(["fan", "--type", "B", "--rank", "2"], capsys) == B2_FAN
+
+
+# sha256 of the stdout of verbs that read the chamber fan, pinned before its
+# rays were carried along the orbit walk by wall-crossing.
+PINNED_STDOUT = [
+    (["fan", "--type", "D", "--rank", "4"],
+     "0b0cbaadbd70ec83bb43c79f45ae8e51965792489c53b209256c4eef87ce8d0e"),
+    (["fan", "--type", "B", "--rank", "4"],
+     "33691ef7c979f76dca57ac2b7616cad1a5cfff273d4fb0ab7648c03681cfa6ba"),
+    (["fan", "--type", "C", "--rank", "3"],
+     "b33e84d6c7d1f0514dc835b35aac492a7d9b502399e34c5df21821d270a43835"),
+    (["fan", "--factors", '[{"family":"A","rank":2},{"family":"B","rank":2}]'],
+     "e03856987b6bf7749e07c4418de0f408d945f98c1cc0f786f4b30cb28e66ebf9"),
+    (["morphism", "--type", "A", "--rank", "2", "--embed-products"],
+     "2df2550215c5ee662fefcc8702d6a55c554a6a800c1a9e79a8039d46148ac6cd"),
+    (["morphism", "--type", "B", "--rank", "2", "--embed-products"],
+     "b21f93aae374f9f6b55e693bf9a88f6e9a1266c778b0fccba19a5a2d9dfadc02"),
+    (["lm", "universal", "--n", "3"],
+     "f6328c40b5cf2aee93415a0a52c589367231a43ce7aae3457ade905bbcbef631"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[
+    "fan-D4", "fan-B4", "fan-C3", "fan-A2xB2", "embed-A2", "embed-B2", "lm-universal-3"])
+def test_stdout_pinned(argv, digest, capsys):
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_betti_verb(capsys):
@@ -464,7 +493,7 @@ def test_every_operation_reachable(capsys):
 
     covered = {
         # verb fan
-        roots.build_root_system, roots.enumerate_simple_root_sets,
+        roots.build_root_system, roots.enumerate_simple_root_sets, roots.chamber_orbit,
         fans.weyl_chamber_fan,
         # morphism
         fans.subsystem_morphism, fans.projection_embedding_equations,

@@ -79,6 +79,47 @@ def test_h_vector_is_descent_distribution(factors):
     assert sum(h) == roots.weyl_order(r.spec) and h == h[::-1]
 
 
+def dual_basis(b):
+    """For a square unimodular b, the matrix d with b * d^T = identity: the
+    dual basis of the rows of b, found by an HNF inverse.  The oracle for the
+    rays that ``roots.chamber_orbit`` carries along by wall-crossing."""
+    return linalg.transpose(linalg.int_inverse(b))
+
+
+@pytest.mark.parametrize("factors", UP_TO_RANK_5 + [(("A", 6),)],
+                         ids=lambda fs: "x".join(f"{f}{n}" for f, n in fs))
+def test_wall_crossed_rays_are_dual_bases(factors):
+    r = sys(*factors)
+    orbit = roots.chamber_orbit(r)
+    assert len(orbit) == roots.weyl_order(r.spec)
+    assert tuple(s for s, _ in orbit) == roots.enumerate_simple_root_sets(r)
+    for s, rays in orbit:
+        assert rays == dual_basis(tuple(r.mcoords[i] for i in s)), s
+
+
+def test_check_complete_rejects_a_degenerate_cone():
+    """Three plane cones whose facets (rays) all pair up; the cone spanned by
+    (1, 0) and (-1, 0) has determinant 0, so the fan is not complete."""
+    f = fans.make_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2), (2, 0)])
+    assert len(f.max_cones) == 3
+    assert not fans.check_complete(f)
+    square = fans.make_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                           [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert fans.check_complete(square) and fans.check_smooth(square)
+
+
+def test_check_smooth_rejects_a_determinant_two_cone():
+    """A complete plane fan with one cone of determinant 2: complete, not
+    smooth.  Moving the ray (1, 2) to (1, 1) makes it smooth."""
+    for v, smooth in [((1, 2), False), ((1, 1), True)]:
+        f = fans.make_fan(2, [(1, 0), v, (0, 1), (-1, 0), (0, -1)],
+                          [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        dets = [abs(linalg.det(tuple(f.rays[i] for i in c))) for c in f.max_cones]
+        assert sorted(dets) == [1, 1, 1, 1, 1 if smooth else 2]
+        assert fans.check_complete(f)
+        assert fans.check_smooth(f) == smooth
+
+
 def test_fan_negation_symmetric():
     for factors in [(("A", 3),), (("B", 2),), (("G", 2),)]:
         f = fans.weyl_chamber_fan(sys(*factors))

@@ -194,10 +194,13 @@ def random_walk_chart(r, rng, length):
 def test_roundtrip_without_chamber_enumeration(factors, monkeypatch):
     """Points of A_7 (|W| = 40,320) and D_6 go to ratios and back without
     enumerating the chambers."""
-    def refuse(r):
-        raise AssertionError("enumerate_simple_root_sets was called")
+    def refuse(name):
+        def call(r):
+            raise AssertionError(f"{name} was called")
+        return call
 
-    monkeypatch.setattr(roots, "enumerate_simple_root_sets", refuse)
+    for name in ("enumerate_simple_root_sets", "chamber_orbit"):
+        monkeypatch.setattr(roots, name, refuse(name))
     r = sys(*factors)
     rng = random.Random(factors[0][0])
     for _ in range(12):

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from weylfan import fans, linalg, roots, typea
+from weylfan.errors import InconsistentPL
 
 
 def eulerian_by_enumeration(m):
@@ -355,6 +356,37 @@ def test_chamber_functional_equals_inverse(n):
         m = typea._chamber_functional(b, perm)
         assert m == linalg.vec_matmul(b, linalg.transpose(linalg.int_inverse(mat)))
         assert tuple(linalg.vec_dot(m, v) for v in mat) == b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chain_pairings_are_the_closed_form(n):
+    """``_chain_pairings`` equals <m(e_t), v_s> computed from
+    ``_chamber_functional`` directly, and is the identity on every chamber."""
+    f = typea.chain_fan(n)
+    suffix = lambda v: tuple(sum(v[i:]) for i in range(n)) + (0,)
+    chambers, _ = typea._wall_structure(n)
+    unit = linalg.identity_matrix(n)
+    for chain, perm in chambers:
+        mat = [f.rays[i] for i in chain]
+        direct = tuple(tuple(linalg.vec_dot(typea._chamber_functional(e, perm), v)
+                             for e in unit) for v in mat)
+        assert typea._chain_pairings(perm, [suffix(v) for v in mat]) == direct == unit
+
+
+def test_wall_structure_refuses_a_corrupted_chain_ray(monkeypatch):
+    """Negating one ray keeps every |det| = 1, but the closed form no longer
+    inverts the chains through it."""
+    n = 3
+    f = typea.chain_fan(n)
+    typea.ray_masks(n)
+    rays = (linalg.vec_neg(f.rays[0]),) + f.rays[1:]
+    monkeypatch.setattr(typea, "chain_fan", lambda k: fans.Fan(n, rays, f.max_cones))
+    typea._wall_structure.cache_clear()
+    try:
+        with pytest.raises(InconsistentPL):
+            typea._wall_structure(n)
+    finally:
+        typea._wall_structure.cache_clear()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
