@@ -15,7 +15,6 @@ types over the torus orbits of the chamber fan.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import fans, linalg, rdata as rdatamod, roots as rootsmod, typea
@@ -170,14 +169,7 @@ def data_from_chain(chain):
 
 def normalize_chain(chain):
     """Rescale every component so its minimal mark sits at (1:1)."""
-    coords = {}
-    cd = dict(chain.coords)
-    for b in chain.ctype.blocks:
-        anchor = cd[b[0]]
-        for i in b:
-            p = cd[i]
-            coords[i] = ProjectiveRatio.of(p.num * anchor.den, p.den * anchor.num)
-    return MarkedChain.of(chain.ctype, coords)
+    return contract(chain, chain.labels)
 
 
 def chains_isomorphic(c1, c2):
@@ -241,14 +233,6 @@ def curve_membership(data, labels, zs):
     return True, tuple(comps)
 
 
-def marked_point_image(data, labels, i):
-    """The slot ratios of the embedded image of mark i."""
-    zs = {}
-    for j in sorted(labels):
-        zs[j] = ProjectiveRatio.of(1, 1) if j == i else data_ratio(data, i, j)
-    return zs
-
-
 # -- the universal chain over the chamber variety ---------------------------
 
 @dataclass(frozen=True)
@@ -270,14 +254,11 @@ class UniversalCurve:
     fiber_counts: dict        # target max cone -> number of source chambers
 
 
-def _natural_a_base(dim):
-    """Ambient vectors u_t - u_{t+1}, t = 1..dim-1."""
-    out = []
-    for t in range(dim - 1):
-        v = [0] * dim
-        v[t], v[t + 1] = 1, -1
-        out.append(tuple(v))
-    return out
+def _u_diff(i, j, dim):
+    """The ambient vector u_i - u_j of length dim."""
+    v = [0] * dim
+    v[i - 1], v[j - 1] = 1, -1
+    return tuple(v)
 
 
 @lru_cache(maxsize=None)
@@ -288,8 +269,7 @@ def universal_curve_structure(n):
     big = rootsmod.build_root_system(rootsmod.RootSystemSpec.parse([("A", n + 1)]))
     dim = n + 2
     sub_roots = [v for v in big.roots if v[-1] == 0]
-    base = _natural_a_base(dim - 1)
-    base = [tuple(v) + (0,) for v in base]
+    base = [_u_diff(t, t + 1, dim) for t in range(1, dim - 1)]
     small = rootsmod.root_system_from_roots(sub_roots, dim, base=base) if n >= 1 \
         else rootsmod.root_system_from_roots([], dim)
     morphism = fans._morphism_from_lattice_inclusion(big, small)
@@ -309,9 +289,7 @@ def universal_curve_structure(n):
                 small, linalg.vec_matmul(big.roots[i], amb))
             for i in big.base_simple_set
         ) if n >= 1 else tuple(() for _ in big.base_simple_set)
-        kernel_root = [0] * dim
-        kernel_root[label - 1], kernel_root[dim - 1] = 1, -1
-        sections.append(SectionInfo(label, tuple(kernel_root), lat))
+        sections.append(SectionInfo(label, _u_diff(label, dim, dim), lat))
         # composition: include then project must be the identity
         if n >= 1:
             comp = linalg.matmul(proj, lat)
@@ -348,92 +326,35 @@ def comb_type_over_cone(n, chain_masks):
     if not typea.is_chain(chain) or any(
             not 0 < a < typea.full_mask(n) for a in chain):
         raise ValueError("not a nested chain of proper nonempty subsets")
-    blocks = []
-    prev = typea.full_mask(n)
-    for a in reversed(chain):
-        blocks.append(typea.members(prev & ~a))
-        prev = a
-    blocks.append(typea.members(prev))
-    return CombType.of(blocks)
+    return CombType.of([typea.members(b) for b in reversed(typea.partition_blocks(chain, n))])
 
 
 @lru_cache(maxsize=None)
 def _an_system(n):
-    return rootsmod.build_root_system(rootsmod.RootSystemSpec.parse([("A", n)]))
+    """A_n, and the index of its root u_i - u_j for each pair i < j; the
+    base simple roots are u_t - u_{t+1}, so these are the positive roots."""
+    r = rootsmod.build_root_system(rootsmod.RootSystemSpec.parse([("A", n)]))
+    pair_root = {(i, j): r.root_index(_u_diff(i, j, n + 1))
+                 for i in range(1, n + 2) for j in range(i + 1, n + 2)}
+    internal_check(sorted(pair_root.values()) == sorted(r.positive),
+                   "the roots u_i - u_j, i < j, are not the positive roots")
+    return r, pair_root
 
 
-def _pair_of_root(r, idx):
-    v = r.roots[idx]
-    i = v.index(1) + 1
-    j = v.index(-1) + 1
-    return i, j
-
-
-def an_data_from_rdata(r, d):
+def an_data_from_rdata(n, d):
     """Ratio dict keyed by (i, j), i < j, from the generic pair data."""
-    out = {}
-    for idx, t in d.ratios:
-        i, j = _pair_of_root(r, idx)
-        out[(i, j) if i < j else (j, i)] = t if i < j else t.swap()
-    return out
+    table = d.as_dict()
+    return {ij: table[k] for ij, k in _an_system(n)[1].items() if k in table}
 
 
 def rdata_from_an_data(n, data):
-    r = _an_system(n)
-    out = {}
-    for (i, j), t in data.items():
-        v = [0] * (n + 1)
-        v[i - 1], v[j - 1] = 1, -1
-        idx = r.root_index(tuple(v))
-        if idx in r.positive:
-            out[idx] = t
-        else:
-            out[r.neg[idx]] = t.swap()
-    return rdatamod.RData.of(out)
+    pair_root = _an_system(n)[1]
+    return rdatamod.RData.of({pair_root[ij]: t for ij, t in data.items()})
 
 
 def validate_an_data(n, data):
     """Violated additive triples of the ratio dict (empty list = valid)."""
-    r = _an_system(n)
-    return rdatamod.validate_rdata(r, rdata_from_an_data(n, data))
-
-
-def generic_data_over_cone(n, chain_masks):
-    """Sample ratios over the orbit of a cone: the tautological data at a
-    chart point whose free coordinates are distinct primes."""
-    r = _an_system(n)
-    ctype = comb_type_over_cone(n, chain_masks)
-    # a chamber containing the cone: refine the partition reading blocks
-    # from the s_- side, i.e. from the last block of the type backwards
-    ordering = [i for b in reversed(ctype.blocks) for i in b]
-    simple = []
-    for t in range(n):
-        v = [0] * (n + 1)
-        v[ordering[t] - 1], v[ordering[t + 1] - 1] = 1, -1
-        simple.append(r.root_index(tuple(v)))
-    chart = tuple(sorted(simple))
-    block_index = {i: ctype.block_of(i) for i in ctype.labels}
-    primes = _primes(n)
-    coords = []
-    for idx in chart:
-        i, j = _pair_of_root(r, idx)
-        if block_index[i] == block_index[j]:
-            coords.append(Fraction(primes.pop()))
-        else:
-            coords.append(Fraction(0))
-    point = rdatamod.ChartPoint(chart=chart, coords=tuple(coords))
-    d = rdatamod.universal_rdata_at(r, point)
-    return an_data_from_rdata(r, d)
-
-
-def _primes(n):
-    out = []
-    x = 2
-    while len(out) < n + 1:
-        if all(x % p for p in out):
-            out.append(x)
-        x += 1
-    return out
+    return rdatamod.validate_rdata(_an_system(n)[0], rdata_from_an_data(n, data))
 
 
 def random_marked_chain(n, rng):
@@ -470,15 +391,17 @@ def chain_to_json(chain):
 
 def chain_from_json(obj):
     ctype = CombType.of([tuple(b) for b in obj["blocks"]])
-    coords = {e["i"]: ProjectiveRatio.from_json(e["pos"]) for e in obj["coords"]}
+    coords = {}
+    for e in obj["coords"]:
+        if e["i"] in coords:
+            raise ValueError(f"mark {e['i']} is given twice")
+        coords[e["i"]] = ProjectiveRatio.from_json(e["pos"])
     return MarkedChain.of(ctype, coords)
 
 
 def an_data_to_json(n, data):
-    r = _an_system(n)
-    return rdatamod.rdata_to_json(r, rdata_from_an_data(n, data))
+    return rdatamod.rdata_to_json(_an_system(n)[0], rdata_from_an_data(n, data))
 
 
 def an_data_from_json(n, obj):
-    r = _an_system(n)
-    return an_data_from_rdata(r, rdatamod.rdata_from_json(r, obj))
+    return an_data_from_rdata(n, rdatamod.rdata_from_json(_an_system(n)[0], obj))

@@ -10,8 +10,9 @@ by a scan of the chambers.
 
 Ratios are stored keyed by the positive root of each pair (positivity taken
 with respect to the base simple set); reading a pair in the opposite
-orientation swaps the two components.  All identities are checked by
-cross-multiplication, never by division.
+orientation swaps the two components.  A ratio is a primitive integer pair,
+so every identity is checked by cross-multiplying ints.  The one division
+is the chart coordinate t_s / t_{-s} of a simple root s in ``rdata_to_point``.
 """
 
 import math
@@ -24,33 +25,29 @@ from .errors import MissingPair, NoChartFound, internal_check
 
 @dataclass(frozen=True)
 class ProjectiveRatio:
-    """A ratio (num : den), not both zero, in a canonical scaling.
+    """A ratio (num : den), not both zero, as its primitive integer pair.
 
-    Canonical form: (0:1), (1:0), (1:x) with |x| <= 1; otherwise (x:1) with
-    |x| < 1.  Equality of canonical forms is equality of ratios.
-
-    The JSON form is the primitive integer pair ``[str(p), str(q)]``: p and q
-    coprime with q > 0, or exactly ``["1", "0"]`` when q = 0.  Two ratios are
-    equal exactly when their JSON forms are equal.  ``from_json`` accepts any
-    non-zero scaling, fractions and decimals included, but no exponent
-    notation.
+    num and den are coprime ints with den > 0, or the pair is exactly (1:0),
+    so two ratios are equal exactly when their fields are.  ``of`` takes ints
+    or Fractions in any non-zero scaling.  The JSON form is the fields as
+    strings: (2:1) is ``["2", "1"]`` and (0:5) is ``["0", "1"]``.
+    ``from_json`` accepts integers, decimals and "p/q" strings, but no
+    exponent notation.
     """
 
-    num: Fraction
-    den: Fraction
+    num: int
+    den: int
 
     @staticmethod
     def of(num, den):
-        num, den = Fraction(num), Fraction(den)
-        if num == 0 and den == 0:
+        a = num.numerator * den.denominator
+        b = den.numerator * num.denominator
+        if b < 0 or b == 0 and a < 0:
+            a, b = -a, -b
+        g = math.gcd(a, b)
+        if g == 0:
             raise ValueError("(0 : 0) is not a projective ratio")
-        if num == 0:
-            return ProjectiveRatio(Fraction(0), Fraction(1))
-        if den == 0:
-            return ProjectiveRatio(Fraction(1), Fraction(0))
-        if abs(num) >= abs(den):
-            return ProjectiveRatio(Fraction(1), den / num)
-        return ProjectiveRatio(num / den, Fraction(1))
+        return ProjectiveRatio(a // g, b // g)
 
     def swap(self):
         return ProjectiveRatio.of(self.den, self.num)
@@ -68,20 +65,21 @@ class ProjectiveRatio:
         return self.num == 0 or self.den == 0
 
     def to_json(self):
-        """The primitive integer pair: (2:1) is ["2", "1"], (0:5) is ["0", "1"]."""
-        if self.den == 0:
-            return ["1", "0"]
-        q = self.num / self.den
-        return [str(q.numerator), str(q.denominator)]
+        return [str(self.num), str(self.den)]
 
     @staticmethod
     def from_json(pair):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise TypeError(f"a ratio is a list of two numbers, not {pair!r}")
         return ProjectiveRatio.of(_exact(pair[0]), _exact(pair[1]))
 
 
 def _exact(x):
-    """A JSON integer, decimal or "p/q" string as a Fraction; no exponent
-    notation, as ``Fraction("1e300000")`` builds a 300,000-digit integer."""
+    """A JSON integer, decimal or "p/q" string as a Fraction; no booleans,
+    and no exponent notation, as ``Fraction("1e300000")`` builds a
+    300,000-digit integer."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not a number")
     if (isinstance(x, str) and ("e" in x or "E" in x)
             or isinstance(x, float) and not math.isfinite(x)):
         raise ValueError(f"{x!r}: exponent notation and non-finite numbers are not accepted")
@@ -200,7 +198,7 @@ def rdata_to_point(r, d):
     if walk is None:
         raise NoChartFound("no admissible chart; the ratios violate the triple identities")
     ratios = [ratio_for(r, d, i) for i in walk[0]]
-    point = ChartPoint(chart=walk[0], coords=tuple(t.num / t.den for t in ratios))
+    point = ChartPoint(chart=walk[0], coords=tuple(Fraction(t.num, t.den) for t in ratios))
     internal_check(universal_rdata_at(r, point) == d,
                    "chart reconstruction failed on validated data")
     return point
@@ -230,25 +228,6 @@ def verify_relation_generation(r):
     return linalg.lattices_equal(tuple(gens), kern)
 
 
-ZERO_ONE = "zero_one"
-ONE_ZERO = "one_zero"
-FREE = "free"
-
-
-def orbit_rdata_pattern(r, v):
-    """Degeneration pattern of the ratios over the orbit of a lattice point.
-
-    For each pair (keyed by its positive root a): (0:1) when <a, v> > 0,
-    (1:0) when <a, v> < 0, unconstrained when a is orthogonal to v.
-    ``v`` is in the N(R)-coordinates dual to the base simple set.
-    """
-    out = {}
-    for i in r.positive:
-        s = rootsmod.pairing_with_ray(r, i, v)
-        out[i] = ZERO_ONE if s > 0 else ONE_ZERO if s < 0 else FREE
-    return out
-
-
 def rdata_to_json(r, d):
     return {
         "pairs": [
@@ -262,11 +241,11 @@ def rdata_from_json(r, obj):
     out = {}
     for entry in obj["pairs"]:
         i = r.root_index(tuple(entry["positive_root"]))
+        ratio = ProjectiveRatio.from_json(entry["ratio"])
         if i not in r.positive:
-            i = r.neg[i]
-            ratio = ProjectiveRatio.from_json(entry["ratio"]).swap()
-        else:
-            ratio = ProjectiveRatio.from_json(entry["ratio"])
+            i, ratio = r.neg[i], ratio.swap()
+        if i in out:
+            raise ValueError(f"the pair of {list(r.roots[i])} is given twice")
         out[i] = ratio
     return RData.of(out)
 

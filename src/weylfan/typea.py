@@ -85,22 +85,30 @@ def _submasks_strictly_between(lower, upper):
         sub = (sub - 1) & gap
 
 
+def _prefix_masks(labels, acc=0):
+    """The masks acc + {l_1}, acc + {l_1, l_2}, ..., one per prefix of labels."""
+    out = []
+    for k in labels:
+        acc |= 1 << (k - 1)
+        out.append(acc)
+    return out
+
+
+def _subset_rays(n):
+    """v_A for every proper nonempty subset A; mask a is at index a - 1."""
+    return [subset_ray(a, n) for a in range(1, full_mask(n))]
+
+
+def _subset_fan(n, mask_cones):
+    """The fan on the rays v_A, with cones given as iterables of masks."""
+    return make_fan(n, _subset_rays(n), (tuple(a - 1 for a in cone) for cone in mask_cones))
+
+
 @lru_cache(maxsize=None)
 def chain_fan(n):
     """The chamber fan of type A from the nested-subset description."""
     _check_n(n)
-    full = full_mask(n)
-    rays = [subset_ray(a, n) for a in range(1, full)]
-    ray_id = {a: i for i, a in enumerate(range(1, full))}
-    cones = []
-    for perm in permutations(range(1, n + 2)):
-        acc = 0
-        cone = []
-        for k in perm[:-1]:
-            acc |= 1 << (k - 1)
-            cone.append(ray_id[acc])
-        cones.append(tuple(sorted(cone)))
-    return make_fan(n, rays, cones)
+    return _subset_fan(n, (_prefix_masks(perm[:-1]) for perm in permutations(range(1, n + 2))))
 
 
 @lru_cache(maxsize=None)
@@ -180,17 +188,6 @@ def partition_blocks(chain, n):
     return blocks
 
 
-def d_statistic(chain, n):
-    """Number of adjacent block pairs with min P_k > max P_{k+1}."""
-    blocks = partition_blocks(chain, n)
-    return sum(
-        1
-        for t in range(len(blocks) - 1)
-        if blocks[t] and blocks[t + 1]
-        and (blocks[t] & -blocks[t]) > blocks[t + 1]
-    )
-
-
 def sequence_key(chain, n):
     """The tie-breaking sequence: blocks read last to first, each ascending."""
     blocks = partition_blocks(chain, n)
@@ -215,6 +212,16 @@ def descent_basis(n):
     return tuple(out)
 
 
+def _straightening_terms(lower, upper, old, i_bit, j_bit):
+    """The (B, sign) of the straightening relation that replaces ``old``
+    between ``lower`` and ``upper``: old = sum(sign * B) over the B strictly
+    between them, other than old, that contain exactly one of the witnesses;
+    the sign is -1 when B contains i, +1 when it contains j."""
+    for b in _submasks_strictly_between(lower, upper):
+        if b != old and bool(b & i_bit) != bool(b & j_bit):
+            yield b, 1 if b & j_bit else -1
+
+
 def _rewrite_step(chain, t, n):
     """One straightening step at bad position t (0-based gap of the chain).
 
@@ -230,22 +237,8 @@ def _rewrite_step(chain, t, n):
     j_bit = 1 << (bk1.bit_length() - 1)
     lower = chain[t - 1] if t >= 1 else 0
     upper = chain[t + 1] if t + 1 < len(chain) else full_mask(n)
-    a_k = chain[t]
-    out = {}
-    for b in _submasks_strictly_between(lower, upper):
-        if b == a_k:
-            continue
-        has_i = bool(b & i_bit)
-        has_j = bool(b & j_bit)
-        if has_i and not has_j:
-            sign = -1
-        elif has_j and not has_i:
-            sign = 1
-        else:
-            continue
-        new_chain = chain[:t] + (b,) + chain[t + 1:]
-        out[new_chain] = out.get(new_chain, 0) + sign
-    return {c: s for c, s in out.items() if s}
+    return {chain[:t] + (b,) + chain[t + 1:]: sign
+            for b, sign in _straightening_terms(lower, upper, chain[t], i_bit, j_bit)}
 
 
 def _bad_positions(chain, n):
@@ -315,17 +308,7 @@ def _expand_squares(mult, n):
     remainder = list(mult)
     remainder.remove(dup)
     out = {}
-    for b in _submasks_strictly_between(lower, upper):
-        if b == dup:
-            continue
-        has_i = bool(b & i_bit)
-        has_j = bool(b & j_bit)
-        if has_i and not has_j:
-            sign = -1
-        elif has_j and not has_i:
-            sign = 1
-        else:
-            continue
+    for b, sign in _straightening_terms(lower, upper, dup, i_bit, j_bit):
         if any(not _comparable(b, x) for x in remainder):
             continue
         new_mult = tuple(sorted(remainder + [b], key=lambda m: (bin(m).count("1"), m)))
@@ -433,23 +416,16 @@ def _wall_structure(n):
     suffixes = [tuple(accumulate(v[::-1]))[::-1] + (0,) for v in chain_fan(n).rays]
     identity = linalg.identity_matrix(n)
     _, to_ray = ray_masks(n)
-    perms = list(permutations(range(1, n + 2)))
-    chambers = []
-    for perm in perms:
-        acc, chain = 0, []
-        for k in perm[:-1]:
-            acc |= 1 << (k - 1)
-            chain.append(to_ray[acc])
+    chambers, walls = [], []
+    for perm in permutations(range(1, n + 2)):
+        prefixes = _prefix_masks(perm[:-1])
+        chain = tuple(to_ray[a] for a in prefixes)
         if _chain_pairings(perm, [suffixes[i] for i in chain]) != identity:
             raise InconsistentPL("max cone rays do not determine a linear functional")
-        chambers.append((tuple(chain), perm))
-    walls = []
-    for idx, perm in enumerate(perms):
-        acc = 0
-        for t in range(n):
+        for t, below in enumerate([0] + prefixes[:-1]):
             if perm[t] < perm[t + 1]:
-                walls.append((idx, to_ray[acc | 1 << (perm[t + 1] - 1)]))
-            acc |= 1 << (perm[t] - 1)
+                walls.append((len(chambers), to_ray[below | 1 << (perm[t + 1] - 1)]))
+        chambers.append((chain, perm))
     return tuple(chambers), tuple(walls)
 
 
@@ -611,7 +587,7 @@ def delta_polytope(n):
     if n < 1:
         raise ValueError("the root polytope needs n >= 1")
     root_pts = _root_mcoords(n)
-    normals = tuple(subset_ray(a, n) for a in range(1, full_mask(n)))
+    normals = _subset_rays(n)
     verts = _h_polytope_vertices(normals)
     internal_check(verts == {tuple(map(Fraction, p)) for p in root_pts},
                    "facet description disagrees with the hull of the roots")
@@ -647,16 +623,15 @@ def delta_polytope(n):
 def subdivide_cone(b1, b2, n):
     """Chains subdividing the cone of all subsets between b1 and b2, one per
     permutation of the gap members."""
-    gap = members(b2 & ~b1)
-    chains = []
-    for perm in permutations(gap):
-        acc = b1
-        chain = [acc]
-        for k in perm:
-            acc |= 1 << (k - 1)
-            chain.append(acc)
-        chains.append(tuple(chain))
-    return tuple(chains)
+    return tuple((b1, *_prefix_masks(perm, b1)) for perm in permutations(members(b2 & ~b1)))
+
+
+def _singleton_cosingletons(n):
+    """The pairs ({i}, complement of {j}), i != j, that bound the cones of
+    the root-polytope fan."""
+    full = full_mask(n)
+    return [(1 << (i - 1), full & ~(1 << (j - 1)))
+            for i in range(1, n + 2) for j in range(1, n + 2) if i != j]
 
 
 @lru_cache(maxsize=None)
@@ -664,23 +639,8 @@ def sigma_delta_fan(n):
     """The normal fan of the root polytope: cones of all subsets nested
     between a singleton and a co-singleton."""
     _check_n(n)
-    full = full_mask(n)
-    rays = [subset_ray(a, n) for a in range(1, full)]
-    ray_id = {a: i for i, a in enumerate(range(1, full))}
-    cones = []
-    for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            if i == j:
-                continue
-            b1 = 1 << (i - 1)
-            b2 = full & ~(1 << (j - 1))
-            cone = [ray_id[b1]]
-            for b in _submasks_strictly_between(b1, b2):
-                cone.append(ray_id[b])
-            if b2 != b1:
-                cone.append(ray_id[b2])
-            cones.append(tuple(sorted(set(cone))))
-    return make_fan(n, rays, cones)
+    return _subset_fan(n, ({b1, b2, *_submasks_strictly_between(b1, b2)}
+                           for b1, b2 in _singleton_cosingletons(n)))
 
 
 @lru_cache(maxsize=None)
@@ -688,19 +648,8 @@ def crepant_subdivision(n):
     """Subdivide each cone of the root-polytope fan along permutation chains;
     the result is the chamber fan again."""
     _check_n(n)
-    full = full_mask(n)
-    rays = [subset_ray(a, n) for a in range(1, full)]
-    ray_id = {a: i for i, a in enumerate(range(1, full))}
-    cones = []
-    for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            if i == j:
-                continue
-            b1 = 1 << (i - 1)
-            b2 = full & ~(1 << (j - 1))
-            for chain in subdivide_cone(b1, b2, n):
-                cones.append(tuple(sorted(ray_id[a] for a in chain)))
-    return make_fan(n, rays, cones)
+    return _subset_fan(n, (chain for b1, b2 in _singleton_cosingletons(n)
+                           for chain in subdivide_cone(b1, b2, n)))
 
 
 # -- JSON -------------------------------------------------------------------

@@ -1,13 +1,38 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from weylfan import chains, fans, linalg, rdata, typea
+from test_rdata import ONE_ZERO, ZERO_ONE, orbit_rdata_pattern
+from weylfan import chains, linalg, rdata, typea
 from weylfan.chains import CombType, MarkedChain
 from weylfan.errors import EmptyKeep, NotPreorder
 from weylfan.rdata import ProjectiveRatio
 
 R = ProjectiveRatio.of
+
+
+def marked_point_image(data, labels, i):
+    """The slot ratios of the embedded image of mark i."""
+    return {j: R(1, 1) if j == i else chains.data_ratio(data, i, j) for j in sorted(labels)}
+
+
+def generic_data_over_cone(n, chain_masks):
+    """Sample ratios over the orbit of a cone: the tautological data at a
+    chart point whose free coordinates are distinct primes."""
+    r = chains._an_system(n)[0]
+    ctype = chains.comb_type_over_cone(n, chain_masks)
+    # a chamber containing the cone: refine the partition reading blocks
+    # from the s_- side, i.e. from the last block of the type backwards
+    ordering = [i for b in reversed(ctype.blocks) for i in b]
+    primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+    coord = {}
+    for i, j in zip(ordering, ordering[1:]):
+        same = ctype.block_of(i) == ctype.block_of(j)
+        coord[r.root_index(chains._u_diff(i, j, n + 1))] = Fraction(primes.pop() if same else 0)
+    chart = tuple(sorted(coord))
+    point = rdata.ChartPoint(chart=chart, coords=tuple(coord[k] for k in chart))
+    return chains.an_data_from_rdata(n, rdata.universal_rdata_at(r, point))
 
 
 def test_comb_type_from_data_small():
@@ -116,7 +141,7 @@ def test_curve_membership():
     data = {(1, 2): R(1, 1), (2, 3): R(2, 1), (1, 3): R(2, 1)}
     labels = (1, 2, 3)
     for i in labels:
-        zs = chains.marked_point_image(data, labels, i)
+        zs = marked_point_image(data, labels, i)
         ok, comps = chains.curve_membership(data, labels, zs)
         assert ok and comps == (0,)
     # the minus pole: every slot at (1:0)
@@ -141,7 +166,7 @@ def test_marked_points_on_their_components():
         c = chains.random_marked_chain(3, rng)
         data = chains.data_from_chain(c)
         for i in c.labels:
-            zs = chains.marked_point_image(data, c.labels, i)
+            zs = marked_point_image(data, c.labels, i)
             ok, comps = chains.curve_membership(data, c.labels, zs)
             assert ok and chains_block(c, i) in comps
             # slot i of a marked point has equal entries
@@ -200,24 +225,24 @@ def test_stratification_matches_generic_samples(n):
                 cones.add(sub)
     for chain in cones:
         expected = chains.comb_type_over_cone(n, chain)
-        data = chains.generic_data_over_cone(n, chain)
+        data = generic_data_over_cone(n, chain)
         got = chains.comb_type_from_data(data, tuple(range(1, n + 2)))
         assert got == expected
 
 
 def test_data_pattern_matches_orbit_pattern():
     n = 2
-    r = chains._an_system(n)
+    r = chains._an_system(n)[0]
     chain = (typea.mask_of([1]),)
-    data = chains.generic_data_over_cone(n, chain)
+    data = generic_data_over_cone(n, chain)
     d = chains.rdata_from_an_data(n, data)
     v = typea.subset_ray(chain[0], n)
-    pattern = rdata.orbit_rdata_pattern(r, v)
+    pattern = orbit_rdata_pattern(r, v)
     for idx, kind in pattern.items():
         t = rdata.ratio_for(r, d, idx)
-        if kind == rdata.ZERO_ONE:
+        if kind == ZERO_ONE:
             assert t.is_zero_one
-        elif kind == rdata.ONE_ZERO:
+        elif kind == ONE_ZERO:
             assert t.is_one_zero
         else:
             assert not t.is_degenerate
@@ -230,3 +255,11 @@ def test_chain_json_roundtrip():
     data = chains.data_from_chain(c)
     j = chains.an_data_to_json(3, data)
     assert chains.an_data_from_json(3, j) == data
+
+
+def test_chain_from_json_refuses_a_mark_given_twice():
+    """Two coordinates for one mark are refused, not resolved by the later one."""
+    obj = {"n": 1, "blocks": [[1, 2]], "coords": [
+        {"i": 1, "pos": ["1", "1"]}, {"i": 2, "pos": ["2", "1"]}, {"i": 1, "pos": ["3", "1"]}]}
+    with pytest.raises(ValueError, match="twice"):
+        chains.chain_from_json(obj)

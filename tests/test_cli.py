@@ -59,8 +59,44 @@ PINNED_STDOUT = [
 ]
 
 
+# Inputs of the ratio-printing verbs: fractional, decimal, negative and
+# rescaled ratios, pairs given by their negative root, and degenerate (1:0)
+# and (0:1) ratios, so that the walk of ``to-point`` leaves the base chart.
+B3_POINT = json.dumps({"chart": [[-1, 1, 0], [1, 0, -1], [0, 0, 1]],
+                       "coords": ["-3/2", "0", "0.25"]})
+A3_DATA = json.dumps({"pairs": [
+    {"positive_root": [0, 0, 1, -1], "ratio": ["4", "-2"]},
+    {"positive_root": [0, -1, 1, 0], "ratio": ["3/2", "0"]},
+    {"positive_root": [0, 1, 0, -1], "ratio": ["0", "-5"]},
+    {"positive_root": [1, -1, 0, 0], "ratio": ["-7", "0"]},
+    {"positive_root": [-1, 0, 1, 0], "ratio": ["10", "6"]},
+    {"positive_root": [1, 0, 0, -1], "ratio": ["-1.2", "1"]}]})
+CHAIN4 = json.dumps({"n": 4, "blocks": [[3, 1], [5], [2, 4]], "coords": [
+    {"i": 1, "pos": ["-4", "6"]}, {"i": 2, "pos": ["1/2", "3"]}, {"i": 3, "pos": ["7", "-5"]},
+    {"i": 4, "pos": ["0.5", "1"]}, {"i": 5, "pos": ["2", "2"]}]})
+
+# sha256 of the stdout of the verbs that print ratios, pinned while the
+# ratios were still stored as pairs of Fractions.
+PINNED_STDOUT += [
+    (["rdata", "universal-at", "--type", "B", "--rank", "3", "--point-json", B3_POINT],
+     "9a50284cc6266a2b220b47194b40452d1ff2d846d5f241ee4429e355a5296acc"),
+    (["rdata", "to-point", "--type", "A", "--rank", "3", "--data-json", A3_DATA],
+     "5e344e83c0e7d462a56015ab363a92eb7bc2a53491f1ac5f5d4371a5d4e19828"),
+    (["lm", "extract", "--chain-json", CHAIN4],
+     "2cae5a666408fc2943859c6eed560c9a52799b3690a3f5b816c99360a3c57950"),
+    (["lm", "from-data", "--data-json", A3_DATA],
+     "1796dcae9d3003ced8f5f44eee559a30308cccd9c8e9cd5985ad9262b029955b"),
+    (["lm", "contract", "--chain-json", CHAIN4, "--keep", "1,2,4"],
+     "701220177bc44bdf9f1b1e4adb96dfc7bc6a470c972beb71265396eb3c0262e9"),
+    (["lm", "roundtrip", "--n", "4", "--samples", "25", "--seed", "3"],
+     "4f1bd69a14edfc55d6dc2800760bbf4cf517b128cb089fc98e89628ec80468e6"),
+]
+
+
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[
-    "fan-D4", "fan-B4", "fan-C3", "fan-A2xB2", "embed-A2", "embed-B2", "lm-universal-3"])
+    "fan-D4", "fan-B4", "fan-C3", "fan-A2xB2", "embed-A2", "embed-B2", "lm-universal-3",
+    "universal-at-B3", "to-point-A3", "lm-extract-4", "lm-from-data-3", "lm-contract-4",
+    "lm-roundtrip-4"])
 def test_stdout_pinned(argv, digest, capsys):
     assert cli.run(argv) == 0
     out = capsys.readouterr().out
@@ -325,11 +361,34 @@ CHAIN = json.dumps({"n": 2, "blocks": [[1, 2, 3]], "coords": [
         {"i": 1, "pos": ["1", "1"]}, {"i": 5, "pos": ["1", "1"]}]})], "--chain-json"),
     (["lm", "roundtrip", "--n", "2", "--samples", "-1"], "--samples"),
     (["polytope", "--n", "0"], "n >= 1"),
+    # a ratio that is not a list of exactly two numbers, or a boolean number
+    (["rdata", "validate", "--type", "A", "--rank", "2", "--data-json",
+      A2_DATA.replace('["2", "1"]', '"35"', 1)], "--data-json"),
+    (["rdata", "to-point", "--type", "A", "--rank", "2", "--data-json",
+      A2_DATA.replace('["2", "1"]', '["3", "5", "7"]', 1)], "--data-json"),
+    (["lm", "membership", "--data-json", A2_DATA, "--point-json",
+      '[["1", "1"], [true, 2], ["2", "1"]]'], "--point-json"),
+    (["rdata", "universal-at", "--type", "A", "--rank", "2", "--point-json",
+      '{"chart": [[1, -1, 0], [0, 1, -1]], "coords": [true, "1"]}'], "--point-json"),
 ])
 def test_missing_or_short_input_is_invalid_input(argv, flag, capsys):
     out = run_json(argv, capsys, expect_code=1)
     assert out["error"] == "InvalidInput"
     assert flag in out["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rdata", "validate", "--type", "A", "--rank", "2", "--data-json",
+     A2_DATA.replace("[0, 1, -1]", "[1, -1, 0]")],
+    ["rdata", "to-point", "--type", "A", "--rank", "2", "--data-json",
+     A2_DATA.replace("[0, 1, -1]", "[-1, 1, 0]")],
+    ["lm", "extract", "--chain-json", CHAIN.replace('"i": 2', '"i": 1')],
+], ids=["same-root", "root-and-negative", "same-mark"])
+def test_duplicate_entry_is_invalid_input(argv, capsys):
+    """A pair or a mark given twice is refused, not resolved by the later one."""
+    out = run_json(argv, capsys, expect_code=1)
+    assert out["error"] == "InvalidInput"
+    assert "twice" in out["detail"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -516,10 +575,7 @@ def test_every_operation_reachable(capsys):
     }
     # Library operations that no verb reaches; the tests of their modules
     # exercise them.
-    library_only = {
-        fans.check_complete, fans.check_smooth,
-        rdata.orbit_rdata_pattern, typea.d_statistic,
-    }
+    library_only = {fans.check_complete, fans.check_smooth}
     for fn in covered | library_only:
         assert callable(fn)
     parser = cli.build_parser()

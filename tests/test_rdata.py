@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weylfan import rdata, roots
 from weylfan.errors import MissingPair
@@ -54,6 +56,62 @@ def test_projective_ratio_from_json_any_scaling():
 def test_projective_ratio_from_json_refuses_exponents_and_non_finite(pair):
     with pytest.raises(ValueError):
         ProjectiveRatio.from_json(pair)
+
+
+@pytest.mark.parametrize("pair", ["35", ["3", "5", "7"], ["3"], [True, 2], ["1", False],
+                                  {"0": "1", "1": "2"}])
+def test_projective_ratio_from_json_needs_two_numbers(pair):
+    """A string, a list of other than two entries, or a boolean entry is not
+    read as a ratio."""
+    with pytest.raises(TypeError):
+        ProjectiveRatio.from_json(pair)
+
+
+def test_chart_point_refuses_boolean_coordinates():
+    r = sys(("A", 2))
+    chart = [list(r.roots[i]) for i in r.base_simple_set]
+    with pytest.raises(TypeError):
+        rdata.chart_point_from_json(r, {"chart": chart, "coords": [True, "1"]})
+
+
+INTS = st.integers(-10**6, 10**6)
+RATIOS = st.tuples(INTS, INTS).filter(lambda p: p != (0, 0))
+
+
+@given(RATIOS)
+def test_projective_ratio_fields_are_a_primitive_pair(p):
+    t = ProjectiveRatio.of(*p)
+    assert type(t.num) is int and type(t.den) is int
+    assert math.gcd(t.num, t.den) == 1 and t.den >= 0
+    assert t.den > 0 or t.num == 1
+    assert t.num * p[1] == t.den * p[0]
+
+
+@given(RATIOS, RATIOS)
+def test_projective_ratio_equality_is_cross_multiplication(p, q):
+    (a, b), (c, d) = p, q
+    assert (ProjectiveRatio.of(a, b) == ProjectiveRatio.of(c, d)) == (a * d == b * c)
+
+
+@given(RATIOS, st.integers(1, 50), st.integers(1, 50))
+def test_projective_ratio_of_fractions(p, u, v):
+    """Fractions scale like ints: (a/u : b/v) is (a v : b u)."""
+    (a, b) = p
+    assert ProjectiveRatio.of(Fraction(a, u), Fraction(b, v)) == ProjectiveRatio.of(a * v, b * u)
+
+
+@given(RATIOS)
+def test_projective_ratio_swap_is_an_involution(p):
+    t = ProjectiveRatio.of(*p)
+    assert t.swap().swap() == t
+    assert t.swap() == ProjectiveRatio.of(p[1], p[0])
+
+
+@given(RATIOS)
+def test_projective_ratio_json_roundtrip_is_exact(p):
+    t = ProjectiveRatio.of(*p)
+    assert t.to_json() == [str(t.num), str(t.den)]
+    assert ProjectiveRatio.from_json(t.to_json()) == t
 
 
 def test_validate_examples():
@@ -234,20 +292,39 @@ def test_relation_generation_up_to_rank_5(factors):
     assert rdata.verify_relation_generation(sys(*factors))
 
 
+ZERO_ONE = "zero_one"
+ONE_ZERO = "one_zero"
+FREE = "free"
+
+
+def orbit_rdata_pattern(r, v):
+    """Degeneration pattern of the ratios over the orbit of a lattice point.
+
+    For each pair (keyed by its positive root a): (0:1) when <a, v> > 0,
+    (1:0) when <a, v> < 0, unconstrained when a is orthogonal to v.
+    ``v`` is in the N(R)-coordinates dual to the base simple set.
+    """
+    out = {}
+    for i in r.positive:
+        s = roots.pairing_with_ray(r, i, v)
+        out[i] = ZERO_ONE if s > 0 else ONE_ZERO if s < 0 else FREE
+    return out
+
+
 def test_orbit_rdata_pattern():
     r = sys(("A", 2))
     alpha, beta, gamma = a2_pairs(r)
     # v = v_1 in coordinates dual to the base: (1, 0)
-    pat = rdata.orbit_rdata_pattern(r, (1, 0))
-    assert pat[alpha] == rdata.ZERO_ONE
-    assert pat[gamma] == rdata.ZERO_ONE
-    assert pat[beta] == rdata.FREE
-    assert all(v == rdata.FREE for v in rdata.orbit_rdata_pattern(r, (0, 0)).values())
+    pat = orbit_rdata_pattern(r, (1, 0))
+    assert pat[alpha] == ZERO_ONE
+    assert pat[gamma] == ZERO_ONE
+    assert pat[beta] == FREE
+    assert all(v == FREE for v in orbit_rdata_pattern(r, (0, 0)).values())
     # v = v_1 + v_2 = (0, 1): exactly the pairs positive on v degenerate
-    pat = rdata.orbit_rdata_pattern(r, (0, 1))
-    assert pat[beta] == rdata.ZERO_ONE
-    assert pat[gamma] == rdata.ZERO_ONE
-    assert pat[alpha] == rdata.FREE
+    pat = orbit_rdata_pattern(r, (0, 1))
+    assert pat[beta] == ZERO_ONE
+    assert pat[gamma] == ZERO_ONE
+    assert pat[alpha] == FREE
 
 
 def test_rdata_json_roundtrip():
@@ -261,3 +338,15 @@ def test_rdata_json_roundtrip():
     p = rdata.rdata_to_point(r, d)
     pj = rdata.chart_point_to_json(r, p)
     assert rdata.chart_point_from_json(r, pj) == p
+
+
+@pytest.mark.parametrize("roots_given", [([1, -1, 0], [1, -1, 0]), ([1, -1, 0], [-1, 1, 0])],
+                         ids=["same-root", "root-and-negative"])
+def test_rdata_from_json_refuses_a_pair_given_twice(roots_given):
+    """Two entries for one pair are refused, not resolved by the later one."""
+    r = sys(("A", 2))
+    pairs = [{"positive_root": v, "ratio": ["1", "1"]} for v in roots_given]
+    pairs += [{"positive_root": [0, 1, -1], "ratio": ["2", "1"]},
+              {"positive_root": [1, 0, -1], "ratio": ["2", "1"]}]
+    with pytest.raises(ValueError, match="twice"):
+        rdata.rdata_from_json(r, {"pairs": pairs})

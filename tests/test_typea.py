@@ -9,6 +9,12 @@ from weylfan import fans, linalg, roots, typea
 from weylfan.errors import InconsistentPL
 
 
+def d_statistic(chain, n):
+    """Number of adjacent block pairs with min P_k > max P_{k+1}."""
+    blocks = [typea.members(b) for b in typea.partition_blocks(chain, n)]
+    return sum(1 for p, q in zip(blocks, blocks[1:]) if p and q and min(p) > max(q))
+
+
 def eulerian_by_enumeration(m):
     """Independent oracle: count permutations of {1..m} by descent number."""
     counts = [0] * m
@@ -97,13 +103,20 @@ def test_descent_basis_small():
         basis = typea.descent_basis(n)
         assert len(basis) == factorial(n + 1)
         assert len(set(basis)) == len(basis)
-        assert all(typea.d_statistic(c, n) == 0 for c in basis)
+        assert all(d_statistic(c, n) == 0 for c in basis)
 
 
 def test_d_statistic_examples():
-    assert typea.d_statistic((), 2) == 0
-    assert typea.d_statistic((typea.mask_of([2]),), 1) == 1
-    assert typea.d_statistic((typea.mask_of([1, 3]),), 2) == 0
+    assert d_statistic((), 2) == 0
+    assert d_statistic((typea.mask_of([2]),), 1) == 1
+    assert d_statistic((typea.mask_of([1, 3]),), 2) == 0
+    # the straightening rewrites exactly at the d_statistic bad positions
+    n = 3
+    proper = sorted(range(1, typea.full_mask(n)), key=lambda m: (bin(m).count("1"), m))
+    for size in range(n + 1):
+        for chain in combinations(proper, size):
+            if typea.is_chain(chain):
+                assert len(typea._bad_positions(chain, n)) == d_statistic(chain, n)
 
 
 def test_reduce_examples():
