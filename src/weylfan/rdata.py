@@ -18,6 +18,7 @@ is the chart coordinate t_s / t_{-s} of a simple root s in ``rdata_to_point``.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg, roots as rootsmod
 from .errors import MissingPair, NoChartFound, internal_check
@@ -99,10 +100,15 @@ class RData:
     def as_dict(self):
         return dict(self.ratios)
 
+    @cached_property
+    def lookup(self):
+        """The ratios as a dict, built once per RData; read it, do not change it."""
+        return dict(self.ratios)
+
 
 def ratio_for(r, d, root_index):
     """(t_a : t_{-a}) for an arbitrary root index a, respecting orientation."""
-    table = d.as_dict()
+    table = d.lookup
     if root_index in table:
         return table[root_index]
     other = r.neg[root_index]
@@ -112,7 +118,7 @@ def ratio_for(r, d, root_index):
 
 
 def _require_all_pairs(r, d):
-    table = d.as_dict()
+    table = d.lookup
     for i in r.positive:
         if i not in table and r.neg[i] not in table:
             raise MissingPair(f"no ratio for the pair of {r.roots[i]}")

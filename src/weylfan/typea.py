@@ -9,7 +9,9 @@ Homology is presented by monomials l_A indexed by nested chains ("chain
 monomials"): the unit is the empty chain, and a chain of length m spans the
 codimension-m part.  The straightening relations rewrite any chain monomial
 into the basis indexed by permutation descent sets; the rewriting strictly
-increases a lexicographic sequence order, which forces termination.
+increases a lexicographic sequence order, which forces termination.  The
+normal form is a linear map, memoized per chain: each chain is rewritten,
+and its rewrite checked to increase the order, once per n.
 
 The chambers are the permutations pi of {1, ..., n+1}: the chamber of pi is
 spanned by the rays of its prefix sets {pi_1, ..., pi_t}.  The linear
@@ -22,7 +24,7 @@ enumerated by exact integer double description, not by solving subsystems.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, permutations
 from math import comb, factorial
 from operator import itemgetter, sub
 
@@ -251,44 +253,70 @@ def _bad_positions(chain, n):
     ]
 
 
-def reduce_to_basis(terms, n, rng=None):
-    """Rewrite a combination of chain monomials into the descent basis.
+@lru_cache(maxsize=None)
+def _normal_forms(n):
+    """{chain: NF(chain)} for one n, filled by ``_normal_form``."""
+    return {}
 
-    The canonical strategy rewrites at the smallest bad position; with
-    ``rng`` the bad position is chosen at random instead (the witnesses i, j
-    are forced either way, see _rewrite_step).  Every strategy reaches the
-    same normal form.
+
+def _normal_form(chain, n):
+    """NF(chain) as a tuple of (basis chain, coeff) pairs, memoized per n.
+
+    NF is linear: NF(chain) = sum(sign * NF(new)) over the rewrite at the
+    smallest bad position.  Each chain is rewritten, and the rewrite checked
+    to increase the sequence order, once, when first met.  The walk is in
+    post-order on an explicit stack, not recursive: for a full chain at
+    n = 62 the stack reaches 1,027 chains, past Python's recursion limit.
+    """
+    memo = _normal_forms(n)
+    stack = [(chain, None)]
+    while stack:
+        top, rewrite = stack[-1]
+        if top in memo:
+            stack.pop()
+        elif rewrite is None:
+            bad = _bad_positions(top, n)
+            if not bad:
+                memo[top] = ((top, 1),)
+                continue
+            rewrite = _rewrite_step(top, bad[0], n)
+            key = sequence_key(top, n)
+            internal_check(all(sequence_key(c, n) > key for c in rewrite),
+                           "rewrite must increase the order")
+            stack[-1] = (top, rewrite)
+            stack.extend((c, None) for c in rewrite if c not in memo)
+        else:
+            out = {}
+            for new_chain, sign in rewrite.items():
+                for b, c in memo[new_chain]:
+                    out[b] = out.get(b, 0) + sign * c
+            memo[top] = tuple((b, c) for b, c in out.items() if c)
+    return memo[chain]
+
+
+def reduce_to_basis(terms, n):
+    """Rewrite a combination of chain monomials into the descent basis: the
+    sum of coeff * NF(chain) over the terms (``_normal_form``).  Every choice
+    of bad position reaches the same NF (the tests check this against a
+    random-position worklist), as the witnesses are forced (_rewrite_step).
     """
     _check_n(n)
     out = {}
-    work = {}
     for chain, coeff in terms.items():
         if coeff:
-            work[tuple(chain)] = work.get(tuple(chain), 0) + coeff
-    while work:
-        chain, coeff = work.popitem()
-        if coeff == 0:
-            continue
-        bad = _bad_positions(chain, n)
-        if not bad:
-            out[chain] = out.get(chain, 0) + coeff
-            if out[chain] == 0:
-                del out[chain]
-            continue
-        t = bad[0] if rng is None else rng.choice(bad)
-        key = sequence_key(chain, n)
-        for new_chain, sign in _rewrite_step(chain, t, n).items():
-            internal_check(sequence_key(new_chain, n) > key, "rewrite must increase the order")
-            c = work.get(new_chain, 0) + sign * coeff
-            if c:
-                work[new_chain] = c
-            elif new_chain in work:
-                del work[new_chain]
-    return out
+            for b, c in _normal_form(tuple(chain), n):
+                out[b] = out.get(b, 0) + coeff * c
+    return {b: c for b, c in out.items() if c}
 
 
 def _comparable(a, b):
     return (a & ~b) == 0 or (b & ~a) == 0
+
+
+def _size_sorted(masks):
+    """The masks sorted by size, then value: a multiset of subsets is a
+    chain (with repeats) iff each one contains the one before it."""
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
 def _expand_squares(mult, n):
@@ -298,7 +326,7 @@ def _expand_squares(mult, n):
     dup = next((a for a, b in zip(mult, mult[1:]) if a == b), None)
     if dup is None:
         return {mult: 1}
-    distinct = tuple(sorted(set(mult), key=lambda m: (bin(m).count("1"), m)))
+    distinct = _size_sorted(set(mult))
     pos = distinct.index(dup)
     lower = distinct[pos - 1] if pos else 0
     upper = distinct[pos + 1] if pos + 1 < len(distinct) else full_mask(n)
@@ -311,7 +339,7 @@ def _expand_squares(mult, n):
     for b, sign in _straightening_terms(lower, upper, dup, i_bit, j_bit):
         if any(not _comparable(b, x) for x in remainder):
             continue
-        new_mult = tuple(sorted(remainder + [b], key=lambda m: (bin(m).count("1"), m)))
+        new_mult = _size_sorted(remainder + [b])
         for c, s in _expand_squares(new_mult, n).items():
             v = out.get(c, 0) + sign * s
             if v:
@@ -324,14 +352,14 @@ def _expand_squares(mult, n):
 def multiply(a, b, n):
     """Product of two chain monomials, reduced to the descent basis.
 
-    Zero when the merged factors contain an incomparable pair; squares are
-    eliminated by straightening before the final reduction.
+    Zero when the merged factors are not a chain, which shows between two
+    neighbours once they are sorted by size; squares are eliminated by
+    straightening before the final reduction.
     """
     _check_n(n)
-    mult = tuple(sorted(tuple(a) + tuple(b), key=lambda m: (bin(m).count("1"), m)))
-    for x, y in combinations(set(mult), 2):
-        if not _comparable(x, y):
-            return {}
+    mult = _size_sorted(tuple(a) + tuple(b))
+    if any(x & ~y for x, y in zip(mult, mult[1:])):
+        return {}
     return reduce_to_basis(_expand_squares(mult, n), n)
 
 

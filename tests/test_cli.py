@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +106,26 @@ def test_stdout_pinned(argv, digest, capsys):
     assert cli.run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of `reduce` on a random full chain at the widest n,
+# pinned while the normal form was still computed by a worklist.
+FULL_CHAIN_62_DIGEST = "10d35f097e885ef0595c9f599bbdb2267e130d0d35d7160b2ba3c02d4e181512"
+
+
+def test_reduce_full_chain_at_the_widest_n():
+    """The rewrites of a full chain at n = 62 go about n^2 / 4 deep: a new
+    process must print the normal form, with no traceback."""
+    n = 62
+    labels = list(range(1, n + 2))
+    random.Random(62).shuffle(labels)
+    chain = [sorted(labels[:t]) for t in range(1, n + 1)]
+    payload = json.dumps({"n": n, "terms": [{"chain": chain, "coeff": 1}]})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "weylfan.cli", "reduce", "--class-json", payload],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == FULL_CHAIN_62_DIGEST
 
 
 def test_betti_verb(capsys):

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from weylfan import fans, linalg, roots, typea
-from weylfan.errors import InconsistentPL
+from weylfan.errors import InconsistentPL, InternalCheckFailed
 
 
 def d_statistic(chain, n):
@@ -135,6 +135,28 @@ def test_reduce_examples():
         assert typea.reduce_to_basis({c: 1}, 2) == {c: 1}
 
 
+def random_position_reduce(terms, n, rng):
+    """Confluence oracle: a worklist that rewrites each chain at a random bad
+    position (the witnesses i, j are forced at every position) and checks
+    that every rewrite increases the sequence order; no memo."""
+    out, work = {}, {}
+    for chain, coeff in terms.items():
+        work[chain] = work.get(chain, 0) + coeff
+    while work:
+        chain, coeff = work.popitem()
+        if coeff == 0:
+            continue
+        bad = typea._bad_positions(chain, n)
+        if not bad:
+            out[chain] = out.get(chain, 0) + coeff
+            continue
+        key = typea.sequence_key(chain, n)
+        for new_chain, sign in typea._rewrite_step(chain, rng.choice(bad), n).items():
+            assert typea.sequence_key(new_chain, n) > key
+            work[new_chain] = work.get(new_chain, 0) + sign * coeff
+    return {c: v for c, v in out.items() if v}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_reduce_lands_in_basis_and_confluence(n):
     basis = set(typea.descent_basis(n))
@@ -143,8 +165,55 @@ def test_reduce_lands_in_basis_and_confluence(n):
         canonical = typea.reduce_to_basis({chain: 1}, n)
         assert set(canonical) <= basis
         for _ in range(3):
-            randomized = typea.reduce_to_basis({chain: 1}, n, rng=rng)
+            randomized = random_position_reduce({chain: 1}, n, rng)
             assert randomized == canonical
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_products_of_basis_monomials_match_the_oracle(n):
+    """multiply against the random-position worklist on every product of two
+    descent monomials, with chain-ness tested pairwise."""
+    rng = random.Random(200 + n)
+    basis = typea.descent_basis(n)
+    for a, b in product(basis, repeat=2):
+        mult = tuple(sorted(a + b, key=lambda m: (bin(m).count("1"), m)))
+        if all(typea._comparable(x, y) for x, y in combinations(set(mult), 2)):
+            expected = random_position_reduce(typea._expand_squares(mult, n), n, rng)
+        else:
+            expected = {}
+        assert typea.multiply(a, b, n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_anticanonical_top_power(n):
+    """(-K)^n = C(2n, n), the normalized volume of the root polytope, with
+    -K the sum of all boundary divisors, by repeated products."""
+    anti = [((a,), 1) for a in range(1, typea.full_mask(n))]
+    power = {(): 1}
+    for _ in range(n):
+        prod = {}
+        for c1, v1 in power.items():
+            for c2, v2 in anti:
+                for c3, v3 in typea.multiply(c1, c2, n).items():
+                    prod[c3] = prod.get(c3, 0) + v1 * v2 * v3
+        power = {c: v for c, v in prod.items() if v}
+    top = tuple(typea.mask_of(range(1, t + 1)) for t in range(1, n + 1))
+    assert power == {top: comb(2 * n, n)}
+
+
+def test_reduce_checks_that_each_rewrite_increases_the_order(monkeypatch):
+    """With a sequence order that a rewrite does not increase, the memoized
+    normal form must refuse, not return."""
+    n = 3
+    chain = (typea.mask_of([4]),)
+    assert typea._bad_positions(chain, n)
+    monkeypatch.setattr(typea, "sequence_key", lambda chain, n: ())
+    typea._normal_forms.cache_clear()
+    try:
+        with pytest.raises(InternalCheckFailed):
+            typea.reduce_to_basis({chain: 1}, n)
+    finally:
+        typea._normal_forms.cache_clear()
 
 
 class FractionSpan:
