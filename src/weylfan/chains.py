@@ -68,9 +68,6 @@ class MarkedChain:
     def labels(self):
         return self.ctype.labels
 
-    def coord_of(self, label):
-        return dict(self.coords)[label]
-
 
 def data_ratio(data, i, j):
     """(t_ij : t_ji) for any ordered pair, from the i<j keyed dict."""
@@ -82,55 +79,21 @@ def data_ratio(data, i, j):
 def comb_type_from_data(data, labels):
     """Blocks of the total preorder defined by the degeneration pattern.
 
-    i precedes j when the ratio is (1:0), follows when (0:1), shares a
-    component otherwise.  Totality and transitivity are verified; failures
-    raise NotPreorder.
+    i precedes j when t_ij = (1:0), follows when (0:1), and shares a
+    component otherwise.  The rank of j is the number of marks preceding it.
+    The pattern is a total preorder iff every pair compares the way its ranks
+    do (NotPreorder otherwise); the blocks are the rank classes, in order.
     """
     labels = tuple(sorted(labels))
-
-    def cmp(i, j):
-        if i == j:
-            return 0
-        t = data_ratio(data, i, j)
-        if t.is_one_zero:
-            return -1
-        if t.is_zero_one:
-            return 1
-        return 0
-
-    # equivalence classes of "same component"
-    blocks = []
-    for i in labels:
-        for b in blocks:
-            if cmp(i, b[0]) == 0:
-                b.append(i)
-                break
-        else:
-            blocks.append([i])
-    # verify class consistency and collect the order
-    for b in blocks:
-        for x in b:
-            for y in b:
-                if x < y and cmp(x, y) != 0:
-                    raise NotPreorder(f"marks {x},{y} disagree about sharing a component")
-    for a in range(len(blocks)):
-        for b in range(len(blocks)):
-            if a == b:
-                continue
-            signs = {cmp(x, y) for x in blocks[a] for y in blocks[b]}
-            if len(signs) != 1 or 0 in signs:
-                raise NotPreorder(f"blocks {blocks[a]},{blocks[b]} are not totally ordered")
-    reps_before = [b[0] for b in blocks]
-    blocks.sort(key=lambda b: sum(cmp(b[0], c) for c in reps_before))
-    order = CombType.of(blocks)
-    # transitivity across three blocks
-    m = len(order.blocks)
-    reps = [b[0] for b in order.blocks]
-    for a in range(m):
-        for c in range(a + 1, m):
-            if cmp(reps[a], reps[c]) != -1:
-                raise NotPreorder("the block order is not transitive")
-    return order
+    pairs = [(i, j, data[(i, j)]) for a, i in enumerate(labels) for j in labels[a + 1:]]
+    rank = dict.fromkeys(labels, 0)
+    for i, j, t in pairs:
+        rank[j] += t.is_one_zero
+        rank[i] += t.is_zero_one
+    for i, j, t in pairs:
+        if (t.is_one_zero, t.is_zero_one) != (rank[i] < rank[j], rank[i] > rank[j]):
+            raise NotPreorder(f"marks {i},{j} do not compare the way their ranks do")
+    return CombType.of([[j for j in labels if rank[j] == k] for k in sorted(set(rank.values()))])
 
 
 def chain_from_data(data, labels):
@@ -270,13 +233,11 @@ def universal_curve_structure(n):
     dim = n + 2
     sub_roots = [v for v in big.roots if v[-1] == 0]
     base = [_u_diff(t, t + 1, dim) for t in range(1, dim - 1)]
-    small = rootsmod.root_system_from_roots(sub_roots, dim, base=base) if n >= 1 \
-        else rootsmod.root_system_from_roots([], dim)
+    small = rootsmod.root_system_from_roots(sub_roots, dim, base=base)
     morphism = fans._morphism_from_lattice_inclusion(big, small)
 
-    proj = tuple(
-        rootsmod.mcoords_of_vector(big, small.roots[i]) for i in small.base_simple_set
-    )  # rows: small base in big base coordinates
+    # rows: small base in big base coordinates
+    proj = rootsmod.mcoords_of_vectors(big, [small.roots[i] for i in small.base_simple_set])
     sections = []
     for label in range(1, n + 2):
         # ambient: u_t -> u_t for t <= n+1, u_{n+2} -> u_label
@@ -284,17 +245,12 @@ def universal_curve_structure(n):
         amb[dim - 1] = [0] * dim
         amb[dim - 1][label - 1] = 1
         amb = tuple(tuple(row) for row in amb)
-        lat = tuple(
-            rootsmod.mcoords_of_vector(
-                small, linalg.vec_matmul(big.roots[i], amb))
-            for i in big.base_simple_set
-        ) if n >= 1 else tuple(() for _ in big.base_simple_set)
+        lat = rootsmod.mcoords_of_vectors(
+            small, [linalg.vec_matmul(big.roots[i], amb) for i in big.base_simple_set])
         sections.append(SectionInfo(label, _u_diff(label, dim, dim), lat))
         # composition: include then project must be the identity
-        if n >= 1:
-            comp = linalg.matmul(proj, lat)
-            internal_check(comp == linalg.identity_matrix(n),
-                           "section does not split the projection")
+        internal_check(linalg.matmul(proj, lat) == linalg.identity_matrix(n),
+                       "section does not split the projection")
 
     src = morphism.source
     v_last = tuple([0] * n + [-1])

@@ -60,11 +60,6 @@ def fan_to_json(f):
     }
 
 
-def fan_from_json(obj):
-    return make_fan(obj["rank"], [tuple(v) for v in obj["rays"]],
-                    [tuple(c) for c in obj["max_cones"]])
-
-
 @lru_cache(maxsize=None)
 def _chamber_data(r):
     """(fan, chamber map) for the fan of Weyl chambers of ``r``.
@@ -169,9 +164,6 @@ class FanMorphism:
     lattice_map: tuple   # matrix L: source N-coords v map to v * L
     cone_image: tuple    # pairs (source max cone, target cone)
 
-    def map_vector(self, v):
-        return linalg.vec_matmul(v, self.lattice_map)
-
 
 def _morphism_from_lattice_inclusion(r, rprime):
     """Fan morphism Sigma(r) -> Sigma(rprime) for M(rprime) inside M(r).
@@ -183,8 +175,7 @@ def _morphism_from_lattice_inclusion(r, rprime):
     f = weyl_chamber_fan(r)
     fp = weyl_chamber_fan(rprime)
     # Rows: each base simple root of rprime in the base coordinates of r.
-    p = tuple(rootsmod.mcoords_of_vector(r, rprime.roots[i])
-              for i in rprime.base_simple_set)
+    p = rootsmod.mcoords_of_vectors(r, [rprime.roots[i] for i in rprime.base_simple_set])
     lattice_map = linalg.transpose(p)  # v -> v * P^T
     # every ray of a source cone must land inside the recorded image cone
     ray_faces = [set(chamber_face(rprime, linalg.vec_matmul(v, lattice_map)))
@@ -244,11 +235,8 @@ def projection_embedding_equations(r, rprime, mu):
         if not _is_root_multiple(r, img):
             raise NotInSpan(f"mu sends {v} to {img}, not a root multiple")
     # mu on root lattices, in base coordinates: M(R') -> M(R).
-    p = tuple(
-        rootsmod.mcoords_of_vector(
-            r, linalg.vec_matmul(rprime.roots[i], mu))
-        for i in rprime.base_simple_set
-    )
+    p = rootsmod.mcoords_of_vectors(
+        r, [linalg.vec_matmul(rprime.roots[i], mu) for i in rprime.base_simple_set])
     if not linalg.lattices_equal(p, linalg.identity_matrix(r.rank)):
         raise NotSurjective("mu does not map M(R') onto M(R)")
     kern = linalg.kernel_basis(p)

@@ -1,8 +1,11 @@
-"""Exact integer and rational linear algebra on row vectors.
+"""Exact integer linear algebra on row vectors.
 
-Vectors are tuples of Python ints (or Fractions), matrices are tuples of row
-vectors.  Everything is arbitrary precision and immutable; no floats appear
-anywhere in this package.
+Vectors are tuples of Python ints, matrices are tuples of row vectors.
+Everything is arbitrary precision and immutable; no floats appear anywhere
+in this package, and Fractions only pass through the ``vec_*`` helpers.
+
+There are two eliminations.  ``hermite_normal_form`` serves the lattices
+and the integer solves (``solve_left``); Bareiss serves ``det``.
 
 Conventions:
 
@@ -14,7 +17,6 @@ Conventions:
   comparison.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import NotUnimodular
@@ -175,50 +177,30 @@ def int_inverse(b):
     return u
 
 
-def solve_left(basis, target):
-    """Solve x * basis = target over Q; None if inconsistent.
+def solve_left(basis, targets):
+    """Solve x * basis = t over Z for each target t; None where no integer
+    x exists.
 
-    ``basis`` must have linearly independent rows, so the solution is unique
-    when it exists.  Entries of x are Fractions.
+    ``basis`` must have linearly independent rows (ValueError otherwise), so
+    each solution is unique; an empty basis solves only the zero vector.  One
+    Hermite normal form u * basis = h serves every target: y * h = t is read
+    off the pivots of h, row by row, and x = y * u.
     """
-    # Gaussian elimination on the system basis^T * x^T = target^T.
-    k = len(basis)
-    ncols = len(target)
-    aug = [[Fraction(basis[i][j]) for i in range(k)] + [Fraction(target[j])]
-           for j in range(ncols)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, ncols) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pr = aug[r][c]
-        aug[r] = [x / pr for x in aug[r]]
-        for i in range(ncols):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) != k:
+    h, u = hermite_normal_form(basis)
+    if any(vec_is_zero(row) for row in h):
         raise ValueError("basis rows are linearly dependent")
-    # Remaining rows must be consistent.
-    for i in range(r, ncols):
-        if aug[i][k] != 0:
-            return None
-    x = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][k]
-    return tuple(x)
-
-
-def solve_left_int(basis, target):
-    """Like solve_left but demands an integer solution; None otherwise."""
-    x = solve_left(basis, target)
-    if x is None or any(f.denominator != 1 for f in x):
-        return None
-    return tuple(int(f) for f in x)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+    ut = transpose(u)
+    out = []
+    for t in targets:
+        rest, y = list(t), []
+        for row, c in zip(h, pivots):
+            y.append(rest[c] // row[c])
+            rest = [a - y[-1] * b for a, b in zip(rest, row, strict=True)]
+        # rest = t - y * h.  Later rows of h are zero in column c, so a
+        # remainder left at a pivot stays in rest, and y * h == t iff rest = 0.
+        out.append(None if any(rest) else tuple(vec_dot(y, col) for col in ut))
+    return out
 
 
 def in_rational_span(basis, v):

@@ -11,8 +11,12 @@ by a scan of the chambers.
 Ratios are stored keyed by the positive root of each pair (positivity taken
 with respect to the base simple set); reading a pair in the opposite
 orientation swaps the two components.  A ratio is a primitive integer pair,
-so every identity is checked by cross-multiplying ints.  The one division
-is the chart coordinate t_s / t_{-s} of a simple root s in ``rdata_to_point``.
+so every identity is checked by cross-multiplying ints, and the ratios over
+a chart point are products of the numerators and of the denominators of its
+coordinates.  Fractions appear only where a rational number enters or
+leaves: the parsed JSON numbers (``_exact``), the ``ChartPoint`` coordinates,
+and the one division, the chart coordinate t_s / t_{-s} of a simple root s
+in ``rdata_to_point``.
 """
 
 import math
@@ -158,34 +162,29 @@ class ChartPoint:
     chart: tuple
     coords: tuple
 
-    def coord_of(self, root_index):
-        return self.coords[self.chart.index(root_index)]
-
 
 def universal_rdata_at(r, p):
     """The tautological ratios over a chart point.
 
-    For a pair with positive root a: if a is a nonnegative combination of the
-    chart's simple roots, the ratio is (prod coords^exponents : 1); otherwise
-    -a is, and the ratio is (1 : value of the character of -a).
+    Write the coordinates as x_k = p_k / q_k.  A positive root a with
+    expansion c in the chart's simple roots gets the value of its character,
+    (prod p_k^c_k : prod q_k^c_k), when c >= 0; otherwise c <= 0, and it gets
+    the swapped ratio (prod q_k^-c_k : prod p_k^-c_k), the inverse of the
+    character of -a.  Only ints are multiplied.
     """
-    s = tuple(p.chart)
-    exp = rootsmod.simple_set_expansions(r, s)
-
-    def character(coeffs):
-        val = Fraction(1)
-        for c, x in zip(coeffs, p.coords):
-            if c:
-                val *= Fraction(x) ** c
-        return val
-
+    exp = rootsmod.simple_set_expansions(r, tuple(p.chart))
+    nums = [x.numerator for x in p.coords]
+    dens = [x.denominator for x in p.coords]
     out = {}
     for i in r.positive:
-        coeffs = exp[i]
-        if all(v >= 0 for v in coeffs):
-            out[i] = ProjectiveRatio.of(character(coeffs), 1)
-        else:
-            out[i] = ProjectiveRatio.of(1, character(tuple(-v for v in coeffs)))
+        top = bottom = 1
+        for c, num, den in zip(exp[i], nums, dens):
+            if c:
+                top *= num ** abs(c)
+                bottom *= den ** abs(c)
+        if any(c < 0 for c in exp[i]):
+            top, bottom = bottom, top
+        out[i] = ProjectiveRatio.of(top, bottom)
     return RData.of(out)
 
 

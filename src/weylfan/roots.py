@@ -202,16 +202,14 @@ def _finish(spec, dim, roots, base):
             raise NotInSpan(f"base root {b} is not in the root set")
         base_idx.append(roots.index(b))
     basis = tuple(tuple(b) for b in base)
-    mcoords = []
-    for v in roots:
-        x = linalg.solve_left_int(basis, v) if basis else None
-        if basis and x is None:
+    mcoords = linalg.solve_left(basis, roots)
+    for v, x in zip(roots, mcoords):
+        if x is None:
             raise NotInSpan(f"root {v} is not an integer combination of the base")
-        mcoords.append(x if basis else ())
     neg = tuple(roots.index(linalg.vec_neg(v)) for v in roots)
-    positive = tuple(i for i, c in enumerate(mcoords) if c and all(x >= 0 for x in c))
+    positive = tuple(i for i, c in enumerate(mcoords) if all(x >= 0 for x in c))
     for i, c in enumerate(mcoords):
-        if c and not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
+        if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
             raise NotInSpan(f"root {roots[i]} has mixed signs in the base expansion")
     return RootSystem(
         spec=spec,
@@ -390,12 +388,14 @@ def weyl_order(spec):
     return total
 
 
-def mcoords_of_vector(r, v):
-    """Coordinates of an ambient lattice vector in the root lattice basis."""
-    x = linalg.solve_left_int(r.root_lattice_basis, tuple(v))
-    if x is None:
-        raise NotInSpan(f"{tuple(v)} is not in the root lattice")
-    return x
+def mcoords_of_vectors(r, vs):
+    """Coordinates of ambient lattice vectors in the root lattice basis."""
+    vs = [tuple(v) for v in vs]
+    xs = linalg.solve_left(r.root_lattice_basis, vs)
+    for v, x in zip(vs, xs):
+        if x is None:
+            raise NotInSpan(f"{v} is not in the root lattice")
+    return tuple(xs)
 
 
 def pairing_with_ray(r, root_index, ray):

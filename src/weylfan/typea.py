@@ -705,16 +705,6 @@ def cohom_class_from_json(obj):
     return {c: v for c, v in terms.items() if v}, n
 
 
-def divisor_to_json(coeffs, n):
-    return {
-        "coeffs": [
-            {"subset": list(members(a)), "a": v}
-            for a, v in sorted(coeffs.items())
-            if v
-        ]
-    }
-
-
 def divisor_from_json(obj, n):
     out = {}
     for entry in obj["coeffs"]:

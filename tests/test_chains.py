@@ -62,15 +62,71 @@ def test_comb_type_not_preorder():
         chains.comb_type_from_data(data, (1, 2, 3))
 
 
+def comb_type_by_block_scan(data, labels):
+    """The former block-scanning comb type, kept as the oracle."""
+    labels = tuple(sorted(labels))
+
+    def cmp(i, j):
+        if i == j:
+            return 0
+        t = chains.data_ratio(data, i, j)
+        return -1 if t.is_one_zero else 1 if t.is_zero_one else 0
+
+    blocks = []
+    for i in labels:
+        for b in blocks:
+            if cmp(i, b[0]) == 0:
+                b.append(i)
+                break
+        else:
+            blocks.append([i])
+    for b in blocks:
+        if any(cmp(x, y) != 0 for x in b for y in b):
+            raise NotPreorder("a block disagrees about sharing a component")
+    for a in range(len(blocks)):
+        for b in range(len(blocks)):
+            signs = {cmp(x, y) for x in blocks[a] for y in blocks[b]}
+            if a != b and (len(signs) != 1 or 0 in signs):
+                raise NotPreorder("two blocks are not totally ordered")
+    reps_before = [b[0] for b in blocks]
+    blocks.sort(key=lambda b: sum(cmp(b[0], c) for c in reps_before))
+    order = CombType.of(blocks)
+    reps = [b[0] for b in order.blocks]
+    for a in range(len(reps)):
+        for c in range(a + 1, len(reps)):
+            if cmp(reps[a], reps[c]) != -1:
+                raise NotPreorder("the block order is not transitive")
+    return order
+
+
+def test_comb_type_matches_block_scan():
+    rng = random.Random(17)
+    choices = [R(1, 0), R(0, 1), R(1, 1), R(2, 3)]
+    outcomes = {"valid": 0, "invalid": 0}
+    for _ in range(18000):
+        labels = tuple(range(1, rng.randrange(2, 6) + 1))
+        data = {(i, j): rng.choice(choices) for i in labels for j in labels if i < j}
+        try:
+            expected = comb_type_by_block_scan(data, labels)
+        except NotPreorder:
+            with pytest.raises(NotPreorder):
+                chains.comb_type_from_data(data, labels)
+            outcomes["invalid"] += 1
+            continue
+        assert chains.comb_type_from_data(data, labels) == expected
+        outcomes["valid"] += 1
+    assert min(outcomes.values()) > 3000, outcomes
+
+
 def test_chain_from_data_example():
     # ratios (1:1), (2:1), (2:1) on the pairs (1,2), (2,3), (1,3)
     data = {(1, 2): R(1, 1), (2, 3): R(2, 1), (1, 3): R(2, 1)}
     assert chains.validate_an_data(2, data) == []
     c = chains.chain_from_data(data, (1, 2, 3))
     assert c.ctype.blocks == ((1, 2, 3),)
-    assert c.coord_of(1) == R(1, 1)
-    assert c.coord_of(2) == R(1, 1)   # t_{21} = swap(1:1)
-    assert c.coord_of(3) == R(1, 2)   # t_{31} = swap(2:1)
+    assert dict(c.coords) == {1: R(1, 1),
+                              2: R(1, 1),    # t_{21} = swap(1:1)
+                              3: R(1, 2)}    # t_{31} = swap(2:1)
     assert chains.data_from_chain(c) == data
 
 
@@ -117,7 +173,7 @@ def test_contract_examples():
     assert chains.contract(c, c.labels) == chains.normalize_chain(c)
     single = chains.contract(c, {2})
     assert single.ctype.blocks == ((2,),)
-    assert single.coord_of(2) == R(1, 1)
+    assert dict(single.coords) == {2: R(1, 1)}
     with pytest.raises(EmptyKeep):
         chains.contract(c, set())
 

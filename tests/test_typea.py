@@ -590,6 +590,6 @@ def test_json_roundtrips():
     j = typea.cohom_class_to_json(terms, n)
     back, n2 = typea.cohom_class_from_json(j)
     assert back == terms and n2 == n
-    div = {typea.mask_of([1]): 2, typea.mask_of([2, 3]): -1}
-    j = typea.divisor_to_json(div, n)
-    assert typea.divisor_from_json(j, n) == div
+    j = {"coeffs": [{"subset": [1], "a": 2}, {"subset": [2, 3], "a": -1},
+                    {"subset": [1], "a": 1}]}
+    assert typea.divisor_from_json(j, n) == {typea.mask_of([1]): 3, typea.mask_of([2, 3]): -1}
