@@ -5,12 +5,14 @@ dual to the base simple set of the root system: the pairing of a root with a
 ray is the dot product of the root's base-coordinates with the ray vector.
 
 The Weyl chambers are the simple sets S of ``roots.chamber_orbit``, the one
-orbit of W that the package walks.  The walk carries each chamber's rays
-across the walls by the contragredient action of W on N (Humphreys, section
-1.12), so no chamber's root matrix is inverted.  The face containing a vector
-is found by descent from the base chamber (``chamber_face``), not by a scan
-of the chambers; the fan morphisms are built from it.  Completeness and
-smoothness share one determinant per max cone.
+walk over W that the package makes, one step per chamber.  The walk carries
+each chamber's rays across the walls by the contragredient action of W on N
+(Humphreys, section 1.12), so no chamber's root matrix is inverted.  The face
+containing a vector is found by descent from the base chamber
+(``chamber_face``), not by a scan of the chambers; the fan morphisms are
+built from it, and ``orbit_closure`` walks from it over the star of a cone
+only.  Completeness and smoothness share one Bareiss determinant per max
+cone; a facet of a max cone is a sorted tuple of ray indices.
 
 Cones are sorted tuples of ray indices; the empty tuple is the zero cone.
 Rays and max-cone lists are canonicalized (lexicographic) on construction,
@@ -92,17 +94,23 @@ def chamber_face(r, v):
     (<a, w_b> = 1 if a = b, else 0), the face is spanned by the rays w_a of S
     with <a, v> > 0.
     """
+    return _chamber_and_face(r, v)[1]
+
+
+def _chamber_and_face(r, v):
+    """(S, face): the simple set S that ``roots.descend`` reaches for v, and
+    ``chamber_face(r, v)``, a face of the chamber of S."""
     pairing = lambda a: linalg.vec_dot(r.mcoords[a], v)
     walk = rootsmod.descend(r, lambda a: pairing(a) < 0)
     internal_check(walk is not None, f"the descent for {tuple(v)} did not end")
     fan, chambers = _chamber_data(r)
     positive = [a for a in walk[0] if pairing(a) > 0]
-    return tuple(i for i in chambers[walk[0]]
-                 if any(rootsmod.pairing_with_ray(r, a, fan.rays[i]) for a in positive))
+    return walk[0], tuple(i for i in chambers[walk[0]] if any(
+        rootsmod.pairing_with_ray(r, a, fan.rays[i]) for a in positive))
 
 
 def _cone_facets(f, cone):
-    """Facets of a full-dimensional max cone, each as the frozenset of the
+    """Facets of a full-dimensional max cone, each as the sorted tuple of the
     cone's rays lying on the facet hyperplane.
 
     Simplicial cones: all (rank-1)-subsets.  Otherwise facets are found from
@@ -111,7 +119,7 @@ def _cone_facets(f, cone):
     n = f.lattice_rank
     rays = [f.rays[i] for i in cone]
     if len(cone) == n:
-        return {frozenset(cone) - {i} for i in cone}
+        return [cone[:k] + cone[k + 1:] for k in range(n)]
     from itertools import combinations
 
     facets = set()
@@ -123,7 +131,7 @@ def _cone_facets(f, cone):
         w = kern[0]
         vals = [linalg.vec_dot(ray, w) for ray in rays]
         if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
-            on = frozenset(cone[i] for i, x in enumerate(vals) if x == 0)
+            on = tuple(cone[i] for i, x in enumerate(vals) if x == 0)
             if linalg.rank(tuple(f.rays[i] for i in on)) == n - 1:
                 facets.add(on)
     return facets
@@ -289,22 +297,38 @@ def orbit_closure(r, f, tau):
     (for every chamber containing tau: its simple set S, the surviving part
     S' = S orthogonal to tau, and the vanishing set S minus S'), and the
     Dynkin components of S'.
+
+    Only the star of tau is visited.  The sum v of tau's rays lies in the
+    relative interior of tau, so a chamber contains tau iff it contains v.
+    ``roots.descend`` finds one, S0; tau is a cone iff ``chamber_face`` of v
+    is tau.  The others are the images of S0 under the stabilizer of v,
+    reached by reflecting in the simple roots orthogonal to tau: a simple
+    root of a chamber containing tau is >= 0 on each of tau's rays, so it is
+    orthogonal to tau iff <a, v> = 0.
     """
-    fan, chambers = _chamber_data(r)
-    tau = tuple(sorted(tau))
+    fan = weyl_chamber_fan(r)
+    tau = tuple(sorted(set(tau)))
     tau_rays = [fan.rays[i] for i in tau]
-
-    def orth(i):
-        return all(rootsmod.pairing_with_ray(r, i, ray) == 0 for ray in tau_rays)
-
-    charts = []
-    for s, cone in chambers.items():
-        if set(tau) <= set(cone):
-            charts.append((s, tuple(i for i in s if orth(i)), tuple(i for i in s if not orth(i))))
-    if not charts:
+    v = tuple(map(sum, zip(*tau_rays))) if tau else (0,) * r.rank
+    start, face = _chamber_and_face(r, v)
+    if face != tau:
         raise NotInSpan(f"{tau} is not a cone of the fan")
-    charts = tuple(sorted(charts))
-    sub_idx = tuple(i for i in range(len(r.roots)) if orth(i))
+
+    orth = [all(rootsmod.pairing_with_ray(r, i, ray) == 0 for ray in tau_rays)
+            for i in range(len(r.roots))]
+    table = rootsmod.reflection_table(r)
+    star, todo = {start}, [start]
+    while todo:
+        s = todo.pop()
+        for a in s:
+            if orth[a]:
+                t = tuple(sorted(table[a][b] for b in s))
+                if t not in star:
+                    star.add(t)
+                    todo.append(t)
+    charts = tuple(sorted((s, tuple(i for i in s if orth[i]), tuple(i for i in s if not orth[i]))
+                          for s in star))
+    sub_idx = tuple(i for i, o in enumerate(orth) if o)
     if not tau:
         sub = r
     else:

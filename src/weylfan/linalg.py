@@ -142,7 +142,13 @@ def rank(m):
 
 
 def det(m):
-    """Determinant of a square integer matrix (Bareiss, exact)."""
+    """Determinant of a square integer matrix (Bareiss, exact).
+
+    Step k replaces a[i][j] by (a[i][j] * p - a[i][k] * a[k][j]) / prev, p
+    the pivot a[k][k] and prev the pivot before it; the division is exact.
+    A row with a[i][k] = 0 is only rescaled by p / prev, and left alone when
+    p == prev, as in the sparse ray matrices of chamber fans.
+    """
     n = len(m)
     if n == 0:
         return 1
@@ -156,10 +162,18 @@ def det(m):
                 return 0
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
+            row = a[i]
+            c = row[k]
+            if c:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * p - c * pivot_row[j]) // prev
+            elif p != prev:
+                for j in range(k + 1, n):
+                    row[j] = row[j] * p // prev
+        prev = p
     return sign * a[n - 1][n - 1]
 
 

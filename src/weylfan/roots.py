@@ -8,22 +8,23 @@ in that basis ("mcoords") are precomputed.  A root is *positive* when its
 mcoords are componentwise >= 0.
 
 Sets of simple roots are identified with Weyl chambers.  ``chamber_orbit``
-walks W once, as the reflection orbit of the base set, and carries each
-chamber's rays across the walls: crossing the wall of a in S replaces the
-ray w_a by w_a - a^vee and keeps the others (the contragredient action of W
-on N, Humphreys section 1.12).  ``fans`` reads the chamber fan off this
-walk, with no walk or matrix inverse of its own.  Finding one chamber with a
-property never needs the whole orbit: ``descend`` walks from the base
-chamber, reflecting in a simple root on the wrong side, in at most |Phi+|
-steps.  It finds the chart of a point (``rdata``) and the face containing a
-vector (``fans``).
+walks W once, reaching each element from its prefix before the first
+descent, so that every chamber is built once, and carries each chamber's
+rays across the walls: crossing the wall of a in S replaces the ray w_a by
+w_a - a^vee and keeps the others (the contragredient action of W on N,
+Humphreys section 1.12).  ``fans`` reads the chamber fan off this walk, with
+no walk over all of W or matrix inverse of its own.  Finding one chamber
+with a property never needs the whole orbit: ``descend`` walks from the
+base chamber, reflecting in a simple root on the wrong side, in at most
+|Phi+| steps.  It finds the chart of a point (``rdata``) and the face
+containing a vector (``fans``).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .errors import NotInSpan, UnsupportedFamily
+from .errors import NotInSpan, UnsupportedFamily, internal_check
 
 FAMILIES = ("A", "B", "C", "D", "G")
 
@@ -173,6 +174,9 @@ def root_system_from_roots(roots, ambient_dim, base=None):
     roots for a deterministic generic linear functional.
     """
     roots = sorted({tuple(v) for v in roots})
+    if any(linalg.vec_is_zero(v) for v in roots):
+        # no functional is nonzero on it, so _generic_base would never end
+        raise ValueError("the zero vector is not a root")
     if base is None:
         base = _generic_base(roots, ambient_dim)
     return _finish(None, ambient_dim, roots, [tuple(v) for v in base])
@@ -257,35 +261,45 @@ def chamber_orbit(r):
 
     Each entry is (S, rays): S a sorted root-index tuple and rays[k] the ray
     w of the chamber {v : <alpha, v> >= 0 for alpha in S} with <S[k], w> = 1
-    and <b, w> = 0 for the other b in S.  The orbit of the base set under
-    reflections in its own members is walked once, breadth-first; its size
-    is the Weyl group order.  W acts on N contragrediently (Humphreys,
-    *Reflection Groups and Coxeter Groups*, section 1.12), so crossing the
-    wall of a in S carries the chamber's rays along: the ray of each b != a
-    moves unchanged to s_a(b), and the ray w_a becomes w_a - a^vee, the ray
-    of -a.  The base chamber's rays are the unit vectors of N.
+    and <b, w> = 0 for the other b in S; the entries are sorted by S.  There
+    is one entry per element w of W, the chamber of w having the simple set
+    w(Delta).  While walking, S is kept in label order, S[j] = w(alpha_j) for
+    the j-th base simple root alpha_j, so crossing the wall of label k (to
+    w s_k) maps S to s_a(S) entry by entry, a = S[k].  W acts on N
+    contragrediently (Humphreys, *Reflection Groups and Coxeter Groups*,
+    section 1.12), so the rays cross with it: each keeps its label, and the
+    ray of label k becomes w_k - a^vee, the ray of -a.  The base chamber's
+    rays are the unit vectors of N.
+
+    Each w != 1 is reached exactly once, from w s_k for the first descent k
+    of w, the smallest label with w(alpha_k) < 0 (Bjorner-Brenti,
+    *Combinatorics of Coxeter Groups*, section 3.4; Humphreys section 1.7).
+    In terms of the parent's S: S[k] is positive and s_a(S[j]) is positive
+    for every j < k.  So no chamber is built twice and no set is looked up.
     """
     table = reflection_table(r)
+    positive = [False] * len(r.roots)
+    for i in r.positive:
+        positive[i] = True
     # a^vee in N-coordinates: (<beta_j, a^vee>)_j over the base simple roots
     coroots = [tuple(cartan_pairing(r, b, a) for b in r.base_simple_set)
                for a in range(len(r.roots))]
     unit = linalg.identity_matrix(r.rank)
-    base = tuple(sorted(r.base_simple_set))
-    orbit = [(base, tuple(unit[r.base_simple_set.index(b)] for b in base))]
-    seen = {base}
+    orbit = [(r.base_simple_set, unit)]
     shared = {v: v for v in unit}   # equal rays share one tuple, to save memory
     for s, rays in orbit:
-        for a, wa in zip(s, rays):
+        for k, a in enumerate(s):
             image = table[a]
-            t = tuple(sorted(image[b] for b in s))
-            if t in seen:
-                continue
-            seen.add(t)
-            moved = dict(zip((image[b] for b in s), rays))
-            crossed = linalg.vec_sub(wa, coroots[a])
-            moved[image[a]] = shared.setdefault(crossed, crossed)
-            orbit.append((t, tuple(moved[b] for b in t)))
+            if positive[a] and all(positive[image[b]] for b in s[:k]):
+                crossed = linalg.vec_sub(rays[k], coroots[a])
+                orbit.append((tuple(image[b] for b in s),
+                              rays[:k] + (shared.setdefault(crossed, crossed),) + rays[k + 1:]))
+    for i, (s, rays) in enumerate(orbit):
+        pairs = sorted(zip(s, rays))
+        orbit[i] = (tuple(a for a, _ in pairs), tuple(w for _, w in pairs))
     orbit.sort(key=lambda entry: entry[0])
+    internal_check(all(x[0] != y[0] for x, y in zip(orbit, orbit[1:])),
+                   "the first-descent walk reached a chamber twice")
     return tuple(orbit)
 
 

@@ -97,11 +97,25 @@ PINNED_STDOUT += [
      "4f1bd69a14edfc55d6dc2800760bbf4cf517b128cb089fc98e89628ec80468e6"),
 ]
 
+# sha256 of the stdout of the largest chamber fans and of orbit closures off
+# the base chamber, pinned while W was still walked breadth-first and the
+# charts of an orbit closure were found by a scan of every chamber.
+PINNED_STDOUT += [
+    (["fan", "--type", "A", "--rank", "6"],
+     "d5102b5ba7ba2de969f3c575ac707553a73d579401959a3647738874fa39e4e8"),
+    (["fan", "--type", "B", "--rank", "5"],
+     "53957fc1063b99477152b35843ccdfa51f01d40b5ad1fbd2db5b2b6199d91e18"),
+    (["orbit", "--type", "D", "--rank", "4", "--cone", "[[0,1,0,0],[-1,1,0,0]]"],
+     "061776572ebb9a8b102d7104c67d76f34ec31624b3e34cdf8c455fbacc4dabb4"),
+    (["orbit", "--type", "A", "--rank", "5", "--cone", "[[0,-1,1,0,0]]"],
+     "6c2fb8a2600808fe8fceb5251b87689d6fde8d0982bd80a724822e60797e65ad"),
+]
+
 
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[
     "fan-D4", "fan-B4", "fan-C3", "fan-A2xB2", "embed-A2", "embed-B2", "lm-universal-3",
     "universal-at-B3", "to-point-A3", "lm-extract-4", "lm-from-data-3", "lm-contract-4",
-    "lm-roundtrip-4"])
+    "lm-roundtrip-4", "fan-A6", "fan-B5", "orbit-D4", "orbit-A5"])
 def test_stdout_pinned(argv, digest, capsys):
     assert cli.run(argv) == 0
     out = capsys.readouterr().out

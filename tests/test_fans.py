@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from weylfan import fans, linalg, roots
+from weylfan import fans, linalg, roots, typea
 from weylfan.errors import NotInSpan, NotRootSpan
 
 
@@ -86,12 +86,43 @@ def dual_basis(b):
     return linalg.transpose(linalg.int_inverse(b))
 
 
-@pytest.mark.parametrize("factors", UP_TO_RANK_5 + [(("A", 6),)],
-                         ids=lambda fs: "x".join(f"{f}{n}" for f, n in fs))
+def breadth_first_orbit(r):
+    """The chamber orbit by a breadth-first walk that crosses every wall of
+    every chamber and keeps a set of the simple sets seen: the oracle for
+    the first-descent walk of ``roots.chamber_orbit``."""
+    table = roots.reflection_table(r)
+    coroots = [tuple(roots.cartan_pairing(r, b, a) for b in r.base_simple_set)
+               for a in range(len(r.roots))]
+    unit = linalg.identity_matrix(r.rank)
+    base = tuple(sorted(r.base_simple_set))
+    orbit = [(base, tuple(unit[r.base_simple_set.index(b)] for b in base))]
+    seen = {base}
+    for s, rays in orbit:
+        for a, wa in zip(s, rays):
+            image = table[a]
+            t = tuple(sorted(image[b] for b in s))
+            if t in seen:
+                continue
+            seen.add(t)
+            moved = dict(zip((image[b] for b in s), rays))
+            moved[image[a]] = linalg.vec_sub(wa, coroots[a])
+            orbit.append((t, tuple(moved[b] for b in t)))
+    return tuple(sorted(orbit))
+
+
+def derived_b3():
+    """B_3 rebuilt from its list of roots: no spec, and the base that a
+    generic functional picks, not the standard one."""
+    return roots.root_system_from_roots(sys(("B", 3)).roots, 3)
+
+
+@pytest.mark.parametrize("factors", UP_TO_RANK_5 + [(("A", 6),), None],
+                         ids=lambda fs: "x".join(f"{f}{n}" for f, n in fs) if fs else "derived-B3")
 def test_wall_crossed_rays_are_dual_bases(factors):
-    r = sys(*factors)
+    r = sys(*factors) if factors else derived_b3()
     orbit = roots.chamber_orbit(r)
-    assert len(orbit) == roots.weyl_order(r.spec)
+    assert len(orbit) == (roots.weyl_order(r.spec) if factors else 48)
+    assert orbit == breadth_first_orbit(r)
     assert tuple(s for s, _ in orbit) == roots.enumerate_simple_root_sets(r)
     for s, rays in orbit:
         assert rays == dual_basis(tuple(r.mcoords[i] for i in s)), s
@@ -138,10 +169,12 @@ def test_reflections_permute_chambers_freely():
 
 
 def test_deleting_a_chamber_breaks_completeness():
-    f = fans.weyl_chamber_fan(sys(("A", 2)))
-    broken = fans.Fan(f.lattice_rank, f.rays, f.max_cones[1:])
-    assert not fans.check_complete(broken)
-    assert fans.check_complete(f)
+    """Also for the fan of the root polytope of A_3, whose max cones have
+    four rays in rank 3: their facets come from supporting hyperplanes."""
+    for f in [fans.weyl_chamber_fan(sys(("A", 2))), typea.sigma_delta_fan(3)]:
+        broken = fans.Fan(f.lattice_rank, f.rays, f.max_cones[1:])
+        assert not fans.check_complete(broken)
+        assert fans.check_complete(f)
 
 
 # Oracle for chamber_face: a scan of every max cone of a complete simplicial
@@ -356,6 +389,37 @@ def test_orbit_closure_a3_ray_types():
     orb = fans.orbit_closure(r, f, (j,))
     assert len(orb.subsystem.roots) == 6
     assert len(orb.factors) == 1
+
+
+# The systems whose orbit closures the `chambers` benchmark computes.
+ORBIT_SYSTEMS = [(("B", 3),), (("A", 2), ("B", 2)), (("D", 4),), (("A", 5),)]
+
+
+def orbit_charts_by_scan(r, tau):
+    """The charts of ``fans.orbit_closure`` by a scan of every chamber: the
+    oracle for its walk over the star of tau.  Empty when tau is no cone."""
+    fan, chambers = fans._chamber_data(r)
+    rays = [fan.rays[i] for i in tau]
+    orth = lambda i: all(roots.pairing_with_ray(r, i, w) == 0 for w in rays)
+    return tuple(sorted((s, tuple(i for i in s if orth(i)), tuple(i for i in s if not orth(i)))
+                        for s, cone in chambers.items() if set(tau) <= set(cone)))
+
+
+@pytest.mark.parametrize("factors", ORBIT_SYSTEMS,
+                         ids=lambda fs: "x".join(f"{f}{n}" for f, n in fs))
+def test_orbit_closure_walk_equals_scan(factors):
+    """Every cone of size <= 2, and pairs of rays that span no cone."""
+    r = sys(*factors)
+    f = fans.weyl_chamber_fan(r)
+    cones = {()} | {c for cone in f.max_cones for k in (1, 2) for c in combinations(cone, k)}
+    for tau in sorted(cones):
+        assert fans.orbit_closure(r, f, tau).charts == orbit_charts_by_scan(r, tau), tau
+    rng = random.Random(len(f.rays))
+    pairs = [tuple(sorted(rng.sample(range(len(f.rays)), 2))) for _ in range(40)]
+    for tau in [p for p in pairs if p not in cones]:
+        assert orbit_charts_by_scan(r, tau) == ()
+        with pytest.raises(NotInSpan):
+            fans.orbit_closure(r, f, tau)
 
 
 def test_orbit_closure_negation_invariant():

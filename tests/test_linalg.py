@@ -206,3 +206,46 @@ def test_solve_left_matches_gauss_jordan():
     assert linalg.solve_left((), [(0,) * 4, (0, 0, 1, 0)]) == [(), None]
     assert gauss_jordan_solve((), (0, 0, 1, 0)) is None
     assert min(checked.values()) > 20, checked
+
+
+def gauss_det(m):
+    """Determinant by Gaussian elimination over Fraction, with a row swap
+    for each zero pivot: the oracle for the Bareiss ``det``."""
+    a = [[Fraction(x) for x in row] for row in m]
+    d = Fraction(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            d = -d
+        d *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return d
+
+
+def test_det_matches_gauss():
+    """Sparse matrices with negative entries, so that pivots are often zero
+    (a row swap) and rows often have a zero multiplier (only rescaled, or
+    skipped when the pivot repeats); a fifth made singular on purpose."""
+    rng = random.Random(13)
+    entries = (0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -5, 7)
+    checked = {"singular": 0, "swap": 0, "big": 0}
+    for _ in range(400):
+        n = rng.randrange(1, 7)
+        m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            # row i a multiple of row j, the zero row included
+            i, j = rng.sample(range(n), 2)
+            m[i] = [rng.randrange(-2, 3) * x for x in m[j]]
+        m = tuple(map(tuple, m))
+        d = linalg.det(m)
+        assert type(d) is int and d == gauss_det(m), m
+        checked["singular"] += d == 0
+        checked["swap"] += m[0][0] == 0 and d != 0
+        checked["big"] += abs(d) > 50
+    assert linalg.det(()) == 1 == gauss_det(())
+    assert min(checked.values()) > 20, checked

@@ -1,3 +1,8 @@
+import os
+import subprocess
+from pathlib import Path
+from sys import executable
+
 import pytest
 
 from weylfan import linalg, roots
@@ -133,3 +138,19 @@ def test_derived_system_roundtrip():
     again = roots.root_system_from_roots(r.roots, r.ambient_dim)
     assert again.roots == r.roots
     assert len(roots.enumerate_simple_root_sets(again)) == 6
+
+
+def test_zero_root_is_refused_at_once():
+    """No functional is nonzero on the zero vector, so the search for a
+    generic base would never end: the zero root is refused before it.  Run in
+    a new process with a timeout, so that a hang fails the test."""
+    code = ("from weylfan import roots\n"
+            "try:\n"
+            "    roots.root_system_from_roots([(0, 0), (1, 0), (-1, 0)], 2)\n"
+            "except ValueError as e:\n"
+            "    print(e)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "the zero vector is not a root\n", "")
