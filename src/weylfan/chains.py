@@ -17,7 +17,7 @@ types over the torus orbits of the chamber fan.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import fans, linalg, rdata as rdatamod, roots as rootsmod, typea
+from . import linalg, rdata as rdatamod, roots as rootsmod
 from .errors import EmptyKeep, NotPreorder, internal_check
 from .rdata import ProjectiveRatio
 
@@ -181,19 +181,12 @@ def curve_membership(data, labels, zs):
             zi, zj = zs[i], zs[j]
             if t.num * zj.den * zi.num != t.den * zj.num * zi.den:
                 return False, ()
-    ctype = comb_type_from_data(data, labels)
-    comps = []
-    for k in range(len(ctype.blocks)):
-        good = True
-        for kk, b in enumerate(ctype.blocks):
-            if kk < k and any(not zs[i].is_zero_one for i in b):
-                good = False
-            if kk > k and any(not zs[i].is_one_zero for i in b):
-                good = False
-        if good:
-            comps.append(k)
+    blocks = comb_type_from_data(data, labels).blocks
+    comps = tuple(k for k in range(len(blocks))
+                  if all(zs[i].is_zero_one for b in blocks[:k] for i in b)
+                  and all(zs[i].is_one_zero for b in blocks[k + 1:] for i in b))
     internal_check(comps, "point satisfies the equations but lies on no component")
-    return True, tuple(comps)
+    return True, comps
 
 
 # -- the universal chain over the chamber variety ---------------------------
@@ -229,6 +222,7 @@ def universal_curve_structure(n):
     """The chain-of-lines family over the type-A chamber variety, at the
     level of fans: the projection, one section per label, and the two pole
     divisors."""
+    from . import fans
     big = rootsmod.build_root_system(rootsmod.RootSystemSpec.parse([("A", n + 1)]))
     dim = n + 2
     sub_roots = [v for v in big.roots if v[-1] == 0]
@@ -278,6 +272,7 @@ def comb_type_over_cone(n, chain_masks):
     refinement: complement of the largest set first, then the successive
     differences down to the smallest set.
     """
+    from . import typea
     chain = tuple(chain_masks)
     if not typea.is_chain(chain) or any(
             not 0 < a < typea.full_mask(n) for a in chain):
@@ -315,6 +310,8 @@ def validate_an_data(n, data):
 
 def random_marked_chain(n, rng):
     """A seeded random stable chain with n+1 marks; marks may coincide."""
+    if n < 0:
+        raise ValueError(f"a chain needs n >= 0, got n = {n}")
     labels = list(range(1, n + 2))
     rng.shuffle(labels)
     blocks = []

@@ -5,6 +5,9 @@ key order and canonically sorted arrays, so identical flags and seed give
 byte-identical results.  Domain errors exit 1 with {"error", "detail"};
 usage errors exit 2.
 
+Each verb imports only the layers it runs, inside its ``cmd_*`` function, so
+a usage error loads nothing of the package but this module and ``errors``.
+
 A projective ratio (t_a : t_{-a}) is written as its primitive integer pair
 ["p", "q"]: p and q coprime with q > 0, or exactly ["1", "0"].  So (2:1) is
 ["2", "1"], (1/2 : 1) is ["1", "2"] and (0:5) is ["0", "1"].  Ratios read
@@ -14,14 +17,13 @@ from input may use any non-zero scaling, fractions included: ["4", "2"] and
 
 import argparse
 import json
-import random
 import sys
 
-from . import chains, fans, rdata as rdatamod, roots as rootsmod, typea
 from .errors import WeylFanError
 
 
 def _system_from_args(args):
+    from . import roots as rootsmod
     if args.factors:
         spec = _payload(args, "--factors", rootsmod.RootSystemSpec.parse)
     elif args.type:
@@ -76,21 +78,20 @@ def _roots_json(r, indices):
 
 
 def cmd_fan(args):
+    from . import fans
     r = _system_from_args(args)
     return fans.fan_to_json(fans.weyl_chamber_fan(r))
 
 
 def cmd_morphism(args):
+    from . import fans, roots as rootsmod
     r = _system_from_args(args)
     if args.embed_products:
         pos = [r.roots[i] for i in r.positive]
         factors = [("A", 1)] * len(pos)
         rp = rootsmod.build_root_system(rootsmod.RootSystemSpec.parse(factors))
-        mu = []
-        for root in pos:
-            mu.append(tuple(root))
-            mu.append((0,) * r.ambient_dim)
-        eq = fans.projection_embedding_equations(r, rp, tuple(mu))
+        mu = tuple(v for root in pos for v in (tuple(root), (0,) * r.ambient_dim))
+        eq = fans.projection_embedding_equations(r, rp, mu)
         return {
             "kernel": [list(v) for v in eq.kernel_mcoords],
             "positive_roots": [list(v) for v in pos],
@@ -121,6 +122,7 @@ def cmd_morphism(args):
 
 
 def cmd_orbit(args):
+    from . import fans
     r = _system_from_args(args)
     f = fans.weyl_chamber_fan(r)
     rays = _payload(args, "--cone", lambda obj: _int_vectors(obj, r.rank))
@@ -148,17 +150,14 @@ def cmd_orbit(args):
 
 
 def cmd_rdata(args):
+    from . import rdata as rdatamod
     r = _system_from_args(args)
-    if args.action == "validate":
+    if args.action in ("validate", "to-point"):
         d = _payload(args, "--data-json", lambda obj: rdatamod.rdata_from_json(r, obj))
         bad = rdatamod.validate_rdata(r, d)
-        return {
-            "ok": not bad,
-            "violations": [[list(r.roots[x]) for x in triple] for triple in bad],
-        }
-    if args.action == "to-point":
-        d = _payload(args, "--data-json", lambda obj: rdatamod.rdata_from_json(r, obj))
-        bad = rdatamod.validate_rdata(r, d)
+        if args.action == "validate":
+            return {"ok": not bad,
+                    "violations": [[list(r.roots[x]) for x in triple] for triple in bad]}
         if bad:
             raise WeylFanError(f"{len(bad)} violated triple identities")
         return rdatamod.chart_point_to_json(r, rdatamod.rdata_to_point(r, d))
@@ -171,10 +170,12 @@ def cmd_rdata(args):
 
 
 def cmd_betti(args):
+    from . import typea
     return list(typea.betti_numbers(args.n))
 
 
 def cmd_basis(args):
+    from . import typea
     return {
         "n": args.n,
         "monomials": [
@@ -185,6 +186,7 @@ def cmd_basis(args):
 
 
 def cmd_reduce(args):
+    from . import typea
     terms, n = _payload(args, "--class-json", typea.cohom_class_from_json)
     if args.times_json:
         other, n2 = _payload(args, "--times-json", typea.cohom_class_from_json)
@@ -201,6 +203,7 @@ def cmd_reduce(args):
 
 
 def cmd_primcol(args):
+    from . import typea
     return {
         "n": args.n,
         "collections": [
@@ -215,6 +218,7 @@ def cmd_primcol(args):
 
 
 def cmd_nef(args):
+    from . import typea
     coeffs = _payload(args, "--divisor-json", lambda obj: typea.divisor_from_json(obj, args.n))
     return {
         "nef": typea.is_nef(coeffs, args.n),
@@ -223,11 +227,13 @@ def cmd_nef(args):
 
 
 def cmd_ample(args):
+    from . import typea
     coeffs = _payload(args, "--divisor-json", lambda obj: typea.divisor_from_json(obj, args.n))
     return {"ample": typea.is_ample(coeffs, args.n)}
 
 
 def cmd_polytope(args):
+    from . import typea
     info = typea.delta_polytope(args.n)
     return {
         "n": info.n,
@@ -240,14 +246,17 @@ def cmd_polytope(args):
 
 
 def cmd_sigma_delta(args):
+    from . import fans, typea
     return fans.fan_to_json(typea.sigma_delta_fan(args.n))
 
 
 def cmd_crepant(args):
+    from . import fans, typea
     return fans.fan_to_json(typea.crepant_subdivision(args.n))
 
 
 def _data_arg(args):
+    from . import chains
     def parse(obj):
         if not obj["pairs"]:
             raise ValueError("--data-json has no pairs; the rank is read from the first root")
@@ -259,6 +268,7 @@ def _data_arg(args):
 def cmd_lm(args):
     """Pointed chains of lines; ``orbit-type`` prints only {"blocks": [...]},
     the comb type over the cone ``--cone`` of the chain fan for ``--n``."""
+    from . import chains
     if args.action == "type":
         n, data = _data_arg(args)
         t = chains.comb_type_from_data(data, tuple(range(1, n + 2)))
@@ -280,12 +290,13 @@ def cmd_lm(args):
         n, data = _data_arg(args)
         labels = tuple(range(1, n + 2))
         point = _payload(args, "--point-json",
-                         lambda obj: [rdatamod.ProjectiveRatio.from_json(z) for z in obj])
+                         lambda obj: [chains.ProjectiveRatio.from_json(z) for z in obj])
         if len(point) != len(labels):
             raise ValueError(f"--point-json needs {len(labels)} ratios, one per label")
         ok, comps = chains.curve_membership(data, labels, dict(zip(labels, point)))
         return {"ok": ok, "components": list(comps)}
     if args.action == "universal":
+        from . import fans
         uc = chains.universal_curve_structure(_required(args, "--n"))
         return {
             "n": uc.n,
@@ -308,11 +319,13 @@ def cmd_lm(args):
             ],
         }
     if args.action == "orbit-type":
+        from . import typea
         n = _required(args, "--n")
         chain = _payload(args, "--cone", lambda obj: tuple(typea.checked_mask(p, n) for p in obj))
         t = chains.comb_type_over_cone(n, chain)
         return {"blocks": [list(b) for b in t.blocks]}
     if args.action == "roundtrip":
+        import random
         n = _required(args, "--n")
         if args.samples < 0:
             raise ValueError("--samples must be >= 0")
@@ -410,15 +423,17 @@ def run(argv):
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        payload = args.func(args)
+        payload, code = args.func(args), 0
     except WeylFanError as e:
-        _emit({"error": e.code, "detail": str(e)}, args.output)
-        return 1
+        payload, code = {"error": e.code, "detail": str(e)}, 1
     except (ValueError, KeyError, json.JSONDecodeError) as e:
-        _emit({"error": "InvalidInput", "detail": str(e)}, args.output)
+        payload, code = {"error": "InvalidInput", "detail": str(e)}, 1
+    try:
+        _emit(payload, args.output)
+    except OSError as e:
+        _emit({"error": "InvalidInput", "detail": f"cannot write --output: {e}"}, None)
         return 1
-    _emit(payload, args.output)
-    return 0
+    return code
 
 
 def _emit(payload, output):

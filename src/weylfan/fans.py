@@ -304,9 +304,11 @@ def orbit_closure(r, f, tau):
     is tau.  The others are the images of S0 under the stabilizer of v,
     reached by reflecting in the simple roots orthogonal to tau: a simple
     root of a chamber containing tau is >= 0 on each of tau's rays, so it is
-    orthogonal to tau iff <a, v> = 0.
+    orthogonal to tau iff <a, v> = 0.  ``f`` must be ``weyl_chamber_fan(r)``.
     """
     fan = weyl_chamber_fan(r)
+    if f != fan:
+        raise ValueError("orbit_closure needs the chamber fan of r")
     tau = tuple(sorted(set(tau)))
     tau_rays = [fan.rays[i] for i in tau]
     v = tuple(map(sum, zip(*tau_rays))) if tau else (0,) * r.rank
@@ -349,15 +351,16 @@ class SectionPair:
 
 def opposite_sections(r, tau):
     """tau and -tau as cones of the chamber fan, with the root sets whose
-    characters vanish on the corresponding orbit closures."""
+    characters vanish on the corresponding orbit closures.  tau (-tau) is a
+    cone iff it is the ``chamber_face`` of the sum v of its rays (of -v)."""
     fan = weyl_chamber_fan(r)
-    tau = tuple(sorted(tau))
-    if not any(set(tau) <= set(c) for c in fan.max_cones):
+    tau = tuple(sorted(set(tau)))
+    v = tuple(sum(fan.rays[i][k] for i in tau) for k in range(fan.lattice_rank))
+    if _chamber_and_face(r, v)[1] != tau:
         raise NotInSpan(f"{tau} is not a cone of the fan")
     minus = tuple(sorted(fan.ray_index(linalg.vec_neg(fan.rays[i])) for i in tau))
-    if not any(set(minus) <= set(c) for c in fan.max_cones):
+    if _chamber_and_face(r, linalg.vec_neg(v))[1] != minus:
         raise NotInSpan("the opposite cone is missing; fan is not symmetric")
-    v = tuple(sum(fan.rays[i][k] for i in tau) for k in range(fan.lattice_rank))
     plus_vanish = tuple(i for i in range(len(r.roots))
                         if rootsmod.pairing_with_ray(r, i, v) > 0)
     minus_vanish = tuple(sorted(r.neg[i] for i in plus_vanish))

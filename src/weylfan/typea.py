@@ -30,7 +30,6 @@ from operator import itemgetter, sub
 
 from . import linalg
 from .errors import InconsistentPL, internal_check
-from .fans import make_fan
 
 MAX_MEMBERS = 63  # bitmask width cap; checked, never silently truncated
 
@@ -103,6 +102,7 @@ def _subset_rays(n):
 
 def _subset_fan(n, mask_cones):
     """The fan on the rays v_A, with cones given as iterables of masks."""
+    from .fans import make_fan
     return make_fan(n, _subset_rays(n), (tuple(a - 1 for a in cone) for cone in mask_cones))
 
 
@@ -173,10 +173,7 @@ def betti_numbers(n):
 # -- chain monomials and the descent basis ---------------------------------
 
 def is_chain(masks):
-    for a, b in zip(masks, masks[1:]):
-        if not (a & ~b) == 0 or a == b:
-            return False
-    return True
+    return all((a & ~b) == 0 and a != b for a, b in zip(masks, masks[1:]))
 
 
 def partition_blocks(chain, n):
@@ -352,11 +349,13 @@ def _expand_squares(mult, n):
 def multiply(a, b, n):
     """Product of two chain monomials, reduced to the descent basis.
 
-    Zero when the merged factors are not a chain, which shows between two
-    neighbours once they are sorted by size; squares are eliminated by
-    straightening before the final reduction.
+    Zero when the merged factors are not a chain: most products fail on a
+    pair x in a, y in b before any sort, the rest on two neighbours sorted
+    by size.  Squares are straightened away before the final reduction.
     """
     _check_n(n)
+    if any(x & ~y and y & ~x for x in a for y in b):
+        return {}
     mult = _size_sorted(tuple(a) + tuple(b))
     if any(x & ~y for x, y in zip(mult, mult[1:])):
         return {}

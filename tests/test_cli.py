@@ -644,3 +644,53 @@ def test_every_operation_reachable(capsys):
     name = lambda fn: f"{fn.__module__}.{fn.__name__}"
     assert sorted(name(fn) for fn in covered
                   if inspect.unwrap(fn).__code__ not in entered) == []
+
+
+# One verb per import group, and the exact weylfan modules it may load.
+LAYERS_BY_VERB = [
+    ([], {"cli", "errors"}),
+    (["fan", "--type", "A", "--rank", "2"], {"cli", "errors", "fans", "linalg", "roots"}),
+    (["rdata", "validate", "--type", "A", "--rank", "2", "--data-json", A2_DATA],
+     {"cli", "errors", "linalg", "rdata", "roots"}),
+    (["betti", "--n", "2"], {"cli", "errors", "linalg", "typea"}),
+    (["lm", "type", "--data-json", A2_DATA],
+     {"chains", "cli", "errors", "linalg", "rdata", "roots"}),
+    (["lm", "universal", "--n", "1"],
+     {"chains", "cli", "errors", "fans", "linalg", "rdata", "roots"}),
+]
+
+LOADED_MODULES = """
+import contextlib, io, json, sys
+from weylfan import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.run(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m[8:] for m in sys.modules if m.startswith("weylfan."))]))
+"""
+
+
+@pytest.mark.parametrize("argv,layers", LAYERS_BY_VERB,
+                         ids=["usage-error", "fan", "rdata", "betti", "lm-type", "lm-universal"])
+def test_verbs_load_only_their_layers(argv, layers):
+    """A fresh interpreter that runs one verb imports only the layers of that
+    verb: a layer imported at the top of a module it does not need fails here."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(argv)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stderr == ""
+    code, loaded = json.loads(proc.stdout)
+    assert (code, set(loaded)) == (2 if not argv else 0, layers)
+
+
+@pytest.mark.parametrize("name", ["missing/out.json", "."])
+def test_unwritable_output_is_an_error_object(name, tmp_path, capsys):
+    """An --output that cannot be written (a missing directory, a directory)
+    gives the error object on stdout and exit 1, not a traceback."""
+    out = run_json(["betti", "--n", "2", "--output", str(tmp_path / name)], capsys,
+                   expect_code=1)
+    assert out["error"] == "InvalidInput" and "--output" in out["detail"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_roundtrip_with_a_negative_n_is_invalid_input(capsys):
+    out = run_json(["lm", "roundtrip", "--n", "-1", "--samples", "1"], capsys, expect_code=1)
+    assert out["error"] == "InvalidInput"

@@ -5,12 +5,16 @@ JSON values: values built from scratch out of the keys and tokens the CLI
 reads, and valid payloads with one or two sub-values replaced.  Whatever the
 value, ``cli.run`` returns 0, 1 or 2 without raising, and on 0 or 1 stdout is
 one JSON document.  Integers stay in [-3, 3] and lists stay short, so every
-ring and root system that a payload sets up is small.
+ring and root system that a payload sets up is small.  The integer flags
+(``--n``, ``--samples``) are drawn from the same range, and any command may
+get an ``--output`` that cannot be written, which must exit 1 with the error
+object on stdout.
 """
 
 import contextlib
 import io
 import json
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +79,18 @@ CASES = [
 ]
 
 
+# Commands whose integer flags are drawn: --n always, --samples for roundtrip.
+N_CASES = [["betti"], ["basis"], ["primcol"], ["polytope"], ["sigma-delta"], ["crepant"],
+           ["nef", "--divisor-json", json.dumps(DIVISOR)],
+           ["ample", "--divisor-json", json.dumps(DIVISOR)],
+           ["lm", "universal"], ["lm", "orbit-type", "--cone", "[[1]]"], ["lm", "roundtrip"]]
+
+# Paths that open() refuses for writing: a file in a missing directory, and
+# a directory.  Neither can be created by a run, so a draw writes nothing.
+HERE = Path(__file__).resolve().parent
+UNWRITABLE = [str(HERE / "no-such-directory" / "out.json"), str(HERE)]
+
+
 @st.composite
 def argvs(draw):
     argv, flag, valid = draw(st.sampled_from(CASES))
@@ -82,15 +98,37 @@ def argvs(draw):
     return [*argv, flag, json.dumps(value)]
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(argvs())
-def test_cli_never_crashes(argv):
+@st.composite
+def int_argvs(draw):
+    argv = [*draw(st.sampled_from(N_CASES)), "--n", str(draw(st.integers(-3, 3)))]
+    if argv[1] == "roundtrip":
+        argv += ["--samples", str(draw(st.integers(-3, 3)))]
+    return argv
+
+
+def run_checked(argv, output):
+    """``cli.run`` on argv (plus ``--output`` when given): exit 0, 1 or 2,
+    and on 0 or 1 one JSON document on stdout unless the file took it."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run(argv)
+        code = cli.run(argv if output is None else [*argv, "--output", output])
     assert code in (0, 1, 2), argv
+    if output is not None:
+        assert code != 0, argv
     if code in (0, 1):
         json.loads(out.getvalue())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argvs(), st.sampled_from([None, None, *UNWRITABLE]))
+def test_cli_never_crashes(argv, output):
+    run_checked(argv, output)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(int_argvs(), st.sampled_from([None, None, *UNWRITABLE]))
+def test_integer_flags_never_crash(argv, output):
+    run_checked(argv, output)
 
 
 def test_valid_cases_succeed():

@@ -405,21 +405,53 @@ def orbit_charts_by_scan(r, tau):
                         for s, cone in chambers.items() if set(tau) <= set(cone)))
 
 
+def opposite_cone_by_scan(f, tau):
+    """-tau as a sorted tuple of ray indices when tau and -tau are both cones
+    of ``f``, else None, by a scan of every maximal cone: the oracle for the
+    ``chamber_face`` test of ``fans.opposite_sections``."""
+    minus = tuple(sorted(f.ray_index(linalg.vec_neg(f.rays[i])) for i in tau))
+    if all(any(set(c) <= set(cone) for cone in f.max_cones) for c in (tau, minus)):
+        return minus
+    return None
+
+
 @pytest.mark.parametrize("factors", ORBIT_SYSTEMS,
                          ids=lambda fs: "x".join(f"{f}{n}" for f, n in fs))
 def test_orbit_closure_walk_equals_scan(factors):
-    """Every cone of size <= 2, and pairs of rays that span no cone."""
+    """Every cone of size <= 2, and pairs of rays that span no cone, for
+    ``orbit_closure`` and ``opposite_sections`` alike."""
     r = sys(*factors)
     f = fans.weyl_chamber_fan(r)
     cones = {()} | {c for cone in f.max_cones for k in (1, 2) for c in combinations(cone, k)}
     for tau in sorted(cones):
         assert fans.orbit_closure(r, f, tau).charts == orbit_charts_by_scan(r, tau), tau
+        sec = fans.opposite_sections(r, tau)
+        assert (sec.plus_cone, sec.minus_cone) == (tau, opposite_cone_by_scan(f, tau)), tau
     rng = random.Random(len(f.rays))
     pairs = [tuple(sorted(rng.sample(range(len(f.rays)), 2))) for _ in range(40)]
-    for tau in [p for p in pairs if p not in cones]:
-        assert orbit_charts_by_scan(r, tau) == ()
+    non_cones = [p for p in pairs if p not in cones]
+    assert non_cones
+    for tau in non_cones:
+        assert orbit_charts_by_scan(r, tau) == () and opposite_cone_by_scan(f, tau) is None
         with pytest.raises(NotInSpan):
             fans.orbit_closure(r, f, tau)
+        with pytest.raises(NotInSpan, match="is not a cone of the fan"):
+            fans.opposite_sections(r, tau)
+
+
+def test_orbit_closure_refuses_a_foreign_fan():
+    """``orbit_closure(r, f, tau)`` reads its rays from the chamber fan of r,
+    so any other f is refused rather than ignored; an equal copy is that fan."""
+    r = sys(("A", 2))
+    f = fans.weyl_chamber_fan(r)
+    ray = (f.ray_index((1, 0)),)
+    copy = fans.make_fan(2, f.rays, f.max_cones)
+    assert copy is not f
+    assert fans.orbit_closure(r, copy, ray).charts == orbit_charts_by_scan(r, ray)
+    for other in [fans.make_fan(2, f.rays, f.max_cones[1:]),
+                  fans.weyl_chamber_fan(sys(("B", 2))), fans.weyl_chamber_fan(sys(("G", 2)))]:
+        with pytest.raises(ValueError, match="chamber fan"):
+            fans.orbit_closure(r, other, ray)
 
 
 def test_orbit_closure_negation_invariant():
