@@ -113,16 +113,15 @@ def chain_from_data(data, labels):
 
 def data_from_chain(chain):
     """Extract the pairwise ratios of a chain, keyed by i < j."""
+    block = {i: k for k, b in enumerate(chain.ctype.blocks) for i in b}
+    coords = dict(chain.coords)
     out = {}
     labels = chain.labels
-    coords = dict(chain.coords)
     for a, i in enumerate(labels):
         for j in labels[a + 1:]:
-            bi = chain.ctype.block_of(i)
-            bj = chain.ctype.block_of(j)
-            if bi < bj:
+            if block[i] < block[j]:
                 out[(i, j)] = ProjectiveRatio.of(1, 0)
-            elif bi > bj:
+            elif block[i] > block[j]:
                 out[(i, j)] = ProjectiveRatio.of(0, 1)
             else:
                 pi, pj = coords[i], coords[j]
@@ -343,6 +342,9 @@ def chain_to_json(chain):
 
 
 def chain_from_json(obj):
+    labels = [i for b in obj["blocks"] for i in b] + [e["i"] for e in obj["coords"]]
+    if not all(type(i) is int for i in labels):
+        raise ValueError(f"chain labels must be integers: {labels}")
     ctype = CombType.of([tuple(b) for b in obj["blocks"]])
     coords = {}
     for e in obj["coords"]:

@@ -51,10 +51,6 @@ class EmptyKeep(WeylFanError):
     code = "EmptyKeep"
 
 
-class InconsistentPL(WeylFanError):
-    code = "InconsistentPL"
-
-
 class InternalCheckFailed(WeylFanError):
     """A result failed a self-check that holds for every valid input."""
 

@@ -14,9 +14,10 @@ normal form is a linear map, memoized per chain: each chain is rewritten,
 and its rewrite checked to increase the order, once per n.
 
 The chambers are the permutations pi of {1, ..., n+1}: the chamber of pi is
-spanned by the rays of its prefix sets {pi_1, ..., pi_t}.  The linear
-functional of a divisor's support function on a chamber is therefore read
-off pi in O(n) steps, with no matrix inverse.  The root polytope is
+spanned by the rays of its prefix sets {pi_1, ..., pi_t}, and a wall swaps
+two neighbours of pi.  As v_A is linear in the indicator of A, convexity of
+a divisor's support function across a wall is one inequality on a square
+of subsets B, B+i, B+j, B+i+j: no chamber is walked.  The root polytope is
 reflexive, with the v_A as the vertices of its polar; both vertex sets are
 enumerated by exact integer double description, not by solving subsystems.
 """
@@ -24,12 +25,11 @@ enumerated by exact integer double description, not by solving subsystems.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import combinations, permutations
 from math import comb, factorial
-from operator import itemgetter, sub
 
 from . import linalg
-from .errors import InconsistentPL, internal_check
+from .errors import internal_check
 
 MAX_MEMBERS = 63  # bitmask width cap; checked, never silently truncated
 
@@ -62,12 +62,19 @@ def mask_of(member_list):
 
 
 def checked_mask(member_list, n):
-    """``mask_of`` for labels read from input: n and each label (in 1..n+1)
-    are checked before any shift can build a huge integer."""
+    """``mask_of`` for labels read from input: n and each label (a JSON
+    integer in 1..n+1) are checked before any shift can build a huge integer."""
     _check_n(n)
-    if not all(1 <= k <= n + 1 for k in member_list):
-        raise ValueError(f"labels {member_list} are not all in 1..{n + 1}")
+    if not all(type(k) is int and 1 <= k <= n + 1 for k in member_list):
+        raise ValueError(f"labels {member_list} are not all integers in 1..{n + 1}")
     return mask_of(member_list)
+
+
+def _json_int(x, key):
+    """``x`` if it is a JSON integer: int() would read 1.5 as 1 and true as 1."""
+    if type(x) is not int:
+        raise ValueError(f"{key!r} must be an integer, not {x!r}")
+    return x
 
 
 def subset_ray(mask, n):
@@ -252,7 +259,11 @@ def _bad_positions(chain, n):
 
 @lru_cache(maxsize=None)
 def _normal_forms(n):
-    """{chain: NF(chain)} for one n, filled by ``_normal_form``."""
+    """{chain: NF(chain)} for one n, filled by ``_normal_form``.
+
+    The memo keeps every chain it meets for the life of the process (16,057
+    after (-K)^6); ``_normal_forms.cache_clear()`` is the point that frees it.
+    """
     return {}
 
 
@@ -428,88 +439,28 @@ def is_ample(coeffs, n):
     return all(m > 0 for m in _pairwise_margins(coeffs, n))
 
 
-@lru_cache(maxsize=None)
-def _wall_structure(n):
-    """Per chamber: its rays in chain order and its permutation; plus the
-    walls, each as (chamber, opposite ray of the neighbouring chamber).
-
-    The chamber of a permutation pi is spanned by the rays of the prefix
-    sets A_t = {pi_1, ..., pi_t}, t = 1..n.  Swapping pi_t and pi_{t+1}
-    changes A_t alone, so each wall is one chamber with pi_t < pi_{t+1} and
-    the ray A_{t-1} + {pi_{t+1}} of its neighbour.  ``_chamber_functional``
-    must invert each chamber's ray matrix (``_chain_pairings``), or the
-    support function of a divisor is not linear on it.
-    """
-    suffixes = [tuple(accumulate(v[::-1]))[::-1] + (0,) for v in chain_fan(n).rays]
-    identity = linalg.identity_matrix(n)
-    _, to_ray = ray_masks(n)
-    chambers, walls = [], []
-    for perm in permutations(range(1, n + 2)):
-        prefixes = _prefix_masks(perm[:-1])
-        chain = tuple(to_ray[a] for a in prefixes)
-        if _chain_pairings(perm, [suffixes[i] for i in chain]) != identity:
-            raise InconsistentPL("max cone rays do not determine a linear functional")
-        for t, below in enumerate([0] + prefixes[:-1]):
-            if perm[t] < perm[t + 1]:
-                walls.append((len(chambers), to_ray[below | 1 << (perm[t + 1] - 1)]))
-        chambers.append((chain, perm))
-    return tuple(chambers), tuple(walls)
-
-
-def _chain_pairings(perm, suffixes):
-    """The matrix (<m(e_t), v_{A_s}>)_{s,t} for m = ``_chamber_functional``
-    of pi, from the suffix sums V_i = v_i + ... + v_n (V_{n+1} = 0) of the
-    rays of the chain A_1, ..., A_n: the identity iff the closed form
-    inverts the chain matrix.
-
-    m(e_t) is the prefix-sum vector of x = e_{pi_t} - e_{pi_{t+1}}, so
-    <m(e_t), v> = sum_i x_i V_i = V_{pi_t} - V_{pi_{t+1}}: O(n^2) in all.
-    """
-    at_perm = itemgetter(*(k - 1 for k in perm))
-    return tuple(tuple(map(sub, w, w[1:])) for w in map(at_perm, suffixes))
-
-
-def _chamber_functional(b, perm):
-    """The m with <m, v_{A_t}> = b_t on the chain A_t = {pi_1, ..., pi_t}.
-
-    Put x_{pi_t} = b_t - b_{t-1} (b_0 = 0) and x_{pi_{n+1}} = -b_n; then
-    <m, v_A> = sum of x_j over j in A for m_j = x_1 + ... + x_j, because
-    the x sum to 0.
-    """
-    x = [0] * (len(perm) + 1)
-    prev = 0
-    for bt, j in zip(b, perm):
-        x[j] = bt - prev
-        prev = bt
-    x[perm[-1]] = -prev
-    m, total = [], 0
-    for xj in x[1:-1]:
-        total += xj
-        m.append(total)
-    return tuple(m)
-
-
 def nef_oracle(coeffs, n):
-    """Wall-convexity check of the support function.
+    """Wall-convexity of the support function, one square at a time.
 
-    Takes the linear functional of each chamber interpolating -a on its rays
-    in closed form from the chamber's permutation (``_chamber_functional``)
-    and verifies, across every wall, that the neighbouring chamber's opposite
-    ray evaluates to at least its own -a value.
+    The support function takes -a_A at v_A and is linear on each chamber;
+    it is convex across a wall when the functional m of a chamber takes at
+    least -a at the opposite ray of the neighbouring chamber.  The chamber of
+    pi is spanned by the rays of the prefix sets A_t = {pi_1, ..., pi_t}, and
+    swapping pi_t and pi_{t+1} replaces A_t alone.  With B = A_{t-1},
+    i = pi_t and j = pi_{t+1}, the opposite ray is v_{B+j}; since v_A is
+    linear in the indicator of A, v_{B+j} = v_B + v_{B+i+j} - v_{B+i}, where
+    v of the empty and the full set is 0.  So <m, v_{B+j}> = a_{B+i} - a_B
+    - a_{B+i+j}, and the wall test is a_{B+i} + a_{B+j} >= a_B + a_{B+i+j}:
+    it depends on the square (B, i, j) alone, and every square is a wall of
+    the chamber of a permutation that starts with B, then i, j.  That is
+    C(n+1, 2) 2^(n-1) inequalities, one per square.
     """
     _check_n(n)
-    chambers, walls = _wall_structure(n)
-    rays = chain_fan(n).rays
-    to_mask, _ = ray_masks(n)
-    values = tuple(-_coeff(coeffs, a, n) for a in to_mask)
-    functionals = {}
-    for idx, ray in walls:
-        if idx not in functionals:
-            chain, perm = chambers[idx]
-            functionals[idx] = _chamber_functional([values[i] for i in chain], perm)
-        if linalg.vec_dot(functionals[idx], rays[ray]) < values[ray]:
-            return False
-    return True
+    a = lambda mask: _coeff(coeffs, mask, n)
+    bits = [1 << k for k in range(n + 1)]
+    return all(a(b | i) + a(b | j) >= a(b) + a(b | i | j)
+               for b in range(full_mask(n))
+               for i, j in combinations([k for k in bits if not b & k], 2))
 
 
 # -- the reflexive polytope of the roots and its fans -----------------------
@@ -693,14 +644,14 @@ def cohom_class_to_json(terms, n):
 
 
 def cohom_class_from_json(obj):
-    n = int(obj["n"])
+    n = _json_int(obj["n"], "n")
     _check_n(n)
     terms = {}
     for entry in obj["terms"]:
         chain = tuple(checked_mask(part, n) for part in entry["chain"])
         if not all(0 < a < full_mask(n) for a in chain) or not is_chain(chain):
             raise ValueError(f"not a nested chain of proper subsets: {entry['chain']}")
-        terms[chain] = terms.get(chain, 0) + int(entry["coeff"])
+        terms[chain] = terms.get(chain, 0) + _json_int(entry["coeff"], "coeff")
     return {c: v for c, v in terms.items() if v}, n
 
 
@@ -710,5 +661,5 @@ def divisor_from_json(obj, n):
         a = checked_mask(entry["subset"], n)
         if not 0 < a < full_mask(n):
             raise ValueError(f"subset out of range: {entry['subset']}")
-        out[a] = out.get(a, 0) + int(entry["a"])
+        out[a] = out.get(a, 0) + _json_int(entry["a"], "a")
     return out

@@ -487,6 +487,44 @@ def test_out_of_range_label_is_refused_before_any_shift(argv, capsys):
     assert peak < 1_000_000
 
 
+def _chain_json(first_label, coord_label=1):
+    return json.dumps({"n": 2, "blocks": [[first_label, 2], [3]], "coords": [
+        {"i": coord_label, "pos": ["1", "1"]}, {"i": 2, "pos": ["2", "1"]},
+        {"i": 3, "pos": ["1", "1"]}]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["nef", "--n", "2", "--divisor-json",
+     json.dumps({"coeffs": [{"subset": [1], "a": -0.5}]})],
+    ["ample", "--n", "2", "--divisor-json",
+     json.dumps({"coeffs": [{"subset": [1], "a": "1"}]})],
+    ["nef", "--n", "2", "--divisor-json",
+     json.dumps({"coeffs": [{"subset": [True], "a": 1}]})],
+    ["nef", "--n", "2", "--divisor-json",
+     json.dumps({"coeffs": [{"subset": [1.0], "a": 1}]})],
+    ["reduce", "--class-json",
+     json.dumps({"n": 2, "terms": [{"chain": [[3]], "coeff": 1.5}]})],
+    ["reduce", "--class-json",
+     json.dumps({"n": 2.9, "terms": [{"chain": [[3]], "coeff": 1}]})],
+    ["reduce", "--class-json",
+     json.dumps({"n": "2", "terms": [{"chain": [[3]], "coeff": 1}]})],
+    ["reduce", "--class-json",
+     json.dumps({"n": 2, "terms": [{"chain": [[True]], "coeff": 1}]})],
+    ["lm", "orbit-type", "--n", "2", "--cone", "[[true]]"],
+    ["lm", "contract", "--chain-json", _chain_json(1.0), "--keep", "1,2"],
+    ["lm", "contract", "--chain-json", _chain_json(1, 1.0), "--keep", "1,2"],
+    ["lm", "extract", "--chain-json", _chain_json(True)],
+], ids=["nef-coeff-float", "ample-coeff-string", "nef-label-bool", "nef-label-float",
+        "reduce-coeff-float", "reduce-n-float", "reduce-n-string", "reduce-label-bool",
+        "orbit-type-label-bool", "contract-block-float", "contract-mark-float",
+        "extract-block-bool"])
+def test_only_json_integers_are_read_as_integers(argv, capsys):
+    """A coefficient, n or label that is not a JSON integer is invalid input:
+    int() would read 1.5 as 1 and true as 1, and a float label would be
+    echoed back."""
+    assert run_json(argv, capsys, expect_code=1)["error"] == "InvalidInput"
+
+
 def test_chart_point_needs_one_coordinate_per_simple_root(capsys):
     for point in ({"chart": [], "coords": []},
                   {"chart": [[1, -1, 0], [0, 1, -1]], "coords": ["1", "1", "5"]}):
@@ -602,7 +640,7 @@ def test_every_operation_reachable(capsys):
         rdata.validate_rdata, rdata.rdata_to_point, rdata.universal_rdata_at,
         rdata.verify_relation_generation, roots.descend, roots.additive_triples,
         # type A
-        typea.chain_fan, typea.betti_numbers, typea.eulerian_numbers,
+        typea.betti_numbers, typea.eulerian_numbers,
         typea.descent_basis, typea.reduce_to_basis,
         typea.multiply, typea.primitive_collections, typea.is_nef,
         typea.is_ample, typea.nef_oracle, typea.delta_polytope,
@@ -614,7 +652,7 @@ def test_every_operation_reachable(capsys):
     }
     # Library operations that no verb reaches; the tests of their modules
     # exercise them.
-    library_only = {fans.check_complete, fans.check_smooth}
+    library_only = {fans.check_complete, fans.check_smooth, typea.chain_fan}
     for fn in covered | library_only:
         assert callable(fn)
     parser = cli.build_parser()
@@ -653,6 +691,8 @@ LAYERS_BY_VERB = [
     (["rdata", "validate", "--type", "A", "--rank", "2", "--data-json", A2_DATA],
      {"cli", "errors", "linalg", "rdata", "roots"}),
     (["betti", "--n", "2"], {"cli", "errors", "linalg", "typea"}),
+    (["nef", "--n", "2", "--divisor-json", json.dumps({"coeffs": [{"subset": [1], "a": 1}]})],
+     {"cli", "errors", "linalg", "typea"}),
     (["lm", "type", "--data-json", A2_DATA],
      {"chains", "cli", "errors", "linalg", "rdata", "roots"}),
     (["lm", "universal", "--n", "1"],
@@ -669,7 +709,8 @@ print(json.dumps([code, sorted(m[8:] for m in sys.modules if m.startswith("weylf
 
 
 @pytest.mark.parametrize("argv,layers", LAYERS_BY_VERB,
-                         ids=["usage-error", "fan", "rdata", "betti", "lm-type", "lm-universal"])
+                         ids=["usage-error", "fan", "rdata", "betti", "nef", "lm-type",
+                              "lm-universal"])
 def test_verbs_load_only_their_layers(argv, layers):
     """A fresh interpreter that runs one verb imports only the layers of that
     verb: a layer imported at the top of a module it does not need fails here."""

@@ -6,6 +6,9 @@ self-check would return a wrong result silently.  Self-checks call
 
 ``linalg`` imports nothing from ``fractions``: its eliminations are
 integer-only.
+
+No dead error codes: every ``WeylFanError`` subclass in ``errors.py`` is
+instantiated somewhere in ``src/weylfan``.
 """
 
 import ast
@@ -36,3 +39,15 @@ def test_linalg_imports_no_fractions():
              if isinstance(node, ast.ImportFrom) and node.module == "fractions"
              or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)]
     assert found == []
+
+
+def test_every_error_class_is_raised():
+    """A domain error that nothing instantiates is a code the CLI can never print."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    subclasses = {node.name for node in ast.walk(trees["errors.py"])
+                  if isinstance(node, ast.ClassDef)
+                  and any(isinstance(b, ast.Name) and b.id == "WeylFanError" for b in node.bases)}
+    called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert subclasses and sorted(subclasses - called) == []

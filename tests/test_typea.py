@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import pytest
 
 from weylfan import fans, linalg, roots, typea
-from weylfan.errors import InconsistentPL, InternalCheckFailed
+from weylfan.errors import InternalCheckFailed
 
 
 def d_statistic(chain, n):
@@ -420,72 +421,83 @@ def test_nef_matches_oracle_random(n):
     assert typea.nef_oracle({}, n)
 
 
+@lru_cache(maxsize=None)
+def shared_facets(n):
+    """The walls of ``fans.weyl_chamber_fan`` of A_n, found by matching the
+    facets of its max cones: {facet: (cone, other cone)}, with every ray
+    given as its subset mask."""
+    r = roots.build_root_system(roots.RootSystemSpec.parse([("A", n)]))
+    f = fans.weyl_chamber_fan(r)
+    by_vec = {typea.subset_ray(a, n): a for a in range(1, typea.full_mask(n))}
+    sides = {}
+    for cone in f.max_cones:
+        masks = frozenset(by_vec[f.rays[i]] for i in cone)
+        for drop in masks:
+            sides.setdefault(masks - {drop}, []).append(masks)
+    assert all(len(pair) == 2 for pair in sides.values())
+    return {facet: tuple(pair) for facet, pair in sides.items()}
+
+
+@lru_cache(maxsize=None)
+def chamber_walls(n):
+    """Per wall: the masks of the rays of the cone on one side, as the rows
+    of M, the transpose of M^-1 (``linalg.int_inverse``), and the mask of
+    the opposite ray, the ray of the other cone off the shared facet."""
+    walls = []
+    for facet, (cone, other) in shared_facets(n).items():
+        masks = tuple(sorted(cone))
+        inv = linalg.int_inverse(tuple(typea.subset_ray(a, n) for a in masks))
+        walls.append((masks, linalg.transpose(inv), next(iter(other - facet))))
+    return walls
+
+
+def geometric_nef(coeffs, n):
+    """Oracle: the support function is convex across every wall.  On the
+    cone with rays M, the functional m with M m = -a is m = M^-1 (-a); it
+    must take at least -a at the opposite ray."""
+    a = lambda mask: coeffs.get(mask, 0)
+    return all(linalg.vec_dot(linalg.vec_matmul([-a(x) for x in masks], inv_t),
+                              typea.subset_ray(opposite, n)) >= -a(opposite)
+               for masks, inv_t, opposite in chamber_walls(n))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_chamber_functional_equals_inverse(n):
-    """On every max cone, the closed form from the permutation equals the
-    functional b (M^-1)^T of the cone's ray matrix M in chain order."""
-    rng = random.Random(70 + n)
-    f = typea.chain_fan(n)
-    to_mask, _ = typea.ray_masks(n)
-    chambers, _ = typea._wall_structure(n)
-    assert len(chambers) == factorial(n + 1)
-    for chain, perm in chambers:
-        assert sorted(perm) == list(range(1, n + 2))
-        assert [to_mask[i] for i in chain] == [
-            typea.mask_of(perm[:t]) for t in range(1, n + 1)]
-        mat = tuple(f.rays[i] for i in chain)
-        b = tuple(rng.randint(-9, 9) for _ in range(n))
-        m = typea._chamber_functional(b, perm)
-        assert m == linalg.vec_matmul(b, linalg.transpose(linalg.int_inverse(mat)))
-        assert tuple(linalg.vec_dot(m, v) for v in mat) == b
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_chain_pairings_are_the_closed_form(n):
-    """``_chain_pairings`` equals <m(e_t), v_s> computed from
-    ``_chamber_functional`` directly, and is the identity on every chamber."""
-    f = typea.chain_fan(n)
-    suffix = lambda v: tuple(sum(v[i:]) for i in range(n)) + (0,)
-    chambers, _ = typea._wall_structure(n)
-    unit = linalg.identity_matrix(n)
-    for chain, perm in chambers:
-        mat = [f.rays[i] for i in chain]
-        direct = tuple(tuple(linalg.vec_dot(typea._chamber_functional(e, perm), v)
-                             for e in unit) for v in mat)
-        assert typea._chain_pairings(perm, [suffix(v) for v in mat]) == direct == unit
-
-
-def test_wall_structure_refuses_a_corrupted_chain_ray(monkeypatch):
-    """Negating one ray keeps every |det| = 1, but the closed form no longer
-    inverts the chains through it."""
-    n = 3
-    f = typea.chain_fan(n)
-    typea.ray_masks(n)
-    rays = (linalg.vec_neg(f.rays[0]),) + f.rays[1:]
-    monkeypatch.setattr(typea, "chain_fan", lambda k: fans.Fan(n, rays, f.max_cones))
-    typea._wall_structure.cache_clear()
-    try:
-        with pytest.raises(InconsistentPL):
-            typea._wall_structure(n)
-    finally:
-        typea._wall_structure.cache_clear()
+def test_nef_oracle_equals_geometric_oracle(n):
+    """The square form of ``nef_oracle`` against the walls of the fan: every
+    divisor with coefficients in {-1, 0, 1} for n <= 2, and 80 random ones
+    for n >= 3, with both answers occurring."""
+    full = typea.full_mask(n)
+    if n <= 2:
+        divisors = [dict(zip(range(1, full), c)) for c in product((-1, 0, 1), repeat=full - 1)]
+    else:
+        rng = random.Random(90 + n)
+        divisors = [{a: rng.randint(-2, 2) for a in range(1, full)} for _ in range(20)]
+        for _ in range(60):
+            s = rng.randint(1, 3)
+            divisors.append({a: s * a.bit_count() * (n + 1 - a.bit_count())
+                             + rng.choice((-1, 0, 1)) for a in range(1, full)})
+    answers = [typea.nef_oracle(c, n) for c in divisors]
+    assert answers == [geometric_nef(c, n) for c in divisors]
+    assert set(answers) == {True, False}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_walls_are_the_shared_facets(n):
-    """Oracle: walls found by matching the facets of every max cone.  A wall
-    (chamber, opposite ray) spans the union of the two cones on its sides."""
-    f = typea.chain_fan(n)
-    chambers, walls = typea._wall_structure(n)
-    assert sorted(tuple(sorted(chain)) for chain, _ in chambers) == list(f.max_cones)
-    facets = {}
-    for cone in f.max_cones:
-        for drop in cone:
-            facets.setdefault(frozenset(cone) - {drop}, []).append(frozenset(cone))
-    assert all(len(sides) == 2 for sides in facets.values())
-    unions = [frozenset(chambers[idx][0]) | {ray} for idx, ray in walls]
-    assert len(unions) == len(facets)
-    assert set(unions) == {a | b for a, b in facets.values()}
+    """Each shared facet of the chamber fan is a square: the two rays off it
+    are B+i and B+j, and B and B+i+j are rays of the facet or the empty and
+    the full set.  Every one of the C(n+1, 2) 2^(n-1) squares occurs."""
+    full = typea.full_mask(n)
+    squares = set()
+    for facet, (cone, other) in shared_facets(n).items():
+        (x,), (y,) = cone - facet, other - facet
+        low, high = x & y, x | y
+        assert (x ^ y).bit_count() == 2 and low != x and low != y
+        assert low in facet | {0} and high in facet | {full}
+        squares.add((low, x ^ y))
+    assert len(squares) == comb(n + 1, 2) * 2 ** (n - 1)
+    assert squares == {(b, i | j) for b in range(full)
+                       for i, j in combinations([1 << k for k in range(n + 1)], 2)
+                       if not b & (i | j)}
 
 
 def _solve_cramer(rows, rhs):
