@@ -11,19 +11,20 @@ j at (1:1) when both lie on one component, (1:0) when i is on an earlier
 component than j, and (0:1) when later.  Chains and data determine each
 other exactly; the translation runs in both directions here, together with
 contractions, the embedded-curve membership test, and the combinatorial
-types over the torus orbits of the chamber fan.
+types over the torus orbits of the chamber fan.  ``CombType``,
+``MarkedChain``, ``SectionInfo`` and ``UniversalCurve`` are NamedTuples:
+immutable, and equal to any tuple with the same fields.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import linalg, rdata as rdatamod, roots as rootsmod
 from .errors import EmptyKeep, NotPreorder, internal_check
 from .rdata import ProjectiveRatio
 
 
-@dataclass(frozen=True)
-class CombType:
+class CombType(NamedTuple):
     """Ordered partition of the labels; first block carries s_-."""
 
     blocks: tuple  # tuple of sorted label tuples
@@ -49,8 +50,7 @@ class CombType:
         raise KeyError(label)
 
 
-@dataclass(frozen=True)
-class MarkedChain:
+class MarkedChain(NamedTuple):
     ctype: CombType
     coords: tuple  # sorted tuple of (label, ProjectiveRatio), entries nonzero
 
@@ -190,15 +190,13 @@ def curve_membership(data, labels, zs):
 
 # -- the universal chain over the chamber variety ---------------------------
 
-@dataclass(frozen=True)
-class SectionInfo:
+class SectionInfo(NamedTuple):
     label: int
     kernel_root: tuple   # ambient vector of u_label - u_{n+2}
     lattice_map: tuple   # section's map on base coordinates
 
 
-@dataclass(frozen=True)
-class UniversalCurve:
+class UniversalCurve(NamedTuple):
     n: int
     morphism: object          # FanMorphism of the chamber fans
     total_system: object      # the bigger root system

@@ -16,18 +16,19 @@ cone; a facet of a max cone is a sorted tuple of ray indices.
 
 Cones are sorted tuples of ray indices; the empty tuple is the zero cone.
 Rays and max-cone lists are canonicalized (lexicographic) on construction,
-so equal fans compare equal structurally.
+so equal fans compare equal structurally.  The records (``Fan``,
+``FanMorphism`` and the results of the operations) are NamedTuples:
+immutable, and equal to any tuple with the same fields.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import linalg, roots as rootsmod
 from .errors import NotInSpan, NotRootSpan, NotSurjective, internal_check
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     lattice_rank: int
     rays: tuple        # primitive integer vectors, lex sorted, distinct
     max_cones: tuple   # sorted tuples of ray indices, lex sorted
@@ -165,8 +166,7 @@ def check_smooth(f):
     return all(d in (1, -1) for d in _cone_dets(f))
 
 
-@dataclass(frozen=True)
-class FanMorphism:
+class FanMorphism(NamedTuple):
     source: Fan
     target: Fan
     lattice_map: tuple   # matrix L: source N-coords v map to v * L
@@ -219,8 +219,7 @@ def subsystem_morphism(r, subspace_basis):
     return rprime, _morphism_from_lattice_inclusion(r, rprime)
 
 
-@dataclass(frozen=True)
-class EmbeddingEquations:
+class EmbeddingEquations(NamedTuple):
     kernel_mcoords: tuple   # Z-basis of ker(mu) in M(R')-coordinates
     kernel_ambient: tuple   # the same basis as ambient vectors of E'
     per_chart: tuple        # (simple set S', tuple of (pos roots, neg roots))
@@ -282,8 +281,7 @@ def _is_root_multiple(r, v):
     return False
 
 
-@dataclass(frozen=True)
-class OrbitClosure:
+class OrbitClosure(NamedTuple):
     subsystem: object        # RootSystem on the roots orthogonal to the cone
     subsystem_root_indices: tuple   # indices into r.roots
     charts: tuple            # (S, S', S \ S') as root-index tuples of r
@@ -341,8 +339,7 @@ def orbit_closure(r, f, tau):
     return OrbitClosure(sub, sub_idx, charts, factors)
 
 
-@dataclass(frozen=True)
-class SectionPair:
+class SectionPair(NamedTuple):
     plus_cone: tuple
     minus_cone: tuple
     plus_vanishing: tuple    # root indices with <root, v> > 0, v interior of tau

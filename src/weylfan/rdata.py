@@ -16,20 +16,20 @@ a chart point are products of the numerators and of the denominators of its
 coordinates.  Fractions appear only where a rational number enters or
 leaves: the parsed JSON numbers (``_exact``), the ``ChartPoint`` coordinates,
 and the one division, the chart coordinate t_s / t_{-s} of a simple root s
-in ``rdata_to_point``.
+in ``rdata_to_point``.  ``ProjectiveRatio``, ``RData`` and ``ChartPoint`` are
+NamedTuples: immutable, and equal to any tuple with the same fields.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import linalg, roots as rootsmod
 from .errors import MissingPair, NoChartFound, internal_check
 
 
-@dataclass(frozen=True)
-class ProjectiveRatio:
+class ProjectiveRatio(NamedTuple):
     """A ratio (num : den), not both zero, as its primitive integer pair.
 
     num and den are coprime ints with den > 0, or the pair is exactly (1:0),
@@ -91,11 +91,12 @@ def _exact(x):
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class RData:
-    """One ratio per opposite-root pair, keyed by the base-positive root."""
-
+class _RDataFields(NamedTuple):
     ratios: tuple  # sorted tuple of (positive root index, ProjectiveRatio)
+
+
+class RData(_RDataFields):  # no __slots__: ``lookup`` is cached in __dict__
+    """One ratio per opposite-root pair, keyed by the base-positive root."""
 
     @staticmethod
     def of(mapping):
@@ -150,8 +151,7 @@ def validate_rdata(r, d):
     return bad
 
 
-@dataclass(frozen=True)
-class ChartPoint:
+class ChartPoint(NamedTuple):
     """A point of the affine chart of a simple root set.
 
     ``chart`` is the sorted tuple of simple-root indices; ``coords`` holds

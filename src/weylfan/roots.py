@@ -17,11 +17,12 @@ no walk over all of W or matrix inverse of its own.  Finding one chamber
 with a property never needs the whole orbit: ``descend`` walks from the
 base chamber, reflecting in a simple root on the wrong side, in at most
 |Phi+| steps.  It finds the chart of a point (``rdata``) and the face
-containing a vector (``fans``).
+containing a vector (``fans``).  ``RootSystemSpec`` and ``RootSystem`` are
+NamedTuples: immutable, and equal to any tuple with the same fields.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import linalg
 from .errors import NotInSpan, UnsupportedFamily, internal_check
@@ -29,8 +30,7 @@ from .errors import NotInSpan, UnsupportedFamily, internal_check
 FAMILIES = ("A", "B", "C", "D", "G")
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
+class RootSystemSpec(NamedTuple):
     """A product of classical factors, e.g. (("A", 2), ("B", 3))."""
 
     factors: tuple
@@ -40,7 +40,7 @@ class RootSystemSpec:
         out = []
         for f in factors:
             if isinstance(f, dict):
-                fam, rk = f["family"], int(f["rank"])
+                fam, rk = f["family"], f["rank"]
             else:
                 fam, rk = f
             fam = str(fam).upper()
@@ -48,7 +48,8 @@ class RootSystemSpec:
                 raise UnsupportedFamily(f"family {fam} is not supported")
             if fam not in FAMILIES:
                 raise UnsupportedFamily(f"unknown family {fam!r}")
-            rk = int(rk)
+            if type(rk) is not int:  # int() would read 2.9 as 2 and true as 1
+                raise ValueError(f"{fam}: the rank must be an integer, not {rk!r}")
             if fam in ("A", "B", "C") and rk < 1:
                 raise ValueError(f"{fam}_{rk}: rank must be >= 1")
             if fam == "D" and rk < 2:
@@ -64,8 +65,7 @@ class RootSystemSpec:
         return {"factors": [{"family": f, "rank": r} for f, r in self.factors]}
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     spec: object                 # RootSystemSpec or None for derived systems
     ambient_dim: int
     roots: tuple                 # ambient integer vectors, lex sorted
@@ -80,10 +80,13 @@ class RootSystem:
         return len(self.base_simple_set)
 
     def root_index(self, vec):
+        vec = tuple(vec)
+        if not all(type(x) is int for x in vec):  # 1.0 == True == 1 would match
+            raise ValueError(f"the entries of {vec} are not all integers")
         try:
-            return self.roots.index(tuple(vec))
+            return self.roots.index(vec)
         except ValueError:
-            raise NotInSpan(f"{tuple(vec)} is not a root") from None
+            raise NotInSpan(f"{vec} is not a root") from None
 
 
 def _family_roots(family, rk):

@@ -20,13 +20,14 @@ a divisor's support function across a wall is one inequality on a square
 of subsets B, B+i, B+j, B+i+j: no chamber is walked.  The root polytope is
 reflexive, with the v_A as the vertices of its polar; both vertex sets are
 enumerated by exact integer double description, not by solving subsystems.
+``PrimitiveRelationRecord`` and ``PolytopeInfo`` are NamedTuples: immutable,
+and equal to any tuple with the same fields.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
+from typing import NamedTuple
 
 from . import linalg
 from .errors import internal_check
@@ -375,8 +376,7 @@ def multiply(a, b, n):
 
 # -- primitive collections, nef and ample divisors -------------------------
 
-@dataclass(frozen=True)
-class PrimitiveRelationRecord:
+class PrimitiveRelationRecord(NamedTuple):
     pair: tuple     # (A, A') masks, incomparable, A < A'
     kind: str       # opposite | union | intersection | both
     rhs: tuple      # masks on the right-hand side of v_A + v_A' = sum rhs
@@ -465,8 +465,7 @@ def nef_oracle(coeffs, n):
 
 # -- the reflexive polytope of the roots and its fans -----------------------
 
-@dataclass(frozen=True)
-class PolytopeInfo:
+class PolytopeInfo(NamedTuple):
     n: int
     vertices: tuple        # root coordinates in the base simple basis
     lattice_points: tuple
@@ -514,6 +513,7 @@ def _h_polytope_vertices(normals):
     degenerate vertices, where more than k rows are tight.  No vertices are
     returned when the normals do not span.
     """
+    from fractions import Fraction
     k = len(normals[0])
     rows = [tuple(w) + (1,) for w in normals] + [(0,) * k + (1,)]
     dot = linalg.vec_dot
@@ -561,6 +561,7 @@ def delta_polytope(n):
     holds iff the polar has only lattice vertices.  Coordinates are in the
     base simple basis (polytope side) and its dual (polar side).
     """
+    from fractions import Fraction
     _check_n(n)
     if n < 1:
         raise ValueError("the root polytope needs n >= 1")

@@ -514,14 +514,26 @@ def _chain_json(first_label, coord_label=1):
     ["lm", "contract", "--chain-json", _chain_json(1.0), "--keep", "1,2"],
     ["lm", "contract", "--chain-json", _chain_json(1, 1.0), "--keep", "1,2"],
     ["lm", "extract", "--chain-json", _chain_json(True)],
+    *(["fan", "--factors", json.dumps([{"family": "A", "rank": rank}])]
+      for rank in (2.9, 2.5, "2", True)),
+    ["rdata", "validate", "--type", "A", "--rank", "2", "--data-json",
+     A2_DATA.replace("[1, -1, 0]", "[1.0, -1, 0]")],
+    ["rdata", "validate", "--type", "A", "--rank", "2", "--data-json",
+     A2_DATA.replace("[1, -1, 0]", "[true, -1, 0]")],
+    ["rdata", "universal-at", "--type", "A", "--rank", "2", "--point-json",
+     json.dumps({"chart": [[1.0, -1, 0], [0, 1, -1]], "coords": ["2", "1"]})],
+    ["lm", "membership", "--data-json", A2_DATA.replace("[0, 1, -1]", "[0, true, -1]"),
+     "--point-json", json.dumps([["1", "1"], ["1", "1"], ["2", "1"]])],
 ], ids=["nef-coeff-float", "ample-coeff-string", "nef-label-bool", "nef-label-float",
         "reduce-coeff-float", "reduce-n-float", "reduce-n-string", "reduce-label-bool",
         "orbit-type-label-bool", "contract-block-float", "contract-mark-float",
-        "extract-block-bool"])
+        "extract-block-bool", "fan-rank-float", "fan-rank-half", "fan-rank-string",
+        "fan-rank-bool", "validate-root-float", "validate-root-bool",
+        "universal-at-chart-float", "membership-root-bool"])
 def test_only_json_integers_are_read_as_integers(argv, capsys):
-    """A coefficient, n or label that is not a JSON integer is invalid input:
-    int() would read 1.5 as 1 and true as 1, and a float label would be
-    echoed back."""
+    """A coefficient, n, rank, label or root entry that is not a JSON integer
+    is invalid input: int() would read 1.5 as 1 and true as 1, a float label
+    would be echoed back, and 1.0 == true == 1 would match a root."""
     assert run_json(argv, capsys, expect_code=1)["error"] == "InvalidInput"
 
 
@@ -704,7 +716,8 @@ import contextlib, io, json, sys
 from weylfan import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.run(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m[8:] for m in sys.modules if m.startswith("weylfan."))]))
+print(json.dumps([code, sorted(m[8:] for m in sys.modules if m.startswith("weylfan.")),
+                  sorted({"dataclasses", "fractions"} & set(sys.modules))]))
 """
 
 
@@ -713,13 +726,18 @@ print(json.dumps([code, sorted(m[8:] for m in sys.modules if m.startswith("weylf
                               "lm-universal"])
 def test_verbs_load_only_their_layers(argv, layers):
     """A fresh interpreter that runs one verb imports only the layers of that
-    verb: a layer imported at the top of a module it does not need fails here."""
+    verb: a layer imported at the top of a module it does not need fails here.
+    No verb imports ``dataclasses``, and only the ratios of ``rdata`` and the
+    root polytope (no verb here) import ``fractions``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(argv)],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.stderr == ""
-    code, loaded = json.loads(proc.stdout)
+    code, loaded, stdlib = json.loads(proc.stdout)
     assert (code, set(loaded)) == (2 if not argv else 0, layers)
+    assert "dataclasses" not in stdlib
+    if "rdata" not in layers:
+        assert "fractions" not in stdlib
 
 
 @pytest.mark.parametrize("name", ["missing/out.json", "."])
