@@ -43,12 +43,6 @@ class CombType(NamedTuple):
     def labels(self):
         return tuple(sorted(x for b in self.blocks for x in b))
 
-    def block_of(self, label):
-        for k, b in enumerate(self.blocks):
-            if label in b:
-                return k
-        raise KeyError(label)
-
 
 class MarkedChain(NamedTuple):
     ctype: CombType

@@ -25,14 +25,16 @@ from .errors import WeylFanError
 def _system_from_args(args):
     from . import roots as rootsmod
     if args.factors:
+        if args.type or args.rank is not None:
+            raise ValueError("--factors excludes --type and --rank")
         spec = _payload(args, "--factors", rootsmod.RootSystemSpec.parse)
     elif args.type:
-        if args.type.upper() == "G":
-            spec = rootsmod.RootSystemSpec.parse([("G", 2)])
-        else:
-            if args.rank is None:
-                raise ValueError("--rank is required with --type")
-            spec = rootsmod.RootSystemSpec.parse([(args.type, args.rank)])
+        rank = args.rank
+        if rank is None and args.type.upper() == "G":
+            rank = 2  # G_2 is the only G
+        if rank is None:
+            raise ValueError("--rank is required with --type")
+        spec = rootsmod.RootSystemSpec.parse([(args.type, rank)])
     else:
         raise ValueError("specify a root system with --type/--rank or --factors")
     return rootsmod.build_root_system(spec)

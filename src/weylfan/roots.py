@@ -1,11 +1,13 @@
-"""Classical root systems with exact integer realizations.
+"""Root systems with exact integer realizations, each built from its base.
 
-Roots are stored in ambient coordinates: A_n as the vectors u_i - u_j in
-Z^{n+1}, B_n/C_n/D_n in Z^n, G_2 in the sum-zero sublattice of Z^3.  Products
-are block-diagonal.  Each system carries a fixed base set of simple roots;
-its rows are the basis of the root lattice M(R), and every root's coordinates
-in that basis ("mcoords") are precomputed.  A root is *positive* when its
-mcoords are componentwise >= 0.
+Roots are ambient integer vectors: A_n in Z^{n+1}, B_n/C_n/D_n in Z^n, G_2
+in the sum-zero sublattice of Z^3, products block-diagonal.  A reduced
+crystallographic system is fixed by its base: every root is w(a) for a
+simple root a and a product w of simple reflections (Humphreys, *Reflection
+Groups and Coxeter Groups*, section 1.5).  So the roots are the closure of
+the base under the simple reflections, and the same closure gives each
+root's coordinates ("mcoords") in the base, the basis of the root lattice
+M(R).  A root is *positive* when its mcoords are componentwise >= 0.
 
 Sets of simple roots are identified with Weyl chambers.  ``chamber_orbit``
 walks W once, reaching each element from its prefix before the first
@@ -89,85 +91,35 @@ class RootSystem(NamedTuple):
             raise NotInSpan(f"{vec} is not a root") from None
 
 
-def _family_roots(family, rk):
-    """Roots and base simple roots of one irreducible factor, ambient coords."""
-    if family == "A":
-        dim = rk + 1
-        roots = []
-        for i in range(dim):
-            for j in range(dim):
-                if i != j:
-                    v = [0] * dim
-                    v[i], v[j] = 1, -1
-                    roots.append(tuple(v))
-        base = []
-        for i in range(rk):
-            v = [0] * dim
-            v[i], v[i + 1] = 1, -1
-            base.append(tuple(v))
-        return dim, roots, base
-    if family in ("B", "C", "D"):
-        dim = rk
-        roots = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = [0] * dim
-                        v[i], v[j] = si, sj
-                        roots.append(tuple(v))
-        if family == "B":
-            for i in range(dim):
-                for s in (1, -1):
-                    v = [0] * dim
-                    v[i] = s
-                    roots.append(tuple(v))
-        if family == "C":
-            for i in range(dim):
-                for s in (2, -2):
-                    v = [0] * dim
-                    v[i] = s
-                    roots.append(tuple(v))
-        base = []
-        for i in range(rk - 1):
-            v = [0] * dim
-            v[i], v[i + 1] = 1, -1
-            base.append(tuple(v))
-        last = [0] * dim
-        if family == "B":
-            last[rk - 1] = 1
-        elif family == "C":
-            last[rk - 1] = 2
-        else:  # D
-            last[rk - 2], last[rk - 1] = 1, 1
-        base.append(tuple(last))
-        return dim, roots, base
+def _family_base(family, rk):
+    """Ambient dimension and simple roots of one irreducible factor."""
     if family == "G":
-        short = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
-        long = [(2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
-        roots = []
-        for v in short + long:
-            roots.append(v)
-            roots.append(tuple(-x for x in v))
-        base = [(1, -1, 0), (-1, 2, -1)]
-        return 3, roots, base
-    raise UnsupportedFamily(f"unknown family {family!r}")
+        return 3, [(1, -1, 0), (-1, 2, -1)]
+    if family not in ("A", "B", "C", "D"):
+        raise UnsupportedFamily(f"unknown family {family!r}")
+    dim = rk + 1 if family == "A" else rk
+    unit = linalg.identity_matrix(dim)
+    base = [linalg.vec_sub(unit[t], unit[t + 1]) for t in range(dim - 1)]
+    if family == "B":
+        base.append(unit[-1])
+    elif family == "C":
+        base.append(linalg.vec_scale(2, unit[-1]))
+    elif family == "D":
+        base.append(linalg.vec_add(unit[-2], unit[-1]))
+    return dim, base
 
 
 def build_root_system(spec):
     """Construct the standard realization of a (product) root system."""
     if not isinstance(spec, RootSystemSpec):
         spec = RootSystemSpec.parse(spec)
-    blocks = [_family_roots(f, r) for f, r in spec.factors]
-    dim = sum(b[0] for b in blocks)
-    roots, base = [], []
-    off = 0
-    for bdim, broots, bbase in blocks:
-        pad = lambda v: (0,) * off + tuple(v) + (0,) * (dim - off - bdim)
-        roots.extend(pad(v) for v in broots)
-        base.extend(pad(v) for v in bbase)
+    blocks = [_family_base(f, r) for f, r in spec.factors]
+    dim = sum(bdim for bdim, _ in blocks)
+    base, off = [], 0
+    for bdim, bbase in blocks:
+        base.extend((0,) * off + v + (0,) * (dim - off - bdim) for v in bbase)
         off += bdim
-    return _finish(spec, dim, roots, base)
+    return _finish(spec, dim, base)
 
 
 def root_system_from_roots(roots, ambient_dim, base=None):
@@ -182,7 +134,7 @@ def root_system_from_roots(roots, ambient_dim, base=None):
         raise ValueError("the zero vector is not a root")
     if base is None:
         base = _generic_base(roots, ambient_dim)
-    return _finish(None, ambient_dim, roots, [tuple(v) for v in base])
+    return _finish(None, ambient_dim, base, within=set(roots))
 
 
 def _generic_base(roots, dim):
@@ -201,45 +153,59 @@ def _generic_base(roots, dim):
                   if not any(linalg.vec_sub(v, w) in pos_set for w in pos if w != v))
 
 
-def _finish(spec, dim, roots, base):
-    roots = tuple(sorted({tuple(v) for v in roots}))
-    base_idx = []
-    for b in base:
-        if b not in roots:
-            raise NotInSpan(f"base root {b} is not in the root set")
-        base_idx.append(roots.index(b))
-    basis = tuple(tuple(b) for b in base)
-    mcoords = linalg.solve_left(basis, roots)
-    for v, x in zip(roots, mcoords):
-        if x is None:
-            raise NotInSpan(f"root {v} is not an integer combination of the base")
-    neg = tuple(roots.index(linalg.vec_neg(v)) for v in roots)
-    positive = tuple(i for i, c in enumerate(mcoords) if all(x >= 0 for x in c))
-    for i, c in enumerate(mcoords):
-        if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
-            raise NotInSpan(f"root {roots[i]} has mixed signs in the base expansion")
-    return RootSystem(
-        spec=spec,
-        ambient_dim=dim,
-        roots=roots,
-        base_simple_set=tuple(base_idx),
-        root_lattice_basis=basis,
-        mcoords=tuple(mcoords),
-        neg=neg,
-        positive=positive,
-    )
+def _finish(spec, dim, base, within=None):
+    """The root system with simple roots ``base``: its roots are the closure
+    of the base under the simple reflections s_a(v) = v - <v, a^vee> a, as
+    every root is w(a) for a simple root a and a product w of simple
+    reflections (Humphreys section 1.5).  Reflecting in the k-th simple root
+    subtracts <v, a^vee> from coordinate k, so each root carries its
+    mcoords.  With ``within``, a set of roots, the closure must stay inside
+    it and reach all of it.
+    """
+    base = [tuple(b) for b in base]
+    if within is not None and not within.issuperset(base):
+        raise NotInSpan(f"base root {min(set(base) - within)} is not in the root set")
+    # <v, a_k^vee> = sum_j c_j <a_j, a_k^vee>, over the nonzero entries of column k
+    columns = [[(j, x) for j, b in enumerate(base) if (x := _pairing(b, a))] for a in base]
+    found = {}  # root -> its mcoords
+    todo = list(zip(base, linalg.identity_matrix(len(base))))
+    for v, c in todo:
+        if v in found:
+            if found[v] != c:
+                raise ValueError(f"the base is linearly dependent: {v} is {found[v]} and {c}")
+            continue
+        found[v] = c
+        for k, a in enumerate(base):
+            p = sum(c[j] * x for j, x in columns[k])
+            if p:
+                w = linalg.vec_sub(v, linalg.vec_scale(p, a))
+                if within is not None and w not in within:
+                    raise NotInSpan(f"reflection of {v} in {a} left the root set")
+                todo.append((w, c[:k] + (c[k] - p,) + c[k + 1:]))
+    if within is not None and len(found) != len(within):
+        raise NotInSpan(f"root {min(within - found.keys())} is not reached from the base")
+    roots = tuple(sorted(found))
+    index = {v: i for i, v in enumerate(roots)}
+    mcoords = tuple(found[v] for v in roots)
+    for v, c in zip(roots, mcoords):
+        if min(c) < 0 < max(c):
+            raise NotInSpan(f"root {v} has mixed signs in the base expansion")
+    return RootSystem(spec, dim, roots, tuple(index[b] for b in base), tuple(base), mcoords,
+                      tuple(index[linalg.vec_neg(v)] for v in roots),
+                      tuple(i for i, c in enumerate(mcoords) if min(c) >= 0))
 
 
-def cartan_pairing(r, beta_idx, alpha_idx):
-    """<beta, alpha^vee> = 2 (beta, alpha) / (alpha, alpha), always an integer."""
-    a = r.roots[alpha_idx]
-    b = r.roots[beta_idx]
-    num = 2 * linalg.vec_dot(b, a)
-    den = linalg.vec_dot(a, a)
-    q, rem = divmod(num, den)
+def _pairing(b, a):
+    """<b, a^vee> = 2 (b, a) / (a, a) of ambient vectors; an integer on roots."""
+    q, rem = divmod(2 * linalg.vec_dot(b, a), linalg.vec_dot(a, a))
     if rem:
         raise NotInSpan(f"non-crystallographic pairing for {b}, {a}")
     return q
+
+
+def cartan_pairing(r, beta_idx, alpha_idx):
+    """<beta, alpha^vee> of the roots with indices ``beta_idx``, ``alpha_idx``."""
+    return _pairing(r.roots[beta_idx], r.roots[alpha_idx])
 
 
 @lru_cache(maxsize=None)
@@ -247,10 +213,10 @@ def reflection_table(r):
     """table[a][b] = index of s_{root a}(root b); built once per system."""
     idx = {v: i for i, v in enumerate(r.roots)}
     table = []
-    for a, va in enumerate(r.roots):
+    for va in r.roots:
         row = []
-        for b, vb in enumerate(r.roots):
-            w = linalg.vec_sub(vb, linalg.vec_scale(cartan_pairing(r, b, a), va))
+        for vb in r.roots:
+            w = linalg.vec_sub(vb, linalg.vec_scale(_pairing(vb, va), va))
             if w not in idx:
                 raise NotInSpan(f"reflection of {vb} in {va} left the root set")
             row.append(idx[w])

@@ -114,23 +114,6 @@ def _subset_fan(n, mask_cones):
     return make_fan(n, _subset_rays(n), (tuple(a - 1 for a in cone) for cone in mask_cones))
 
 
-@lru_cache(maxsize=None)
-def chain_fan(n):
-    """The chamber fan of type A from the nested-subset description."""
-    _check_n(n)
-    return _subset_fan(n, (_prefix_masks(perm[:-1]) for perm in permutations(range(1, n + 2))))
-
-
-@lru_cache(maxsize=None)
-def ray_masks(n):
-    """Map ray index of chain_fan(n) -> subset mask, and back."""
-    f = chain_fan(n)
-    by_vec = {subset_ray(a, n): a for a in range(1, full_mask(n))}
-    to_mask = tuple(by_vec[v] for v in f.rays)
-    to_ray = {a: i for i, a in enumerate(to_mask)}
-    return to_mask, to_ray
-
-
 def surjection_count(m, t):
     """Number of surjections from an m-set onto a t-set."""
     return sum((-1) ** j * comb(t, j) * (t - j) ** m for j in range(t + 1))

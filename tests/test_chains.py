@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from test_rdata import ONE_ZERO, ZERO_ONE, orbit_rdata_pattern
+from test_typea import chain_fan, ray_masks
 from weylfan import chains, linalg, rdata, typea
 from weylfan.chains import CombType, MarkedChain
 from weylfan.errors import EmptyKeep, NotPreorder
@@ -26,9 +27,10 @@ def generic_data_over_cone(n, chain_masks):
     # from the s_- side, i.e. from the last block of the type backwards
     ordering = [i for b in reversed(ctype.blocks) for i in b]
     primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+    block = {x: k for k, b in enumerate(ctype.blocks) for x in b}
     coord = {}
     for i, j in zip(ordering, ordering[1:]):
-        same = ctype.block_of(i) == ctype.block_of(j)
+        same = block[i] == block[j]
         coord[r.root_index(chains._u_diff(i, j, n + 1))] = Fraction(primes.pop() if same else 0)
     chart = tuple(sorted(coord))
     point = rdata.ChartPoint(chart=chart, coords=tuple(coord[k] for k in chart))
@@ -221,16 +223,13 @@ def test_marked_points_on_their_components():
     for _ in range(40):
         c = chains.random_marked_chain(3, rng)
         data = chains.data_from_chain(c)
+        block = {x: k for k, b in enumerate(c.ctype.blocks) for x in b}
         for i in c.labels:
             zs = marked_point_image(data, c.labels, i)
             ok, comps = chains.curve_membership(data, c.labels, zs)
-            assert ok and chains_block(c, i) in comps
+            assert ok and block[i] in comps
             # slot i of a marked point has equal entries
             assert zs[i] == R(1, 1)
-
-
-def chains_block(c, i):
-    return c.ctype.block_of(i)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -270,8 +269,8 @@ def test_comb_type_over_cone_examples():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stratification_matches_generic_samples(n):
-    f = typea.chain_fan(n)
-    to_mask, _ = typea.ray_masks(n)
+    f = chain_fan(n)
+    to_mask, _ = ray_masks(n)
     cones = set()
     from itertools import combinations
     for cone in f.max_cones:

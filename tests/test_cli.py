@@ -173,6 +173,17 @@ def test_error_object_and_codes(capsys):
     assert "error" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["fan", "--type", "G", "--rank", "5"],
+    ["fan", "--type", "A", "--rank", "2", "--factors", '[{"family":"B","rank":2}]'],
+    ["fan", "--rank", "3", "--factors", '[{"family":"A","rank":1}]'],
+])
+def test_conflicting_system_flags_are_invalid_input(argv, capsys):
+    """A given rank is checked, and --factors excludes --type and --rank:
+    no system flag is silently ignored."""
+    assert run_json(argv, capsys, expect_code=1)["error"] == "InvalidInput"
+
+
 def test_rdata_verbs(capsys):
     good = json.dumps({"pairs": [
         {"positive_root": [1, -1, 0], "ratio": ["1", "1"]},
@@ -664,7 +675,8 @@ def test_every_operation_reachable(capsys):
     }
     # Library operations that no verb reaches; the tests of their modules
     # exercise them.
-    library_only = {fans.check_complete, fans.check_smooth, typea.chain_fan}
+    library_only = {fans.check_complete, fans.check_smooth, rdata.RData.as_dict,
+                    roots.weyl_order}
     for fn in covered | library_only:
         assert callable(fn)
     parser = cli.build_parser()

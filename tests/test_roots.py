@@ -6,11 +6,91 @@ from sys import executable
 import pytest
 
 from weylfan import linalg, roots
-from weylfan.errors import UnsupportedFamily
+from weylfan.errors import NotInSpan, UnsupportedFamily
 
 
 def sys(*factors):
     return roots.build_root_system(roots.RootSystemSpec.parse(factors))
+
+
+def family_roots(family, rk):
+    """Ambient dimension, every root and the base of one irreducible factor,
+    written out by formula: the oracle for the closure of the base."""
+    if family == "G":
+        half = [(1, -1, 0), (0, 1, -1), (1, 0, -1), (2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
+        return 3, half + [linalg.vec_neg(v) for v in half], [(1, -1, 0), (-1, 2, -1)]
+    dim = rk + 1 if family == "A" else rk
+    e = linalg.identity_matrix(dim)
+    if family == "A":
+        all_roots = [linalg.vec_sub(e[i], e[j]) for i in range(dim) for j in range(dim) if i != j]
+        return dim, all_roots, [linalg.vec_sub(e[t], e[t + 1]) for t in range(rk)]
+    all_roots = [linalg.vec_add(linalg.vec_scale(si, e[i]), linalg.vec_scale(sj, e[j]))
+                 for i in range(dim) for j in range(i + 1, dim) for si in (1, -1) for sj in (1, -1)]
+    short = {"B": 1, "C": 2, "D": 0}[family]  # the roots +-short e_i; D has none
+    all_roots += [linalg.vec_scale(s * short, e[i]) for i in range(dim) for s in (1, -1) if short]
+    last = linalg.vec_scale(short, e[-1]) if short else linalg.vec_add(e[-2], e[-1])
+    return dim, all_roots, [linalg.vec_sub(e[t], e[t + 1]) for t in range(rk - 1)] + [last]
+
+
+def reference_system(*factors):
+    """The RootSystem of the listed roots, each solved in the base by
+    ``linalg.solve_left``."""
+    spec = roots.RootSystemSpec.parse(factors)
+    blocks = [family_roots(f, r) for f, r in spec.factors]
+    dim = sum(b[0] for b in blocks)
+    listed, base, off = [], [], 0
+    for bdim, broots, bbase in blocks:
+        pad = lambda v: (0,) * off + tuple(v) + (0,) * (dim - off - bdim)
+        listed += map(pad, broots)
+        base += map(pad, bbase)
+        off += bdim
+    listed = tuple(sorted(listed))
+    mcoords = tuple(linalg.solve_left(tuple(base), listed))
+    return roots.RootSystem(
+        spec, dim, listed, tuple(listed.index(b) for b in base), tuple(base), mcoords,
+        tuple(listed.index(linalg.vec_neg(v)) for v in listed),
+        tuple(i for i, c in enumerate(mcoords) if all(x >= 0 for x in c)))
+
+
+ORACLE_FACTORS = ([((f, k),) for f in "ABC" for k in range(1, 8)]
+                  + [(("D", k),) for k in range(2, 8)] + [(("G", 2),)]
+                  + [(("A", 2), ("B", 3)), (("G", 2), ("C", 2), ("D", 4)),
+                     (("A", 1), ("A", 1), ("A", 1)), (("D", 3), ("G", 2), ("B", 2))])
+
+
+@pytest.mark.parametrize("factors", ORACLE_FACTORS,
+                         ids=["x".join(f"{f}{k}" for f, k in fs) for fs in ORACLE_FACTORS])
+def test_closure_of_the_base_equals_the_listed_roots(factors):
+    r = sys(*factors)
+    assert r == reference_system(*factors)
+    # the same closure inside the listed roots, from the same or a generic base
+    base = [r.roots[i] for i in r.base_simple_set]
+    assert roots.root_system_from_roots(r.roots, r.ambient_dim, base=base) == r._replace(spec=None)
+    assert roots.root_system_from_roots(r.roots, r.ambient_dim).roots == r.roots
+
+
+@pytest.mark.parametrize("vectors,base,error,match", [
+    # s_a(b) = a + b is missing: the closure leaves the set
+    ([(1, -1, 0), (-1, 1, 0), (0, 1, -1), (0, -1, 1)], [(1, -1, 0), (0, 1, -1)],
+     NotInSpan, "left the root set"),
+    # e1 and e2 are orthogonal, so their reflections never reach e1 + e2
+    ([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)], [(1, 0), (0, 1)],
+     NotInSpan, r"root \(-1, -1\) is not reached"),
+    ([(1, 0), (-1, 0)], [(1, 0), (1, 0)], ValueError, "linearly dependent"),
+    ([(1, -1), (-1, 1)], [(1, -1), (1, 1)], NotInSpan, r"base root \(1, 1\) is not in"),
+    # e1 - e2 and e1 generate B_2 but are no base of it: s_{e1}(e1 - e2) = -e1 - e2
+    ([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)], [(1, -1), (1, 0)],
+     NotInSpan, "mixed signs"),
+    ([(1, 0), (-1, 0), (1, 2), (-1, -2)], [(1, 0), (1, 2)], NotInSpan, "non-crystallographic"),
+])
+def test_root_system_from_roots_refusals(vectors, base, error, match):
+    with pytest.raises(error, match=match):
+        roots.root_system_from_roots(vectors, len(vectors[0]), base=base)
+
+
+def test_unknown_family_of_a_hand_built_spec():
+    with pytest.raises(UnsupportedFamily):
+        roots.build_root_system(roots.RootSystemSpec((("E", 6),)))
 
 
 def test_root_counts():

@@ -41,9 +41,26 @@ def all_chains(n):
     return sorted(set(out), key=lambda c: (len(c), c))
 
 
+@lru_cache(maxsize=None)
+def chain_fan(n):
+    """The chamber fan of type A from the nested-subset description: the cone
+    of a permutation is spanned by its prefix sets.  It walks all (n+1)!
+    permutations; the oracle for ``fans.weyl_chamber_fan`` of A_n."""
+    return typea._subset_fan(n, (typea._prefix_masks(perm[:-1])
+                                 for perm in permutations(range(1, n + 2))))
+
+
+@lru_cache(maxsize=None)
+def ray_masks(n):
+    """Map ray index of chain_fan(n) -> subset mask, and back."""
+    by_vec = {typea.subset_ray(a, n): a for a in range(1, typea.full_mask(n))}
+    to_mask = tuple(by_vec[v] for v in chain_fan(n).rays)
+    return to_mask, {a: i for i, a in enumerate(to_mask)}
+
+
 def test_chain_fan_counts():
     for n, nrays, ncones in [(1, 2, 2), (2, 6, 6), (3, 14, 24)]:
-        f = typea.chain_fan(n)
+        f = chain_fan(n)
         assert len(f.rays) == nrays
         assert len(f.max_cones) == ncones
 
@@ -51,7 +68,7 @@ def test_chain_fan_counts():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_chain_fan_equals_weyl_fan(n):
     r = roots.build_root_system(roots.RootSystemSpec.parse([("A", n)]))
-    assert typea.chain_fan(n) == fans.weyl_chamber_fan(r)
+    assert chain_fan(n) == fans.weyl_chamber_fan(r)
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -73,10 +90,10 @@ def test_betti_against_enumeration(n):
 
 def test_cone_counts_against_fan():
     for n in (1, 2, 3):
-        f = typea.chain_fan(n)
+        f = chain_fan(n)
         # count distinct faces by dimension: faces of a chain cone are subchains
         faces = set()
-        to_mask, _ = typea.ray_masks(n)
+        to_mask, _ = ray_masks(n)
         for cone in f.max_cones:
             masks = sorted((to_mask[i] for i in cone), key=lambda m: (bin(m).count("1"), m))
             for r in range(len(masks) + 1):
@@ -364,8 +381,8 @@ def test_primitive_collections_examples():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_primitive_collections_against_fan(n):
-    f = typea.chain_fan(n)
-    to_mask, to_ray = typea.ray_masks(n)
+    f = chain_fan(n)
+    to_mask, to_ray = ray_masks(n)
     cone_sets = [set(c) for c in f.max_cones]
     pairs = {r.pair for r in typea.primitive_collections(n)}
     full = typea.full_mask(n)
@@ -575,13 +592,13 @@ def test_delta_polytope(n, verts, pts):
 
 
 def test_sigma_delta_and_crepant():
-    assert typea.sigma_delta_fan(2) == typea.chain_fan(2)
+    assert typea.sigma_delta_fan(2) == chain_fan(2)
     assert fans.check_smooth(typea.sigma_delta_fan(2))
     f3 = typea.sigma_delta_fan(3)
     assert fans.check_complete(f3)
     assert not fans.check_smooth(f3)
     for n in (1, 2, 3, 4):
-        assert typea.crepant_subdivision(n) == typea.chain_fan(n)
+        assert typea.crepant_subdivision(n) == chain_fan(n)
         assert fans.check_complete(typea.sigma_delta_fan(n))
         assert fans.check_smooth(typea.sigma_delta_fan(n)) == (n < 3)
 
