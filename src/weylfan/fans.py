@@ -6,13 +6,14 @@ ray is the dot product of the root's base-coordinates with the ray vector.
 
 The Weyl chambers are the simple sets S of ``roots.chamber_orbit``, the one
 walk over W that the package makes, one step per chamber.  The walk carries
-each chamber's rays across the walls by the contragredient action of W on N
-(Humphreys, section 1.12), so no chamber's root matrix is inverted.  The face
-containing a vector is found by descent from the base chamber
-(``chamber_face``), not by a scan of the chambers; the fan morphisms are
-built from it, and ``orbit_closure`` walks from it over the star of a cone
-only.  Completeness and smoothness share one Bareiss determinant per max
-cone; a facet of a max cone is a sorted tuple of ray indices.
+the ids of each chamber's rays across the walls by the contragredient action
+of W on N (Humphreys, section 1.12), so no chamber's root matrix is inverted
+and the fan is read off the ids.  The face containing a vector is found by
+descent from the base chamber (``chamber_face``), not by a scan of the
+chambers; the fan morphisms are built from it, and ``orbit_closure`` walks
+from it over the star of a cone only.  Completeness and smoothness share one
+Bareiss determinant per max cone, whose sign also gives the side of each
+facet (a sorted tuple of ray indices) on which the cone lies.
 
 Cones are sorted tuples of ray indices; the empty tuple is the zero cone.
 Rays and max-cone lists are canonicalized (lexicographic) on construction,
@@ -69,16 +70,13 @@ def _chamber_data(r):
 
     The chamber of a simple set S is {v : <alpha, v> >= 0 for alpha in S}.
     Its rays come from ``roots.chamber_orbit``, the one walk over W, which
-    carries them from chamber to chamber by wall-crossing.  The chamber map
-    sends each simple set (sorted root-index tuple) to its max cone (sorted
-    ray-index tuple).
+    carries their ids from chamber to chamber by wall-crossing.  The chamber
+    map sends each simple set (sorted root-index tuple) to its max cone
+    (sorted ray-index tuple).
     """
-    orbit = rootsmod.chamber_orbit(r)
-    rays = sorted({v for _, w in orbit for v in w})
-    ray_ids = {v: i for i, v in enumerate(rays)}
-    cones = [tuple(sorted(ray_ids[v] for v in w)) for _, w in orbit]
-    sets = rootsmod.enumerate_simple_root_sets(r)
-    return Fan(r.rank, tuple(rays), tuple(sorted(cones))), dict(zip(sets, cones))
+    rays, chambers = rootsmod.chamber_orbit(r)
+    cones = [tuple(sorted(ids)) for _, ids in chambers]
+    return Fan(r.rank, rays, tuple(sorted(cones))), dict(zip((s for s, _ in chambers), cones))
 
 
 def weyl_chamber_fan(r):
@@ -110,55 +108,67 @@ def _chamber_and_face(r, v):
         rootsmod.pairing_with_ray(r, a, fan.rays[i]) for a in positive))
 
 
-def _cone_facets(f, cone):
-    """Facets of a full-dimensional max cone, each as the sorted tuple of the
-    cone's rays lying on the facet hyperplane.
+def _cone_facets(f, cone, d):
+    """(facet, side) for each facet of a full-dimensional max cone with ray
+    determinant ``d`` (None if not simplicial).  A facet is the sorted tuple
+    of the cone's rays on it; the side is the sign of det(B, x), B the first
+    n-1 independent rays of the facet and x a ray of the cone off it.
 
-    Simplicial cones: all (rank-1)-subsets.  Otherwise facets are found from
-    supporting hyperplanes spanned by rank-1 of the generators.
+    Simplicial cones: the (n-1)-subsets, with side sign(d) (-1)^(n-1-k) for
+    the ray at position k off the facet.  Otherwise the facets come from the
+    supporting hyperplanes spanned by n-1 of the generators.
     """
     n = f.lattice_rank
-    rays = [f.rays[i] for i in cone]
-    if len(cone) == n:
-        return [cone[:k] + cone[k + 1:] for k in range(n)]
+    if d is not None:
+        sign = 1 if d > 0 else -1
+        return [(cone[:k] + cone[k + 1:], sign if (n - 1 - k) % 2 == 0 else -sign)
+                for k in range(n)]
     from itertools import combinations
 
-    facets = set()
+    rays = [f.rays[i] for i in cone]
+    facets = {}
     for sub in combinations(range(len(cone)), n - 1):
         mat = tuple(rays[i] for i in sub)
         kern = linalg.kernel_basis(linalg.transpose(mat))
         if len(kern) != 1:
             continue
-        w = kern[0]
-        vals = [linalg.vec_dot(ray, w) for ray in rays]
+        vals = [linalg.vec_dot(ray, kern[0]) for ray in rays]
         if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
             on = tuple(cone[i] for i, x in enumerate(vals) if x == 0)
-            if linalg.rank(tuple(f.rays[i] for i in on)) == n - 1:
-                facets.add(on)
-    return facets
+            if on not in facets and linalg.rank(tuple(f.rays[i] for i in on)) == n - 1:
+                off = next(ray for ray, x in zip(rays, vals) if x)
+                facets[on] = 1 if linalg.det(mat + (off,)) > 0 else -1
+    return list(facets.items())
 
 
 @lru_cache(maxsize=None)
 def _cone_dets(f):
     """Determinant of each max cone's ray matrix; None for a cone that is
     not simplicial.  Shared by ``check_complete`` and ``check_smooth``."""
-    return tuple(linalg.det(tuple(f.rays[i] for i in cone))
-                 if len(cone) == f.lattice_rank else None
+    rays, n = f.rays, f.lattice_rank
+    return tuple(linalg.det(tuple([rays[i] for i in cone])) if len(cone) == n else None
                  for cone in f.max_cones)
 
 
 def check_complete(f):
     """Every max cone full-dimensional (det != 0, or ``linalg.rank`` when
-    not simplicial) and every facet shared by exactly two."""
-    counts = {}
+    not simplicial), and every facet shared by exactly two max cones that
+    lie on opposite sides of it.
+
+    The check is local: a fan that winds around twice passes, such as the
+    rank-2 fan on the rays (1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3) with
+    consecutive pairs as its cones.
+    """
+    sides = {}  # facet -> side of its first cone, 0 once a cone on the other side is met
     for cone, d in zip(f.max_cones, _cone_dets(f)):
-        full = d != 0 if d is not None else (
-            linalg.rank(tuple(f.rays[i] for i in cone)) == f.lattice_rank)
-        if not full:
+        if d == 0 or d is None and linalg.rank(tuple(f.rays[i] for i in cone)) != f.lattice_rank:
             return False
-        for facet in _cone_facets(f, cone):
-            counts[facet] = counts.get(facet, 0) + 1
-    return all(c == 2 for c in counts.values())
+        for facet, side in _cone_facets(f, cone, d):
+            seen = sides.get(facet)
+            if seen is not None and seen + side:   # the same side twice, or a third cone
+                return False
+            sides[facet] = side if seen is None else 0
+    return not any(sides.values())
 
 
 def check_smooth(f):
@@ -249,13 +259,14 @@ def projection_embedding_equations(r, rprime, mu):
     kern = linalg.kernel_basis(p)
     kern_ambient = tuple(
         linalg.vec_matmul(x, rprime.root_lattice_basis) for x in kern)
+    rays, chambers = rootsmod.chamber_orbit(rprime)
     charts = []
-    for s, rays in rootsmod.chamber_orbit(rprime):
+    for s, ids in chambers:
         eqs = []
         for x in kern:
             pos, neg = [], []
-            for root_idx, w in zip(s, rays):
-                coeff = linalg.vec_dot(x, w)
+            for root_idx, i in zip(s, ids):
+                coeff = linalg.vec_dot(x, rays[i])
                 if coeff > 0:
                     pos.extend([root_idx] * coeff)
                 elif coeff < 0:
@@ -312,7 +323,7 @@ def orbit_closure(r, f, tau):
     v = tuple(map(sum, zip(*tau_rays))) if tau else (0,) * r.rank
     start, face = _chamber_and_face(r, v)
     if face != tau:
-        raise NotInSpan(f"{tau} is not a cone of the fan")
+        raise NotInSpan(f"the cone spanned by {list(map(list, tau_rays))} is not a cone of the fan")
 
     orth = [all(rootsmod.pairing_with_ray(r, i, ray) == 0 for ray in tau_rays)
             for i in range(len(r.roots))]
@@ -354,7 +365,8 @@ def opposite_sections(r, tau):
     tau = tuple(sorted(set(tau)))
     v = tuple(sum(fan.rays[i][k] for i in tau) for k in range(fan.lattice_rank))
     if _chamber_and_face(r, v)[1] != tau:
-        raise NotInSpan(f"{tau} is not a cone of the fan")
+        raise NotInSpan(f"the cone spanned by {[list(fan.rays[i]) for i in tau]} "
+                        "is not a cone of the fan")
     minus = tuple(sorted(fan.ray_index(linalg.vec_neg(fan.rays[i])) for i in tau))
     if _chamber_and_face(r, linalg.vec_neg(v))[1] != minus:
         raise NotInSpan("the opposite cone is missing; fan is not symmetric")

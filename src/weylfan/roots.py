@@ -9,18 +9,20 @@ the base under the simple reflections, and the same closure gives each
 root's coordinates ("mcoords") in the base, the basis of the root lattice
 M(R).  A root is *positive* when its mcoords are componentwise >= 0.
 
+W acts on root indices: ``reflection_table`` reflects vectors in the simple
+roots only and conjugates, s_{w(a)} = w s_a w^{-1} (Humphreys section 1.2).
 Sets of simple roots are identified with Weyl chambers.  ``chamber_orbit``
 walks W once, reaching each element from its prefix before the first
-descent, so that every chamber is built once, and carries each chamber's
-rays across the walls: crossing the wall of a in S replaces the ray w_a by
-w_a - a^vee and keeps the others (the contragredient action of W on N,
-Humphreys section 1.12).  ``fans`` reads the chamber fan off this walk, with
-no walk over all of W or matrix inverse of its own.  Finding one chamber
-with a property never needs the whole orbit: ``descend`` walks from the
-base chamber, reflecting in a simple root on the wrong side, in at most
-|Phi+| steps.  It finds the chart of a point (``rdata``) and the face
-containing a vector (``fans``).  ``RootSystemSpec`` and ``RootSystem`` are
-NamedTuples: immutable, and equal to any tuple with the same fields.
+descent, and carries the ids of each chamber's rays across the walls:
+crossing the wall of a in S replaces the ray w_a by w_a - a^vee and keeps
+the others (the contragredient action of W on N, Humphreys section 1.12).
+``fans`` reads the chamber fan off this walk, with no walk over all of W or
+matrix inverse of its own.  Finding one chamber with a property never needs
+the whole orbit: ``descend`` walks from the base chamber, reflecting in a
+simple root on the wrong side, in at most |Phi+| steps.  It finds the chart
+of a point (``rdata``) and the face containing a vector (``fans``).
+``RootSystemSpec`` and ``RootSystem`` are NamedTuples: immutable, and equal
+to any tuple with the same fields.
 """
 
 from functools import lru_cache
@@ -203,42 +205,54 @@ def _pairing(b, a):
     return q
 
 
-def cartan_pairing(r, beta_idx, alpha_idx):
-    """<beta, alpha^vee> of the roots with indices ``beta_idx``, ``alpha_idx``."""
-    return _pairing(r.roots[beta_idx], r.roots[alpha_idx])
-
-
 @lru_cache(maxsize=None)
 def reflection_table(r):
-    """table[a][b] = index of s_{root a}(root b); built once per system."""
+    """table[a][b] = index of s_{root a}(root b); built once per system.
+
+    Only the n simple rows reflect vectors.  The others follow by
+    conjugation, s_{w(a)} = w s_a w^{-1} (Humphreys section 1.2), as
+    table[s_k(a)][b] = sigma_k[table[a][sigma_k[b]]] for sigma_k the k-th
+    simple row, in a walk from the base that reaches every root: n |Phi|
+    pairings instead of |Phi|^2.
+    """
     idx = {v: i for i, v in enumerate(r.roots)}
-    table = []
-    for va in r.roots:
-        row = []
-        for vb in r.roots:
-            w = linalg.vec_sub(vb, linalg.vec_scale(_pairing(vb, va), va))
-            if w not in idx:
-                raise NotInSpan(f"reflection of {vb} in {va} left the root set")
-            row.append(idx[w])
-        table.append(tuple(row))
+    table = [None] * len(r.roots)
+    for a in r.base_simple_set:
+        va = r.roots[a]
+        table[a] = tuple(idx.get(linalg.vec_sub(vb, linalg.vec_scale(_pairing(vb, va), va)))
+                         for vb in r.roots)
+        if None in table[a]:
+            vb = r.roots[table[a].index(None)]
+            raise NotInSpan(f"reflection of {vb} in {va} left the root set")
+    simple = [table[a] for a in r.base_simple_set]
+    todo = list(r.base_simple_set)
+    for a in todo:
+        row = table[a]
+        for sigma in simple:
+            c = sigma[a]
+            if table[c] is None:
+                table[c] = tuple([sigma[row[x]] for x in sigma])
+                todo.append(c)
+    internal_check(len(todo) == len(table), "the conjugation walk missed a root")
     return tuple(table)
 
 
 @lru_cache(maxsize=None)
 def chamber_orbit(r):
-    """Every set S of simple roots with the rays of its chamber, sorted by S.
+    """(rays, chambers): the lex-sorted ray vectors, and every set S of
+    simple roots with the ids of its chamber's rays.
 
-    Each entry is (S, rays): S a sorted root-index tuple and rays[k] the ray
-    w of the chamber {v : <alpha, v> >= 0 for alpha in S} with <S[k], w> = 1
-    and <b, w> = 0 for the other b in S; the entries are sorted by S.  There
-    is one entry per element w of W, the chamber of w having the simple set
-    w(Delta).  While walking, S is kept in label order, S[j] = w(alpha_j) for
-    the j-th base simple root alpha_j, so crossing the wall of label k (to
-    w s_k) maps S to s_a(S) entry by entry, a = S[k].  W acts on N
-    contragrediently (Humphreys, *Reflection Groups and Coxeter Groups*,
-    section 1.12), so the rays cross with it: each keeps its label, and the
-    ray of label k becomes w_k - a^vee, the ray of -a.  The base chamber's
-    rays are the unit vectors of N.
+    Each chamber is (S, ids): S a sorted root-index tuple and rays[ids[k]]
+    the ray w of the chamber {v : <alpha, v> >= 0 for alpha in S} with
+    <S[k], w> = 1 and <b, w> = 0 for the other b in S; the chambers are
+    sorted by S.  There is one chamber per element w of W, the chamber of w
+    having the simple set w(Delta).  While walking, S is kept in label
+    order, S[j] = w(alpha_j) for the j-th base simple root alpha_j, so
+    crossing the wall of label k (to w s_k) maps S to s_a(S) entry by entry,
+    a = S[k].  W acts on N contragrediently, so each ray keeps its label, and
+    the ray of label k becomes w_k - a^vee, the ray of -a; the base
+    chamber's rays are the unit vectors of N.  A crossed ray gets an id when
+    first met, and the ids are relabelled to lex order once, at the end.
 
     Each w != 1 is reached exactly once, from w s_k for the first descent k
     of w, the smallest label with w(alpha_k) < 0 (Bjorner-Brenti,
@@ -247,36 +261,30 @@ def chamber_orbit(r):
     for every j < k.  So no chamber is built twice and no set is looked up.
     """
     table = reflection_table(r)
-    positive = [False] * len(r.roots)
-    for i in r.positive:
-        positive[i] = True
+    positive = set(r.positive)
     # a^vee in N-coordinates: (<beta_j, a^vee>)_j over the base simple roots
-    coroots = [tuple(cartan_pairing(r, b, a) for b in r.base_simple_set)
-               for a in range(len(r.roots))]
-    unit = linalg.identity_matrix(r.rank)
-    orbit = [(r.base_simple_set, unit)]
-    shared = {v: v for v in unit}   # equal rays share one tuple, to save memory
-    for s, rays in orbit:
+    coroots = [tuple(_pairing(r.roots[b], va) for b in r.base_simple_set) for va in r.roots]
+    rays = list(linalg.identity_matrix(r.rank))
+    ray_id = {v: i for i, v in enumerate(rays)}
+    orbit = [(r.base_simple_set, tuple(range(r.rank)))]
+    for s, ids in orbit:
         for k, a in enumerate(s):
             image = table[a]
-            if positive[a] and all(positive[image[b]] for b in s[:k]):
-                crossed = linalg.vec_sub(rays[k], coroots[a])
-                orbit.append((tuple(image[b] for b in s),
-                              rays[:k] + (shared.setdefault(crossed, crossed),) + rays[k + 1:]))
-    for i, (s, rays) in enumerate(orbit):
-        pairs = sorted(zip(s, rays))
-        orbit[i] = (tuple(a for a, _ in pairs), tuple(w for _, w in pairs))
+            if a in positive and all(image[b] in positive for b in s[:k]):
+                crossed = linalg.vec_sub(rays[ids[k]], coroots[a])
+                i = ray_id.setdefault(crossed, len(rays))
+                if i == len(rays):
+                    rays.append(crossed)
+                orbit.append((tuple(image[b] for b in s), ids[:k] + (i,) + ids[k + 1:]))
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    lex = {old: new for new, old in enumerate(order)}
+    for i, (s, ids) in enumerate(orbit):
+        pairs = sorted(zip(s, ids))
+        orbit[i] = (tuple(a for a, _ in pairs), tuple(lex[j] for _, j in pairs))
     orbit.sort(key=lambda entry: entry[0])
     internal_check(all(x[0] != y[0] for x, y in zip(orbit, orbit[1:])),
                    "the first-descent walk reached a chamber twice")
-    return tuple(orbit)
-
-
-@lru_cache(maxsize=None)
-def enumerate_simple_root_sets(r):
-    """All sets of simple roots, as sorted index tuples in canonical order:
-    the sets of ``chamber_orbit``, the one walk over W."""
-    return tuple(s for s, _ in chamber_orbit(r))
+    return tuple(rays[i] for i in order), tuple(orbit)
 
 
 def descend(r, wrong):

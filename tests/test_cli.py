@@ -563,6 +563,15 @@ def test_orbit_cone_with_a_repeated_ray(capsys):
     assert once == twice
 
 
+def test_orbit_of_a_non_cone_names_its_rays(capsys):
+    """The error names the cone by its ray vectors, as --cone gives them,
+    not by ray indices of the fan, which the user never sees."""
+    out = run_json(["orbit", "--type", "A", "--rank", "2", "--cone", "[[1,0],[-1,0]]"], capsys,
+                   expect_code=1)
+    assert out == {"error": "NotInSpan",
+                   "detail": "the cone spanned by [[-1, 0], [1, 0]] is not a cone of the fan"}
+
+
 def test_internal_check_failure_is_a_domain_error(capsys, monkeypatch):
     from weylfan import rdata
 
@@ -652,7 +661,7 @@ def test_every_operation_reachable(capsys):
 
     covered = {
         # verb fan
-        roots.build_root_system, roots.enumerate_simple_root_sets, roots.chamber_orbit,
+        roots.build_root_system, roots.chamber_orbit, roots.reflection_table,
         fans.weyl_chamber_fan,
         # morphism
         fans.subsystem_morphism, fans.projection_embedding_equations,

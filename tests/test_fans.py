@@ -14,6 +14,11 @@ def sys(*factors):
     return roots.build_root_system(roots.RootSystemSpec.parse(factors))
 
 
+def simple_sets(r):
+    """The simple sets of ``roots.chamber_orbit``, one per chamber, sorted."""
+    return tuple(s for s, _ in roots.chamber_orbit(r)[1])
+
+
 def test_a1_fan():
     f = fans.weyl_chamber_fan(sys(("A", 1)))
     assert f.rays == ((-1,), (1,))
@@ -73,10 +78,11 @@ def test_h_vector_is_descent_distribution(factors):
         for j in range(e + 1):
             h[j] += comb(e, j) * (-1) ** (e - j)
     descents = [0] * (n + 1)
-    for s in roots.enumerate_simple_root_sets(r):
+    for s in simple_sets(r):
         descents[sum(i not in r.positive for i in s)] += 1
     assert h == descents
     assert sum(h) == roots.weyl_order(r.spec) and h == h[::-1]
+    assert fans.check_complete(f) and fans.check_smooth(f)
 
 
 def dual_basis(b):
@@ -88,11 +94,12 @@ def dual_basis(b):
 
 def breadth_first_orbit(r):
     """The chamber orbit by a breadth-first walk that crosses every wall of
-    every chamber and keeps a set of the simple sets seen: the oracle for
-    the first-descent walk of ``roots.chamber_orbit``."""
+    every chamber and keeps a set of the simple sets seen, with the ray
+    vectors of each chamber aligned to its sorted S: the oracle for the
+    first-descent walk of ``roots.chamber_orbit``."""
     table = roots.reflection_table(r)
-    coroots = [tuple(roots.cartan_pairing(r, b, a) for b in r.base_simple_set)
-               for a in range(len(r.roots))]
+    coroots = [tuple(roots._pairing(r.roots[b], va) for b in r.base_simple_set)
+               for va in r.roots]
     unit = linalg.identity_matrix(r.rank)
     base = tuple(sorted(r.base_simple_set))
     orbit = [(base, tuple(unit[r.base_simple_set.index(b)] for b in base))]
@@ -119,13 +126,16 @@ def derived_b3():
 @pytest.mark.parametrize("factors", UP_TO_RANK_5 + [(("A", 6),), None],
                          ids=lambda fs: "x".join(f"{f}{n}" for f, n in fs) if fs else "derived-B3")
 def test_wall_crossed_rays_are_dual_bases(factors):
+    """The ray ids of each chamber name the dual basis of its simple set,
+    and the rays are the lex-sorted union of those bases."""
     r = sys(*factors) if factors else derived_b3()
-    orbit = roots.chamber_orbit(r)
-    assert len(orbit) == (roots.weyl_order(r.spec) if factors else 48)
-    assert orbit == breadth_first_orbit(r)
-    assert tuple(s for s, _ in orbit) == roots.enumerate_simple_root_sets(r)
-    for s, rays in orbit:
-        assert rays == dual_basis(tuple(r.mcoords[i] for i in s)), s
+    rays, chambers = roots.chamber_orbit(r)
+    assert len(chambers) == (roots.weyl_order(r.spec) if factors else 48)
+    as_vectors = tuple((s, tuple(rays[i] for i in ids)) for s, ids in chambers)
+    assert as_vectors == breadth_first_orbit(r)
+    assert rays == tuple(sorted({w for _, ws in as_vectors for w in ws}))
+    for s, ws in as_vectors:
+        assert ws == dual_basis(tuple(r.mcoords[i] for i in s)), s
 
 
 def test_check_complete_rejects_a_degenerate_cone():
@@ -137,6 +147,34 @@ def test_check_complete_rejects_a_degenerate_cone():
     square = fans.make_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
                            [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert fans.check_complete(square) and fans.check_smooth(square)
+
+
+def test_check_complete_rejects_overlapping_cones():
+    """Three unimodular cones in the first quadrant, each ray a facet of two
+    of them: the two cones on the ray (1, 0) both lie above it."""
+    f = fans.make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (2, 0)])
+    assert fans.check_smooth(f)
+    assert not fans.check_complete(f)
+
+
+def test_check_complete_sides_of_a_non_simplicial_cone():
+    """The first quadrant as one cone on three rays, with simplicial
+    neighbours: the side of a facet is the same whichever kind of cone
+    reports it, so the complete fan passes and the overlapping one fails."""
+    quadrant = [(1, 0), (1, 1), (0, 1)]
+    complete = fans.make_fan(2, quadrant + [(-1, 0), (0, -1)],
+                             [(0, 1, 2), (2, 3), (3, 4), (4, 0)])
+    overlapping = fans.make_fan(2, quadrant + [(2, 1)], [(0, 1, 2), (2, 3), (3, 0)])
+    assert fans.check_complete(complete)
+    assert not fans.check_complete(overlapping)
+
+
+def test_check_complete_is_local():
+    """A plane fan that winds twice around the origin: every ray has one cone
+    on each side, so the check, which looks at one facet at a time, passes."""
+    rays = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
+    f = fans.make_fan(2, rays, [(k, (k + 1) % 5) for k in range(5)])
+    assert fans.check_complete(f)
 
 
 def test_check_smooth_rejects_a_determinant_two_cone():
@@ -161,7 +199,7 @@ def test_fan_negation_symmetric():
 def test_reflections_permute_chambers_freely():
     r = sys(("A", 3))
     table = roots.reflection_table(r)
-    sets = roots.enumerate_simple_root_sets(r)
+    sets = simple_sets(r)
     for a in r.base_simple_set:
         image = [tuple(sorted(table[a][b] for b in s)) for s in sets]
         assert sorted(image) == list(sets)          # permutation

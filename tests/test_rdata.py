@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from weylfan import rdata, roots
+from weylfan import fans, rdata, roots
 from weylfan.errors import MissingPair
 from weylfan.rdata import ChartPoint, ProjectiveRatio, RData
 
@@ -181,7 +181,7 @@ def test_rdata_to_point_roundtrip_examples():
     q = rdata.rdata_to_point(r, d)
     assert rdata.universal_rdata_at(r, q) == d
     # the chart the descent reaches is one of the chambers
-    assert set(q.chart) in [set(s) for s in roots.enumerate_simple_root_sets(r)]
+    assert set(q.chart) in [set(s) for s, _ in roots.chamber_orbit(r)[1]]
 
     # all ratios (1:1): the torus identity, any chart, coords all 1
     ident = RData.of({i: ProjectiveRatio.of(1, 1) for i in r.positive})
@@ -196,8 +196,8 @@ def test_rdata_to_point_roundtrip_examples():
 
 
 def random_chart_point(r, rng, zero_prob=0.25):
-    sets = roots.enumerate_simple_root_sets(r)
-    chart = sets[rng.randrange(len(sets))]
+    chambers = roots.chamber_orbit(r)[1]
+    chart = chambers[rng.randrange(len(chambers))][0]
     coords = []
     for _ in chart:
         if rng.random() < zero_prob:
@@ -257,8 +257,8 @@ def test_roundtrip_without_chamber_enumeration(factors, monkeypatch):
             raise AssertionError(f"{name} was called")
         return call
 
-    for name in ("enumerate_simple_root_sets", "chamber_orbit"):
-        monkeypatch.setattr(roots, name, refuse(name))
+    for module, name in ((roots, "chamber_orbit"), (fans, "_chamber_data")):
+        monkeypatch.setattr(module, name, refuse(name))
     r = sys(*factors)
     rng = random.Random(factors[0][0])
     for _ in range(12):

@@ -5,12 +5,17 @@ from sys import executable
 
 import pytest
 
-from weylfan import linalg, roots
+from weylfan import fans, linalg, roots
 from weylfan.errors import NotInSpan, UnsupportedFamily
 
 
 def sys(*factors):
     return roots.build_root_system(roots.RootSystemSpec.parse(factors))
+
+
+def simple_sets(r):
+    """The simple sets of ``roots.chamber_orbit``, one per chamber, sorted."""
+    return tuple(s for s, _ in roots.chamber_orbit(r)[1])
 
 
 def family_roots(family, rk):
@@ -135,7 +140,7 @@ def test_unsupported():
 )
 def test_simple_set_counts_match_weyl_order(factors, count):
     r = sys(*factors)
-    sets = roots.enumerate_simple_root_sets(r)
+    sets = simple_sets(r)
     assert len(sets) == count == roots.weyl_order(r.spec)
     assert len(set(sets)) == len(sets)
 
@@ -151,7 +156,7 @@ def test_negation_bijection():
 def test_simple_sets_are_unimodular_bases():
     for factors in [(("A", 3),), (("B", 2),), (("C", 2),), (("D", 3),), (("G", 2),)]:
         r = sys(*factors)
-        for s in roots.enumerate_simple_root_sets(r):
+        for s in simple_sets(r):
             basis = tuple(r.mcoords[i] for i in s)
             assert abs(linalg.det(basis)) == 1
 
@@ -159,7 +164,7 @@ def test_simple_sets_are_unimodular_bases():
 def test_every_root_in_span_of_every_simple_set():
     for factors in [(("A", 2),), (("B", 2),), (("G", 2),)]:
         r = sys(*factors)
-        for s in roots.enumerate_simple_root_sets(r):
+        for s in simple_sets(r):
             exp = roots.simple_set_expansions(r, s)
             for x in exp:
                 assert all(v >= 0 for v in x) or all(v <= 0 for v in x)
@@ -217,7 +222,7 @@ def test_derived_system_roundtrip():
     r = sys(("A", 2))
     again = roots.root_system_from_roots(r.roots, r.ambient_dim)
     assert again.roots == r.roots
-    assert len(roots.enumerate_simple_root_sets(again)) == 6
+    assert len(simple_sets(again)) == 6
 
 
 def test_zero_root_is_refused_at_once():
@@ -234,3 +239,65 @@ def test_zero_root_is_refused_at_once():
                           timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "the zero vector is not a root\n", "")
+
+
+def reflection_table_by_vectors(r):
+    """table[a][b] = index of s_{root a}(root b), every pair reflected as
+    vectors: the oracle for the conjugation walk of ``roots.reflection_table``."""
+    idx = {v: i for i, v in enumerate(r.roots)}
+    return tuple(tuple(idx[linalg.vec_sub(vb, linalg.vec_scale(roots._pairing(vb, va), va))]
+                       for vb in r.roots)
+                 for va in r.roots)
+
+
+def orbit_closure_subsystems():
+    """The root subsystems of ``fans.orbit_closure`` for the rays and the
+    two-ray faces of a few chambers of B_3 and A_2 x B_2: derived systems with
+    no spec, and the empty system of a maximal cone."""
+    out = []
+    for factors in [(("B", 3),), (("A", 2), ("B", 2))]:
+        r = sys(*factors)
+        f = fans.weyl_chamber_fan(r)
+        for tau in [(i,) for i in range(len(f.rays))] + [c[:2] for c in f.max_cones[:8]] + [
+                f.max_cones[0]]:
+            out.append(fans.orbit_closure(r, f, tau).subsystem)
+    return out
+
+
+@pytest.mark.parametrize("factors", ORACLE_FACTORS + [None, "orbit"],
+                         ids=["x".join(f"{f}{k}" for f, k in fs) for fs in ORACLE_FACTORS]
+                         + ["derived-B3", "orbit-closures"])
+def test_reflection_table_equals_vector_reflections(factors):
+    if factors == "orbit":
+        systems = orbit_closure_subsystems()
+    elif factors is None:
+        systems = [roots.root_system_from_roots(sys(("B", 3)).roots, 3)]
+    else:
+        systems = [sys(*factors)]
+    for r in systems:
+        assert roots.reflection_table(r) == reflection_table_by_vectors(r)
+
+
+@pytest.mark.parametrize("factors", [(("A", 5),), (("B", 4),), (("G", 2), ("D", 4))],
+                         ids=["A5", "B4", "G2xD4"])
+def test_reflection_table_reflects_only_simple_roots(factors, monkeypatch):
+    """Only the n simple rows are reflections of vectors, n |Phi| pairings;
+    reflecting every pair would take |Phi|^2."""
+    r = sys(*factors)
+    calls = []
+    pairing = roots._pairing
+    monkeypatch.setattr(roots, "_pairing", lambda b, a: calls.append(1) or pairing(b, a))
+    table = roots.reflection_table.__wrapped__(r)
+    assert len(calls) <= r.rank * len(r.roots) < len(r.roots) ** 2
+    assert table == reflection_table_by_vectors(r)
+
+
+def test_reflection_table_keeps_the_refusal():
+    """A simple reflection that leaves the root set is refused, as when every
+    pair was reflected."""
+    a2 = sys(("A", 2))
+    kept = tuple(v for v in a2.roots if v not in ((1, 0, -1), (-1, 0, 1)))
+    broken = a2._replace(roots=kept,
+                         base_simple_set=tuple(map(kept.index, a2.root_lattice_basis)))
+    with pytest.raises(NotInSpan, match="left the root set"):
+        roots.reflection_table.__wrapped__(broken)
