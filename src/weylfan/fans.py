@@ -153,7 +153,8 @@ def _cone_dets(f):
 def check_complete(f):
     """Every max cone full-dimensional (det != 0, or ``linalg.rank`` when
     not simplicial), and every facet shared by exactly two max cones that
-    lie on opposite sides of it.
+    lie on opposite sides of it.  A fan with no max cones, not even the
+    zero cone, covers nothing and is not complete.
 
     The check is local: a fan that winds around twice passes, such as the
     rank-2 fan on the rays (1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3) with
@@ -168,7 +169,7 @@ def check_complete(f):
             if seen is not None and seen + side:   # the same side twice, or a third cone
                 return False
             sides[facet] = side if seen is None else 0
-    return not any(sides.values())
+    return bool(f.max_cones) and not any(sides.values())
 
 
 def check_smooth(f):

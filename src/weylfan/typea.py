@@ -11,7 +11,10 @@ codimension-m part.  The straightening relations rewrite any chain monomial
 into the basis indexed by permutation descent sets; the rewriting strictly
 increases a lexicographic sequence order, which forces termination.  The
 normal form is a linear map, memoized per chain: each chain is rewritten,
-and its rewrite checked to increase the order, once per n.
+and its rewrite checked to increase the order, once per n.  A product of
+two chain monomials is zero unless the factors form a chain; a squarefree
+product is its own chain monomial, and a square is first expanded over the
+subsets that survive next to the other copy.
 
 The chambers are the permutations pi of {1, ..., n+1}: the chamber of pi is
 spanned by the rays of its prefix sets {pi_1, ..., pi_t}, and a wall swaps
@@ -46,12 +49,9 @@ def full_mask(n):
 
 def members(mask):
     out = []
-    k = 1
     while mask:
-        if mask & 1:
-            out.append(k)
-        mask >>= 1
-        k += 1
+        out.append((mask & -mask).bit_length())
+        mask &= mask - 1
     return tuple(out)
 
 
@@ -85,13 +85,13 @@ def subset_ray(mask, n):
     )
 
 
-def _submasks_strictly_between(lower, upper):
-    """All masks B with lower < B < upper in the subset order."""
-    gap = upper & ~lower
-    sub = (gap - 1) & gap
+def _submasks(gap):
+    """Every submask of gap, from gap itself down to 0."""
+    sub = gap
     while sub:
-        yield lower | sub
+        yield sub
         sub = (sub - 1) & gap
+    yield 0
 
 
 def _prefix_masks(labels, acc=0):
@@ -109,9 +109,11 @@ def _subset_rays(n):
 
 
 def _subset_fan(n, mask_cones):
-    """The fan on the rays v_A, with cones given as iterables of masks."""
+    """The fan on the rays v_A, with cones given as iterables of masks; at
+    n = 0 there is no proper nonempty subset, and the fan is the zero cone."""
     from .fans import make_fan
-    return make_fan(n, _subset_rays(n), (tuple(a - 1 for a in cone) for cone in mask_cones))
+    cones = [tuple(a - 1 for a in cone) for cone in mask_cones] if n else [()]
+    return make_fan(n, _subset_rays(n), cones)
 
 
 def surjection_count(m, t):
@@ -204,10 +206,11 @@ def descent_basis(n):
 
 def _straightening_terms(lower, upper, old, i_bit, j_bit):
     """The (B, sign) of the straightening relation that replaces ``old``
-    between ``lower`` and ``upper``: old = sum(sign * B) over the B strictly
-    between them, other than old, that contain exactly one of the witnesses;
-    the sign is -1 when B contains i, +1 when it contains j."""
-    for b in _submasks_strictly_between(lower, upper):
+    between ``lower`` and ``upper``: old = sum(sign * B) over the B between
+    them, other than old, that contain exactly one of the witnesses (so not
+    lower or upper); the sign is -1 when B contains i, +1 when it contains j."""
+    for s in _submasks(upper & ~lower):
+        b = lower | s
         if b != old and bool(b & i_bit) != bool(b & j_bit):
             yield b, 1 if b & j_bit else -1
 
@@ -301,59 +304,52 @@ def reduce_to_basis(terms, n):
     return {b: c for b, c in out.items() if c}
 
 
-def _comparable(a, b):
-    return (a & ~b) == 0 or (b & ~a) == 0
-
-
-def _size_sorted(masks):
-    """The masks sorted by size, then value: a multiset of subsets is a
-    chain (with repeats) iff each one contains the one before it."""
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
-
-
 def _expand_squares(mult, n):
-    """Express a multiset of pairwise comparable subsets (multiplicity <= 2)
-    as a combination of squarefree chain monomials, eliminating duplicates
-    through straightening relations.  Returns {chain: coeff}."""
+    """Express a size-sorted multiset of pairwise comparable subsets, each
+    at most twice, as a combination of squarefree chains: {chain: coeff}.
+
+    The first repeat A, with neighbours L < A < U (the empty and the full set
+    at the ends), is straightened with the witnesses i = min(A - L) and
+    j = min(U - A) (``_straightening_terms``).  Only the terms B comparable
+    with the other copy of A survive, each with sign -1 and new to the chain:
+    B = L+i+s for s a proper subset of A-L-i, and B = A+s for s a nonempty
+    subset of U-A-j.  So each recursion removes one square.
+    """
     dup = next((a for a, b in zip(mult, mult[1:]) if a == b), None)
     if dup is None:
         return {mult: 1}
-    distinct = _size_sorted(set(mult))
-    pos = distinct.index(dup)
-    lower = distinct[pos - 1] if pos else 0
-    upper = distinct[pos + 1] if pos + 1 < len(distinct) else full_mask(n)
-    i_bit = (dup & ~lower) & -(dup & ~lower)
-    j_gap = upper & ~dup
-    j_bit = j_gap & -j_gap
-    remainder = list(mult)
-    remainder.remove(dup)
+    pos = mult.index(dup)
+    head, tail = mult[:pos], mult[pos + 2:]
+    low = dup & ~(head[-1] if head else 0)
+    high = (tail[0] if tail else full_mask(n)) & ~dup
+    low, high = low & (low - 1), high & (high - 1)   # A-L-i and U-A-j
+    terms = [head + ((dup ^ low) | s, dup) + tail for s in _submasks(low) if s != low]
+    terms += [head + (dup, dup | s) + tail for s in _submasks(high) if s]
     out = {}
-    for b, sign in _straightening_terms(lower, upper, dup, i_bit, j_bit):
-        if any(not _comparable(b, x) for x in remainder):
-            continue
-        new_mult = _size_sorted(remainder + [b])
-        for c, s in _expand_squares(new_mult, n).items():
-            v = out.get(c, 0) + sign * s
-            if v:
-                out[c] = v
-            elif c in out:
-                del out[c]
-    return out
+    for new_mult in terms:
+        for c, v in _expand_squares(new_mult, n).items():
+            out[c] = out.get(c, 0) - v
+    return {c: v for c, v in out.items() if v}
 
 
 def multiply(a, b, n):
     """Product of two chain monomials, reduced to the descent basis.
 
     Zero when the merged factors are not a chain: most products fail on a
-    pair x in a, y in b before any sort, the rest on two neighbours sorted
-    by size.  Squares are straightened away before the final reduction.
+    pair x in a, y in b, the rest on two neighbours sorted by size (sizes
+    strictly increase along a chain).  A squarefree product is a chain and
+    the answer is its normal form; squares are first straightened away.
     """
     _check_n(n)
-    if any(x & ~y and y & ~x for x in a for y in b):
-        return {}
-    mult = _size_sorted(tuple(a) + tuple(b))
+    for x in a:
+        for y in b:
+            if x & ~y and y & ~x:
+                return {}
+    mult = tuple(sorted((*a, *b), key=int.bit_count))
     if any(x & ~y for x, y in zip(mult, mult[1:])):
         return {}
+    if len(set(mult)) == len(mult):
+        return dict(_normal_form(mult, n))
     return reduce_to_basis(_expand_squares(mult, n), n)
 
 
@@ -372,7 +368,7 @@ def _incomparable_pairs(n):
     _check_n(n)
     full = full_mask(n)
     return tuple((a, b) for a in range(1, full) for b in range(a + 1, full)
-                 if not _comparable(a, b))
+                 if a & ~b and b & ~a)
 
 
 def primitive_collections(n):
@@ -398,17 +394,16 @@ def primitive_collections(n):
     return tuple(out)
 
 
-def _coeff(coeffs, mask, n):
-    if mask == 0 or mask == full_mask(n):
-        return 0
-    return coeffs.get(mask, 0)
+def _coeff_list(coeffs, n):
+    """a_A for every mask A, read once from coeffs: a of the empty and the
+    full set is 0, and the keys outside 1..full-1 are ignored."""
+    return [0, *(coeffs.get(m, 0) for m in range(1, full_mask(n))), 0]
 
 
 def _pairwise_margins(coeffs, n):
-    """a_A + a_A' - a_{A∩A'} - a_{A∪A'} over every incomparable pair (with
-    a of the empty and full set equal to 0), lazily."""
-    a = lambda mask: _coeff(coeffs, mask, n)
-    return (a(x) + a(y) - a(x & y) - a(x | y) for x, y in _incomparable_pairs(n))
+    """a_A + a_A' - a_{A∩A'} - a_{A∪A'} over every incomparable pair, lazily."""
+    a = _coeff_list(coeffs, n)
+    return (a[x] + a[y] - a[x & y] - a[x | y] for x, y in _incomparable_pairs(n))
 
 
 def is_nef(coeffs, n):
@@ -439,9 +434,9 @@ def nef_oracle(coeffs, n):
     C(n+1, 2) 2^(n-1) inequalities, one per square.
     """
     _check_n(n)
-    a = lambda mask: _coeff(coeffs, mask, n)
+    a = _coeff_list(coeffs, n)
     bits = [1 << k for k in range(n + 1)]
-    return all(a(b | i) + a(b | j) >= a(b) + a(b | i | j)
+    return all(a[b | i] + a[b | j] >= a[b] + a[b | i | j]
                for b in range(full_mask(n))
                for i, j in combinations([k for k in bits if not b & k], 2))
 
@@ -601,7 +596,7 @@ def sigma_delta_fan(n):
     """The normal fan of the root polytope: cones of all subsets nested
     between a singleton and a co-singleton."""
     _check_n(n)
-    return _subset_fan(n, ({b1, b2, *_submasks_strictly_between(b1, b2)}
+    return _subset_fan(n, ({b1 | s for s in _submasks(b2 & ~b1)}
                            for b1, b2 in _singleton_cosingletons(n)))
 
 

@@ -246,6 +246,9 @@ def test_typea_verbs(capsys):
     crepant = out
     out = run_json(["fan", "--type", "A", "--rank", "3"], capsys)
     assert crepant == out
+    # n = 0: one chamber, the zero cone, as betti [1] and basis [[]] say
+    for verb in ("sigma-delta", "crepant"):
+        assert run_json([verb, "--n", "0"], capsys) == {"rank": 0, "rays": [], "max_cones": [[]]}
 
 
 # Literal stdout of `polytope --n 2` and of `nef`/`ample` on the

@@ -149,6 +149,14 @@ def test_check_complete_rejects_a_degenerate_cone():
     assert fans.check_complete(square) and fans.check_smooth(square)
 
 
+def test_check_complete_needs_a_max_cone():
+    """A fan with no max cones covers nothing, with or without rays; the
+    rank-0 fan of the zero cone alone is complete."""
+    assert not fans.check_complete(fans.make_fan(2, [], []))
+    assert not fans.check_complete(fans.make_fan(2, [(1, 0), (0, 1)], []))
+    assert fans.check_complete(fans.make_fan(0, [], [()]))
+
+
 def test_check_complete_rejects_overlapping_cones():
     """Three unimodular cones in the first quadrant, each ray a facet of two
     of them: the two cones on the ray (1, 0) both lie above it."""

@@ -187,19 +187,76 @@ def test_reduce_lands_in_basis_and_confluence(n):
             assert randomized == canonical
 
 
+def comparable(a, b):
+    return (a & ~b) == 0 or (b & ~a) == 0
+
+
+def size_sorted(masks):
+    """Sorted by size, then value: a multiset of subsets is a chain (with
+    repeats) iff each one contains the one before it."""
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+
+
+def expand_squares_by_filter(mult, n):
+    """Oracle for ``typea._expand_squares``: straighten the first repeat over
+    every B strictly between its distinct neighbours, then drop each B that
+    is not comparable with the rest of the multiset."""
+    dup = next((a for a, b in zip(mult, mult[1:]) if a == b), None)
+    if dup is None:
+        return {mult: 1}
+    distinct = size_sorted(set(mult))
+    pos = distinct.index(dup)
+    lower = distinct[pos - 1] if pos else 0
+    upper = distinct[pos + 1] if pos + 1 < len(distinct) else typea.full_mask(n)
+    i_bit = (dup & ~lower) & -(dup & ~lower)
+    j_bit = (upper & ~dup) & -(upper & ~dup)
+    remainder = list(mult)
+    remainder.remove(dup)
+    out = {}
+    for b, sign in typea._straightening_terms(lower, upper, dup, i_bit, j_bit):
+        if all(comparable(b, x) for x in remainder):
+            for c, s in expand_squares_by_filter(size_sorted(remainder + [b]), n).items():
+                out[c] = out.get(c, 0) + sign * s
+    return {c: v for c, v in out.items() if v}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_products_of_basis_monomials_match_the_oracle(n):
     """multiply against the random-position worklist on every product of two
-    descent monomials, with chain-ness tested pairwise."""
+    descent monomials, with chain-ness tested pairwise; the expansion of
+    every square (two squares and more for n >= 2) against the filter."""
     rng = random.Random(200 + n)
     basis = typea.descent_basis(n)
     for a, b in product(basis, repeat=2):
-        mult = tuple(sorted(a + b, key=lambda m: (bin(m).count("1"), m)))
-        if all(typea._comparable(x, y) for x, y in combinations(set(mult), 2)):
-            expected = random_position_reduce(typea._expand_squares(mult, n), n, rng)
+        mult = size_sorted(a + b)
+        if all(comparable(x, y) for x, y in combinations(set(mult), 2)):
+            expanded = expand_squares_by_filter(mult, n)
+            assert typea._expand_squares(mult, n) == expanded
+            expected = random_position_reduce(expanded, n, rng)
         else:
             expected = {}
         assert typea.multiply(a, b, n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_multiply_by_a_divisor_matches_the_generic_path(n):
+    """Every product of a descent monomial with a boundary divisor, the
+    traffic of (-K)^n: multiply (the squarefree fast path, and the
+    surviving-subset expansion of a square) against reduce_to_basis of the
+    filter-based expansion, which takes the same route for both."""
+    squares = 0
+    for a in typea.descent_basis(n):
+        for d in range(1, typea.full_mask(n)):
+            mult = size_sorted(a + (d,))
+            expected = {}
+            if all(comparable(x, y) for x, y in combinations(set(mult), 2)):
+                expanded = expand_squares_by_filter(mult, n)
+                if d in a:
+                    squares += 1
+                    assert typea._expand_squares(mult, n) == expanded
+                expected = typea.reduce_to_basis(expanded, n)
+            assert typea.multiply(a, (d,), n) == expected
+    assert squares == n * factorial(n + 1) // 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -290,7 +347,7 @@ def relation_generators(n):
                     j_bit = 1 << (gapset[aj] - 1)
                     vec = [0] * len(chains)
                     touched = False
-                    for b in typea._submasks_strictly_between(lower, upper):
+                    for b in (lower | s for s in typea._submasks(upper & ~lower)):
                         has_i, has_j = bool(b & i_bit), bool(b & j_bit)
                         if has_i == has_j:
                             continue
@@ -416,7 +473,21 @@ def test_nef_ample_examples():
     assert not typea.nef_oracle(bad, 2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_divisor_checks_ignore_keys_outside_the_proper_subsets():
+    """a of the empty and the full set is 0, whatever coeffs holds there, and
+    keys above full or negative are ignored (a negative key must not wrap
+    round a list index): adding any of them changes no answer."""
+    n = 2
+    full = typea.full_mask(n)
+    checks = (typea.is_nef, typea.is_ample, typea.nef_oracle)
+    for coeffs in (anticanonical(n), {typea.mask_of([1]): -1}, {}):
+        want = [check(coeffs, n) for check in checks]
+        for extra in ({0: 9}, {0: -9}, {full: 9}, {full: -9}, {full + 1: -9},
+                      {2 * full: 9}, {-1: -9}, {-full: 9}, {0: 5, full: 5, -1: 5}):
+            assert [check({**coeffs, **extra}, n) for check in checks] == want, extra
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_nef_matches_oracle_random(n):
     rng = random.Random(40 + n)
     full = typea.full_mask(n)
@@ -592,6 +663,9 @@ def test_delta_polytope(n, verts, pts):
 
 
 def test_sigma_delta_and_crepant():
+    for f in (typea.sigma_delta_fan(0), typea.crepant_subdivision(0)):
+        assert f == fans.make_fan(0, [], [()])
+        assert fans.check_complete(f) and fans.check_smooth(f)
     assert typea.sigma_delta_fan(2) == chain_fan(2)
     assert fans.check_smooth(typea.sigma_delta_fan(2))
     f3 = typea.sigma_delta_fan(3)
