@@ -395,8 +395,9 @@ def primitive_collections(n):
 
 
 def _coeff_list(coeffs, n):
-    """a_A for every mask A, read once from coeffs: a of the empty and the
-    full set is 0, and the keys outside 1..full-1 are ignored."""
+    """a_A for every mask A, once n is checked (2^(n+1) entries): a of the
+    empty and the full set is 0, and the keys outside 1..full-1 are ignored."""
+    _check_n(n)
     return [0, *(coeffs.get(m, 0) for m in range(1, full_mask(n))), 0]
 
 
@@ -433,7 +434,6 @@ def nef_oracle(coeffs, n):
     the chamber of a permutation that starts with B, then i, j.  That is
     C(n+1, 2) 2^(n-1) inequalities, one per square.
     """
-    _check_n(n)
     a = _coeff_list(coeffs, n)
     bits = [1 << k for k in range(n + 1)]
     return all(a[b | i] + a[b | j] >= a[b] + a[b | i | j]

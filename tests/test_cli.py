@@ -173,6 +173,14 @@ def test_error_object_and_codes(capsys):
     assert "error" in out
 
 
+@pytest.mark.parametrize("verb", ["nef", "ample"])
+def test_divisor_verbs_refuse_a_wide_n_with_an_empty_divisor(verb, capsys):
+    """An empty divisor has no subset to check n by: n itself is checked
+    before a coefficient list of 2^(n+1) entries is built."""
+    argv = [verb, "--n", "100", "--divisor-json", '{"coeffs": []}']
+    assert run_json(argv, capsys, expect_code=1)["error"] == "InvalidInput"
+
+
 @pytest.mark.parametrize("argv", [
     ["fan", "--type", "G", "--rank", "5"],
     ["fan", "--type", "A", "--rank", "2", "--factors", '[{"family":"B","rank":2}]'],

@@ -220,43 +220,36 @@ def expand_squares_by_filter(mult, n):
     return {c: v for c, v in out.items() if v}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_products_of_basis_monomials_match_the_oracle(n):
-    """multiply against the random-position worklist on every product of two
-    descent monomials, with chain-ness tested pairwise; the expansion of
-    every square (two squares and more for n >= 2) against the filter."""
+def boundary_divisors(n):
+    return [(d,) for d in range(1, typea.full_mask(n))]
+
+
+@pytest.mark.parametrize("n,factors", [
+    *(pytest.param(n, "basis", id=str(n)) for n in (1, 2, 3)),
+    *(pytest.param(n, "divisors", id=f"divisors-{n}") for n in (1, 2, 3, 4, 5)),
+])
+def test_products_of_basis_monomials_match_the_oracle(n, factors):
+    """multiply against the random-position worklist on every product of a
+    descent monomial with a second factor, with chain-ness tested pairwise,
+    and the expansion of every square against the filter.  The second
+    factor is a descent monomial (two squares and more for n >= 2) or a
+    boundary divisor, the traffic of (-K)^n: there each of the
+    n (n+1)! / 2 squares is one subset of a descent chain taken twice."""
     rng = random.Random(200 + n)
     basis = typea.descent_basis(n)
-    for a, b in product(basis, repeat=2):
+    squares = 0
+    for a, b in product(basis, basis if factors == "basis" else boundary_divisors(n)):
         mult = size_sorted(a + b)
         if all(comparable(x, y) for x, y in combinations(set(mult), 2)):
             expanded = expand_squares_by_filter(mult, n)
+            squares += len(set(mult)) < len(mult)
             assert typea._expand_squares(mult, n) == expanded
             expected = random_position_reduce(expanded, n, rng)
         else:
             expected = {}
         assert typea.multiply(a, b, n) == expected
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_multiply_by_a_divisor_matches_the_generic_path(n):
-    """Every product of a descent monomial with a boundary divisor, the
-    traffic of (-K)^n: multiply (the squarefree fast path, and the
-    surviving-subset expansion of a square) against reduce_to_basis of the
-    filter-based expansion, which takes the same route for both."""
-    squares = 0
-    for a in typea.descent_basis(n):
-        for d in range(1, typea.full_mask(n)):
-            mult = size_sorted(a + (d,))
-            expected = {}
-            if all(comparable(x, y) for x, y in combinations(set(mult), 2)):
-                expanded = expand_squares_by_filter(mult, n)
-                if d in a:
-                    squares += 1
-                    assert typea._expand_squares(mult, n) == expanded
-                expected = typea.reduce_to_basis(expanded, n)
-            assert typea.multiply(a, (d,), n) == expected
-    assert squares == n * factorial(n + 1) // 2
+    if factors == "divisors":
+        assert squares == n * factorial(n + 1) // 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -485,6 +478,15 @@ def test_divisor_checks_ignore_keys_outside_the_proper_subsets():
         for extra in ({0: 9}, {0: -9}, {full: 9}, {full: -9}, {full + 1: -9},
                       {2 * full: 9}, {-1: -9}, {-full: 9}, {0: 5, full: 5, -1: 5}):
             assert [check({**coeffs, **extra}, n) for check in checks] == want, extra
+
+
+def test_divisor_checks_refuse_n_out_of_range_before_any_work():
+    """The coefficient list has 2^(n+1) entries, so n is checked before it is
+    built, also for an empty divisor, which has no key to check n by."""
+    for n in (typea.MAX_MEMBERS, 100, -2):
+        for check in (typea.is_nef, typea.is_ample, typea.nef_oracle):
+            with pytest.raises(ValueError):
+                check({}, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
