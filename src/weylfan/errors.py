@@ -15,10 +15,6 @@ class WeylFanError(Exception):
         self.detail = detail
 
 
-class NotUnimodular(WeylFanError):
-    code = "NotUnimodular"
-
-
 class UnsupportedFamily(WeylFanError):
     code = "UnsupportedFamily"
 

@@ -19,8 +19,6 @@ Conventions:
 
 from math import gcd
 
-from .errors import NotUnimodular
-
 
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b, strict=True))
@@ -175,20 +173,6 @@ def det(m):
                     row[j] = row[j] * p // prev
         prev = p
     return sign * a[n - 1][n - 1]
-
-
-def int_inverse(b):
-    """Exact inverse of a unimodular integer matrix (integer entries).
-
-    Raises NotUnimodular when b is not square or |det b| != 1.
-    """
-    n = len(b)
-    if any(len(row) != n for row in b):
-        raise NotUnimodular("matrix is not square")
-    h, u = hermite_normal_form(b)
-    if h != identity_matrix(n):
-        raise NotUnimodular(f"determinant {det(b)} is not ±1")
-    return u
 
 
 def solve_left(basis, targets):

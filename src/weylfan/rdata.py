@@ -133,22 +133,21 @@ def validate_rdata(r, d):
     """List of additive triples (i, j, k) whose identity fails; empty = ok.
 
     For every triple root_k = root_i + root_j the cross-multiplied identity
-    t_i t_j t_{-k} = t_{-i} t_{-j} t_k must hold exactly.
+    t_i t_j t_{-k} = t_{-i} t_{-j} t_k must hold exactly.  Each root's ratio
+    is read from one pair of lists indexed by root, built once from
+    ``d.ratios``: an entry (num : den) for a also gives (den : num) for -a,
+    unless d holds -a itself, whose own entry wins, as in ``ratio_for``.
+    The identity is homogeneous in each ratio, so the swapped pair needs no
+    normalizing.
     """
     _require_all_pairs(r, d)
-    cache = {}
-
-    def tpair(i):
-        if i not in cache:
-            cache[i] = ratio_for(r, d, i)
-        return cache[i]
-
-    bad = []
-    for (i, j, k) in rootsmod.additive_triples(r):
-        ti, tj, tk = tpair(i), tpair(j), tpair(k)
-        if ti.num * tj.num * tk.den != ti.den * tj.den * tk.num:
-            bad.append((i, j, k))
-    return bad
+    num, den = [0] * len(r.roots), [0] * len(r.roots)
+    for i, t in d.ratios:
+        num[r.neg[i]], den[r.neg[i]] = t.den, t.num
+    for i, t in d.ratios:
+        num[i], den[i] = t
+    return [(i, j, k) for i, j, k in rootsmod.additive_triples(r)
+            if num[i] * num[j] * den[k] != den[i] * den[j] * num[k]]
 
 
 class ChartPoint(NamedTuple):
@@ -264,6 +263,9 @@ def chart_point_to_json(r, p):
 
 def chart_point_from_json(r, obj):
     chart = tuple(r.root_index(tuple(v)) for v in obj["chart"])
+    if len(set(chart)) != len(chart):
+        twice = next(a for a in chart if chart.count(a) > 1)
+        raise ValueError(f"the chart root {list(r.roots[twice])} is given twice")
     order = sorted(range(len(chart)), key=lambda t: chart[t])
     coords = [_exact(x) for x in obj["coords"]]
     if len(chart) != r.rank or len(coords) != r.rank:

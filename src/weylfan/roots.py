@@ -20,7 +20,10 @@ the others (the contragredient action of W on N, Humphreys section 1.12).
 matrix inverse of its own.  Finding one chamber with a property never needs
 the whole orbit: ``descend`` walks from the base chamber, reflecting in a
 simple root on the wrong side, in at most |Phi+| steps.  It finds the chart
-of a point (``rdata``) and the face containing a vector (``fans``).
+of a point (``rdata``) and the face containing a vector (``fans``).  The
+same walk run backwards expands every root in a chart's simple roots
+(``simple_set_expansions``): reflecting the chart back to the base gives
+u in W with u(chart) = Delta, and u(beta)'s mcoords are beta's coefficients.
 ``RootSystemSpec`` and ``RootSystem`` are NamedTuples: immutable, and equal
 to any tuple with the same fields.
 """
@@ -310,17 +313,29 @@ def simple_set_expansions(r, s):
     """Expansion table of every root in the simple set ``s``.
 
     Returns a tuple of integer coefficient vectors, one per root, in the
-    order of ``s``.  Raises NotUnimodular/NotInSpan on corrupted input.
+    order of ``s``.  No matrix is inverted: S = s walks back to the base,
+    in its given order.  While some a in S is negative, S becomes s_a(S);
+    s_a permutes the positive roots of S other than a and sends a to -a, so
+    each step removes one negative root from them, and a simple set w(Delta)
+    reaches the base set within |Phi+| steps.  The walk gives u in W with
+    u(S) = Delta, so beta = sum_j c_j S[j] has u(beta) = sum_j c_j u(S[j]),
+    and c_j is the mcoords entry of u(beta) at the simple root u(S[j]).
+    Any other set of roots (mixed-sign, singular or repeated) does not reach
+    the base set, and raises NotInSpan.
     """
-    basis = tuple(r.mcoords[i] for i in s)
-    inv = linalg.int_inverse(basis)
-    out = []
-    for c in r.mcoords:
-        x = linalg.vec_matmul(c, inv)
-        if not (all(v >= 0 for v in x) or all(v <= 0 for v in x)):
-            raise NotInSpan(f"mixed-sign expansion in chart {s}")
-        out.append(x)
-    return tuple(out)
+    table = reflection_table(r)
+    positive = set(r.positive)
+    t, u = s, range(len(r.roots))  # u[b] = index of u(root b)
+    for _ in range(len(r.positive)):
+        a = next((a for a in t if a not in positive), None)
+        if a is None:
+            break
+        row = table[a]
+        t, u = tuple(row[b] for b in t), [row[b] for b in u]
+    if sorted(t) != sorted(r.base_simple_set):
+        raise NotInSpan(f"the roots {[list(r.roots[a]) for a in s]} are not a simple set")
+    ks = [r.base_simple_set.index(a) for a in t]
+    return tuple(tuple(r.mcoords[b][k] for k in ks) for b in u)
 
 
 @lru_cache(maxsize=None)

@@ -444,12 +444,37 @@ def test_missing_or_short_input_is_invalid_input(argv, flag, capsys):
     ["rdata", "to-point", "--type", "A", "--rank", "2", "--data-json",
      A2_DATA.replace("[0, 1, -1]", "[-1, 1, 0]")],
     ["lm", "extract", "--chain-json", CHAIN.replace('"i": 2', '"i": 1')],
-], ids=["same-root", "root-and-negative", "same-mark"])
+    ["rdata", "universal-at", "--type", "A", "--rank", "2", "--point-json",
+     json.dumps({"chart": [[1, -1, 0], [1, -1, 0]], "coords": ["1", "2"]})],
+], ids=["same-root", "root-and-negative", "same-mark", "same-chart-root"])
 def test_duplicate_entry_is_invalid_input(argv, capsys):
-    """A pair or a mark given twice is refused, not resolved by the later one."""
+    """A pair, a mark or a chart root given twice is refused, not resolved
+    by the later one."""
     out = run_json(argv, capsys, expect_code=1)
     assert out["error"] == "InvalidInput"
     assert "twice" in out["detail"]
+
+
+@pytest.mark.parametrize("rank, chart, error, detail", [
+    (2, [[1, -1, 0], [1, 0, -1]], "NotInSpan",
+     "the roots [[1, -1, 0], [1, 0, -1]] are not a simple set"),
+    (2, [[-1, 1, 0], [1, -1, 0]], "NotInSpan",
+     "the roots [[-1, 1, 0], [1, -1, 0]] are not a simple set"),
+    (3, [[0, 1, -1, 0], [1, -1, 0, 0], [1, 0, -1, 0]], "NotInSpan",
+     "the roots [[0, 1, -1, 0], [1, -1, 0, 0], [1, 0, -1, 0]] are not a simple set"),
+    (2, [[0, 1, -1], [0, 1, -1]], "InvalidInput", "the chart root [0, 1, -1] is given twice"),
+], ids=["mixed-sign", "singular", "singular-A3", "repeated"])
+def test_a_chart_that_is_not_a_simple_set_is_refused(rank, chart, error, detail):
+    """A new process exits 1 with one error object and no traceback.  The
+    detail names the chart's root vectors, in the lex order a chart is kept
+    in, not root indices."""
+    point = json.dumps({"chart": chart, "coords": ["1"] * rank})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "weylfan.cli", "rdata", "universal-at",
+                           "--type", "A", "--rank", str(rank), "--point-json", point],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout) == {"error": error, "detail": detail}
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from test_linalg import dual_basis, int_inverse
 from weylfan import fans, linalg, roots, typea
 from weylfan.errors import NotInSpan, NotRootSpan
 
@@ -83,13 +84,6 @@ def test_h_vector_is_descent_distribution(factors):
     assert h == descents
     assert sum(h) == roots.weyl_order(r.spec) and h == h[::-1]
     assert fans.check_complete(f) and fans.check_smooth(f)
-
-
-def dual_basis(b):
-    """For a square unimodular b, the matrix d with b * d^T = identity: the
-    dual basis of the rows of b, found by an HNF inverse.  The oracle for the
-    rays that ``roots.chamber_orbit`` carries along by wall-crossing."""
-    return linalg.transpose(linalg.int_inverse(b))
 
 
 def breadth_first_orbit(r):
@@ -234,7 +228,7 @@ def _cone_inverses(f):
         if len(mat) != f.lattice_rank or abs(linalg.det(mat)) != 1:
             out.append(None)
         else:
-            out.append(linalg.int_inverse(mat))
+            out.append(int_inverse(mat))
     return tuple(out)
 
 

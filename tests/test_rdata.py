@@ -74,6 +74,13 @@ def test_chart_point_refuses_boolean_coordinates():
         rdata.chart_point_from_json(r, {"chart": chart, "coords": [True, "1"]})
 
 
+def test_chart_point_refuses_a_root_given_twice():
+    """A repeated chart root is invalid input, named by its vector."""
+    r = sys(("A", 2))
+    with pytest.raises(ValueError, match=r"chart root \[1, -1, 0\] is given twice"):
+        rdata.chart_point_from_json(r, {"chart": [[1, -1, 0], [1, -1, 0]], "coords": ["1", "2"]})
+
+
 INTS = st.integers(-10**6, 10**6)
 RATIOS = st.tuples(INTS, INTS).filter(lambda p: p != (0, 0))
 
@@ -132,6 +139,57 @@ def test_validate_examples():
     a1 = sys(("A", 1))
     pos = a1.positive[0]
     assert rdata.validate_rdata(a1, RData.of({pos: ProjectiveRatio.of(5, 3)})) == []
+
+
+def violated_by_ratio_for(r, d):
+    """The triples whose identity fails, each ratio read by ``ratio_for``:
+    the oracle for the list that ``validate_rdata`` reads."""
+    bad = []
+    for i, j, k in roots.additive_triples(r):
+        ti, tj, tk = (rdata.ratio_for(r, d, x) for x in (i, j, k))
+        if ti.num * tj.num * tk.den != ti.den * tj.den * tk.num:
+            bad.append((i, j, k))
+    return bad
+
+
+def test_validate_reads_a_root_before_its_negative():
+    """When d holds both a and -a, triples through -a read the entry of -a,
+    as ``ratio_for`` does, not the swapped entry of a."""
+    r = sys(("A", 2))
+    alpha, beta, gamma = a2_pairs(r)
+    good = {alpha: ProjectiveRatio.of(1, 1), beta: ProjectiveRatio.of(2, 1),
+            gamma: ProjectiveRatio.of(2, 1)}
+    assert rdata.validate_rdata(r, RData.of(good)) == []
+    d = RData.of({**good, r.neg[gamma]: ProjectiveRatio.of(1, 1)})
+    bad = rdata.validate_rdata(r, d)
+    assert bad == violated_by_ratio_for(r, d)
+    assert bad and all(r.neg[gamma] in triple for triple in bad)
+
+
+@pytest.mark.parametrize("factors", [(("A", 3),), (("B", 3),), (("G", 2),), (("A", 1), ("C", 2))],
+                         ids=["A3", "B3", "G2", "A1xC2"])
+def test_validate_equals_the_ratio_for_oracle(factors):
+    """Chart points, then the same with one ratio changed, some pairs keyed
+    by the negative root, and some negative roots given a second ratio of
+    their own that need not agree."""
+    r = sys(*factors)
+    rng = random.Random(2718)
+    ratios = [ProjectiveRatio.of(x, y) for x in range(-3, 4) for y in range(4) if x or y]
+    outcomes = set()
+    for _ in range(80):
+        d = rdata.universal_rdata_at(r, random_chart_point(r, rng)).as_dict()
+        if rng.random() < 0.5:
+            d[rng.choice(r.positive)] = rng.choice(ratios)
+        for i in r.positive:
+            if rng.random() < 0.2:
+                d[r.neg[i]] = d.pop(i).swap()
+            elif rng.random() < 0.2:
+                d[r.neg[i]] = rng.choice(ratios)
+        d = RData.of(d)
+        bad = rdata.validate_rdata(r, d)
+        assert bad == violated_by_ratio_for(r, d)
+        outcomes.add(bool(bad))
+    assert outcomes == {False, True}
 
 
 def test_validate_missing_pair():

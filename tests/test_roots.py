@@ -1,10 +1,12 @@
 import os
+import random
 import subprocess
 from pathlib import Path
 from sys import executable
 
 import pytest
 
+from test_linalg import int_inverse
 from weylfan import fans, linalg, roots
 from weylfan.errors import NotInSpan, UnsupportedFamily
 
@@ -189,6 +191,66 @@ def test_positive_root_expansion_examples():
     coeffs = dict(zip(s, exp))
     assert coeffs[b.root_index((1, -1))] == 1
     assert coeffs[b.root_index((0, 1))] == 2
+
+
+def expansions_by_inverse(r, s):
+    """Every root's coefficients on the roots s, from the inverse of their
+    mcoords matrix; ValueError when that matrix is not unimodular or a root
+    has a mixed-sign expansion.  The oracle for
+    ``roots.simple_set_expansions``."""
+    inv = int_inverse(tuple(r.mcoords[i] for i in s))
+    out = tuple(linalg.vec_matmul(c, inv) for c in r.mcoords)
+    if any(min(x) < 0 < max(x) for x in out):
+        raise ValueError(f"mixed-sign expansion in {s}")
+    return out
+
+
+EXPANSION_FACTORS = [(("A", 3),), (("B", 3),), (("C", 3),), (("D", 4),), (("G", 2),),
+                     (("A", 1), ("B", 2))]
+EXPANSION_IDS = ["x".join(f"{f}{k}" for f, k in fs) for fs in EXPANSION_FACTORS]
+
+
+@pytest.mark.parametrize("factors", EXPANSION_FACTORS, ids=EXPANSION_IDS)
+def test_expansions_equal_the_inverse_oracle_on_every_chamber(factors):
+    """Sorted and reversed: the walk back to the base keeps the order of s."""
+    r = sys(*factors)
+    for s in simple_sets(r):
+        for t in (s, s[::-1]):
+            assert roots.simple_set_expansions(r, t) == expansions_by_inverse(r, t), t
+
+
+@pytest.mark.parametrize("factors", EXPANSION_FACTORS + [(("A", 2),), (("B", 2),)],
+                         ids=EXPANSION_IDS + ["A2", "B2"])
+def test_expansions_refuse_exactly_the_sets_the_oracle_refuses(factors):
+    """Random tuples of roots, repeats allowed, most of length n, and each
+    chamber's set in a random order with one root sometimes replaced: the
+    walk accepts a tuple exactly when the inverse oracle does, with the same
+    table.  Every kind of refusal occurs."""
+    r = sys(*factors)
+    rng = random.Random(1789)
+    chambers = simple_sets(r)
+    kinds = set()
+    for _ in range(600):
+        if rng.random() < 0.5:
+            s = list(rng.choice(chambers))
+            rng.shuffle(s)
+            if rng.random() < 0.5:
+                s[rng.randrange(r.rank)] = rng.randrange(len(r.roots))
+        else:
+            size = r.rank + rng.choice([0, 0, 0, 0, 0, 0, -1, 1])
+            s = [rng.randrange(len(r.roots)) for _ in range(size)]
+        s = tuple(s)
+        try:
+            want = expansions_by_inverse(r, s)
+        except ValueError as e:
+            kinds.add("repeated" if len(set(s)) < len(s)
+                      else "singular" if "determinant 0 " in str(e) else str(e).split()[0])
+            with pytest.raises(NotInSpan, match="are not a simple set"):
+                roots.simple_set_expansions(r, s)
+        else:
+            kinds.add("accepted")
+            assert roots.simple_set_expansions(r, s) == want, s
+    assert {"accepted", "repeated", "singular", "mixed-sign", "matrix"} <= kinds
 
 
 def test_additive_triples():

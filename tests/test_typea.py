@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from test_linalg import int_inverse
 from weylfan import fans, linalg, roots, typea
 from weylfan.errors import InternalCheckFailed
 
@@ -531,12 +532,12 @@ def shared_facets(n):
 @lru_cache(maxsize=None)
 def chamber_walls(n):
     """Per wall: the masks of the rays of the cone on one side, as the rows
-    of M, the transpose of M^-1 (``linalg.int_inverse``), and the mask of
+    of M, the transpose of M^-1 (``int_inverse``), and the mask of
     the opposite ray, the ray of the other cone off the shared facet."""
     walls = []
     for facet, (cone, other) in shared_facets(n).items():
         masks = tuple(sorted(cone))
-        inv = linalg.int_inverse(tuple(typea.subset_ray(a, n) for a in masks))
+        inv = int_inverse(tuple(typea.subset_ray(a, n) for a in masks))
         walls.append((masks, linalg.transpose(inv), next(iter(other - facet))))
     return walls
 
