@@ -275,6 +275,8 @@ def comb_type_over_cone(n, chain_masks):
 def _an_system(n):
     """A_n, and the index of its root u_i - u_j for each pair i < j; the
     base simple roots are u_t - u_{t+1}, so these are the positive roots."""
+    if n < 1:
+        raise ValueError("ratio data need at least two marks")
     r = rootsmod.build_root_system(rootsmod.RootSystemSpec.parse([("A", n)]))
     pair_root = {(i, j): r.root_index(_u_diff(i, j, n + 1))
                  for i in range(1, n + 2) for j in range(i + 1, n + 2)}

@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .errors import WeylFanError
+from .errors import ViolatedTriples, WeylFanError
 
 
 def _system_from_args(args):
@@ -161,7 +161,7 @@ def cmd_rdata(args):
             return {"ok": not bad,
                     "violations": [[list(r.roots[x]) for x in triple] for triple in bad]}
         if bad:
-            raise WeylFanError(f"{len(bad)} violated triple identities")
+            raise ViolatedTriples(f"{len(bad)} violated triple identities")
         return rdatamod.chart_point_to_json(r, rdatamod.rdata_to_point(r, d))
     if args.action == "universal-at":
         p = _payload(args, "--point-json", lambda obj: rdatamod.chart_point_from_json(r, obj))
@@ -258,13 +258,17 @@ def cmd_crepant(args):
 
 
 def _data_arg(args):
+    """(n, pair data) of ``--data-json``, refused unless valid ratio data."""
     from . import chains
     def parse(obj):
         if not obj["pairs"]:
             raise ValueError("--data-json has no pairs; the rank is read from the first root")
         n = len(obj["pairs"][0]["positive_root"]) - 1
         return n, chains.an_data_from_json(n, obj)
-    return _payload(args, "--data-json", parse)
+    n, data = _payload(args, "--data-json", parse)
+    if bad := chains.validate_an_data(n, data):
+        raise ViolatedTriples(f"{len(bad)} violated triple identities")
+    return n, data
 
 
 def cmd_lm(args):

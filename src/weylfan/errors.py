@@ -35,6 +35,10 @@ class MissingPair(WeylFanError):
     code = "MissingPair"
 
 
+class ViolatedTriples(WeylFanError):
+    code = "ViolatedTriples"
+
+
 class NoChartFound(WeylFanError):
     code = "NoChartFound"
 

@@ -12,8 +12,9 @@ and the fan is read off the ids.  The face containing a vector is found by
 descent from the base chamber (``chamber_face``), not by a scan of the
 chambers; the fan morphisms are built from it, and ``orbit_closure`` walks
 from it over the star of a cone only.  Completeness and smoothness share one
-Bareiss determinant per max cone, whose sign also gives the side of each
-facet (a sorted tuple of ray indices) on which the cone lies.
+Bareiss determinant per simplicial max cone, whose sign also gives the side
+of each facet (a sorted tuple of ray indices) on which the cone lies; other
+cones read their facets off their dual cones (``linalg.extreme_rays``).
 
 Cones are sorted tuples of ray indices; the empty tuple is the zero cone.
 Rays and max-cone lists are canonicalized (lexicographic) on construction,
@@ -109,36 +110,34 @@ def _chamber_and_face(r, v):
 
 
 def _cone_facets(f, cone, d):
-    """(facet, side) for each facet of a full-dimensional max cone with ray
-    determinant ``d`` (None if not simplicial).  A facet is the sorted tuple
-    of the cone's rays on it; the side is the sign of det(B, x), B the first
-    n-1 independent rays of the facet and x a ray of the cone off it.
+    """(facet, side) for each facet of a max cone with ray determinant ``d``
+    (None if not simplicial); None if the cone is not full-dimensional.  A
+    facet is the sorted tuple of the cone's rays on it, and two cones through
+    it lie on opposite sides iff their sides differ.
 
-    Simplicial cones: the (n-1)-subsets, with side sign(d) (-1)^(n-1-k) for
-    the ray at position k off the facet.  Otherwise the facets come from the
-    supporting hyperplanes spanned by n-1 of the generators.
+    Simplicial cones: the (n-1)-subsets F, with side sign det(F, x) = sign(d)
+    (-1)^(n-1-k) for the ray x at position k off F.  Otherwise each extreme
+    ray y of the dual cone (``linalg.extreme_rays`` on the cone's rays) is the
+    inward normal of the facet on the rays of its zero set.  On a facet F of
+    n-1 rays, sign det(F, y) = sign det(F, x) as above; a larger facet is
+    only shared by two non-simplicial cones, and its side is the sign of y's
+    first nonzero entry.
     """
     n = f.lattice_rank
     if d is not None:
         sign = 1 if d > 0 else -1
         return [(cone[:k] + cone[k + 1:], sign if (n - 1 - k) % 2 == 0 else -sign)
                 for k in range(n)]
-    from itertools import combinations
-
-    rays = [f.rays[i] for i in cone]
-    facets = {}
-    for sub in combinations(range(len(cone)), n - 1):
-        mat = tuple(rays[i] for i in sub)
-        kern = linalg.kernel_basis(linalg.transpose(mat))
-        if len(kern) != 1:
-            continue
-        vals = [linalg.vec_dot(ray, kern[0]) for ray in rays]
-        if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
-            on = tuple(cone[i] for i, x in enumerate(vals) if x == 0)
-            if on not in facets and linalg.rank(tuple(f.rays[i] for i in on)) == n - 1:
-                off = next(ray for ray, x in zip(rays, vals) if x)
-                facets[on] = 1 if linalg.det(mat + (off,)) > 0 else -1
-    return list(facets.items())
+    dual = linalg.extreme_rays([f.rays[i] for i in cone])
+    if dual is None:
+        return None
+    facets = []
+    for y, zeros in dual:
+        facet = tuple(i for k, i in enumerate(cone) if zeros >> k & 1)
+        side = linalg.det(tuple(f.rays[i] for i in facet) + (y,)) if len(facet) == n - 1 \
+            else next(x for x in y if x)
+        facets.append((facet, 1 if side > 0 else -1))
+    return facets
 
 
 @lru_cache(maxsize=None)
@@ -151,9 +150,9 @@ def _cone_dets(f):
 
 
 def check_complete(f):
-    """Every max cone full-dimensional (det != 0, or ``linalg.rank`` when
-    not simplicial), and every facet shared by exactly two max cones that
-    lie on opposite sides of it.  A fan with no max cones, not even the
+    """Every max cone full-dimensional (det != 0, or a pointed dual cone
+    when not simplicial), and every facet shared by exactly two max cones
+    that lie on opposite sides of it (``_cone_facets``).  A fan with no max cones, not even the
     zero cone, covers nothing and is not complete.
 
     The check is local: a fan that winds around twice passes, such as the
@@ -162,9 +161,9 @@ def check_complete(f):
     """
     sides = {}  # facet -> side of its first cone, 0 once a cone on the other side is met
     for cone, d in zip(f.max_cones, _cone_dets(f)):
-        if d == 0 or d is None and linalg.rank(tuple(f.rays[i] for i in cone)) != f.lattice_rank:
+        if d == 0 or (facets := _cone_facets(f, cone, d)) is None:
             return False
-        for facet, side in _cone_facets(f, cone, d):
+        for facet, side in facets:
             seen = sides.get(facet)
             if seen is not None and seen + side:   # the same side twice, or a third cone
                 return False

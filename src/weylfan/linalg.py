@@ -4,8 +4,10 @@ Vectors are tuples of Python ints, matrices are tuples of row vectors.
 Everything is arbitrary precision and immutable; no floats appear anywhere
 in this package, and Fractions only pass through the ``vec_*`` helpers.
 
-There are two eliminations.  ``hermite_normal_form`` serves the lattices
-and the integer solves (``solve_left``); Bareiss serves ``det``.
+There are two eliminations and one double description.
+``hermite_normal_form`` serves the lattices and the integer solves
+(``solve_left``); Bareiss serves ``det``; ``extreme_rays`` gives both the
+vertices of a polytope from its facets and the facets of a cone from its rays.
 
 Conventions:
 
@@ -203,8 +205,58 @@ def solve_left(basis, targets):
 
 def in_rational_span(basis, v):
     """True iff v lies in the Q-span of the rows of basis."""
-    if vec_is_zero(v):
-        return True
-    if not basis:
-        return False
     return rank(tuple(basis) + (tuple(v),)) == rank(basis)
+
+
+def _into_hyperplane(a, p, v):
+    """The primitive multiple of <a, p> v - <a, v> p, which lies on a = 0."""
+    return vec_primitive(vec_sub(vec_scale(vec_dot(a, p), v), vec_scale(vec_dot(a, v), p)))
+
+
+def extreme_rays(rows):
+    """Extreme rays of the cone {y in Q^k : <a, y> >= 0 for a in rows}, each
+    a primitive integer vector y with the bitmask z of the rows it is tight
+    on (row i is bit i); None when the rows do not span Q^k (the cone has a
+    lineality space), and for no rows.
+
+    Double description, one row at a time (Motzkin et al.; Fukuda-Prodon).
+    While the cone has a lineality space, a row that is nonzero on it turns
+    one lineality vector p, with <a, p> > 0, into a ray and moves the other
+    generators into the hyperplane along p; the other rows wait.  On the
+    pointed cone a row keeps the rays on its nonnegative side, plus one ray
+    on its hyperplane for each adjacent pair it separates: two rays are
+    adjacent iff no third ray is tight on every row tight on both, a test
+    that stays exact where more than k - 1 rows are tight on a ray.
+    """
+    if not rows:
+        return None
+    k = len(rows[0])
+    lineality = list(identity_matrix(k))
+    rays, added, waiting = [], 0, []   # rays are (y, z) pairs
+    for i, a in enumerate(rows):
+        j = next((j for j, p in enumerate(lineality) if vec_dot(a, p)), None)
+        if j is None:
+            waiting.append(i)
+            continue
+        p = lineality.pop(j)
+        if vec_dot(a, p) < 0:
+            p = vec_neg(p)
+        lineality = [_into_hyperplane(a, p, v) for v in lineality]
+        rays = [(_into_hyperplane(a, p, v), z | 1 << i) for v, z in rays]
+        rays.append((p, added))
+        added |= 1 << i
+    if lineality:
+        return None
+    for i in waiting:
+        a = rows[i]
+        side = [vec_dot(a, v) for v, _ in rays]
+        new = [(v, z | 1 << i if s == 0 else z) for (v, z), s in zip(rays, side) if s >= 0]
+        for x in (x for x, s in enumerate(side) if s > 0):
+            for y in (y for y, s in enumerate(side) if s < 0):
+                common = rays[x][1] & rays[y][1]
+                if common.bit_count() >= k - 2 and not any(
+                        common & z == common
+                        for u, (_, z) in enumerate(rays) if u != x and u != y):
+                    new.append((_into_hyperplane(a, rays[x][0], rays[y][0]), common | 1 << i))
+        rays = new
+    return rays

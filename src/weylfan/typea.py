@@ -22,13 +22,13 @@ two neighbours of pi.  As v_A is linear in the indicator of A, convexity of
 a divisor's support function across a wall is one inequality on a square
 of subsets B, B+i, B+j, B+i+j: no chamber is walked.  The root polytope is
 reflexive, with the v_A as the vertices of its polar; both vertex sets are
-enumerated by exact integer double description, not by solving subsystems.
+enumerated by the exact integer double description ``linalg.extreme_rays``.
 ``PrimitiveRelationRecord`` and ``PolytopeInfo`` are NamedTuples: immutable,
 and equal to any tuple with the same fields.
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -453,79 +453,22 @@ class PolytopeInfo(NamedTuple):
 
 
 def _root_mcoords(n):
-    """Coordinates of the roots in the base simple basis: consecutive sums."""
-    out = []
-    for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            if i == j:
-                continue
-            v = [0] * n
-            lo, hi, s = (i, j, 1) if i < j else (j, i, -1)
-            for t in range(lo, hi):
-                v[t - 1] = s
-            out.append(tuple(v))
-    return tuple(sorted(set(out)))
-
-
-def _into_hyperplane(a, p, v):
-    """The primitive multiple of <a, p> v - <a, v> p, which lies on a = 0."""
-    dot = linalg.vec_dot
-    return linalg.vec_primitive(linalg.vec_sub(linalg.vec_scale(dot(a, p), v),
-                                               linalg.vec_scale(dot(a, v), p)))
+    """Coordinates of the roots in the base simple basis: u_i - u_j, i < j,
+    is the sum of the base simple roots u_t - u_{t+1} for i <= t < j."""
+    pos = [tuple(int(i <= t < j) for t in range(n)) for i in range(n) for j in range(i + 1, n + 1)]
+    return tuple(sorted(pos + [linalg.vec_neg(v) for v in pos]))
 
 
 def _h_polytope_vertices(normals):
-    """Vertices of {x : <x, w> >= -1 for w in normals}, by double description.
-
-    The polyhedron is the slice t = 1 of the cone {(x, t) : <x, w> + t >= 0,
-    t >= 0}, and its vertices are the extreme rays with t > 0.  The rows are
-    added one at a time (Motzkin-Raiffa-Thompson-Thrall; Fukuda-Prodon).  A
-    ray is a primitive integer vector with its zero set, the bitmask of the
-    added rows it is tight on.  While the cone has a lineality space, a row
-    that is nonzero on it turns one lineality vector p (with <a, p> > 0) into
-    a ray and moves the other generators into the hyperplane along p; the
-    other rows wait.  Once the cone is pointed, a row keeps the rays on its
-    nonnegative side and adds one ray on its hyperplane for each adjacent
-    pair it separates.  Two rays are adjacent iff no third ray is tight on
-    every row tight on both; this combinatorial test stays exact at
-    degenerate vertices, where more than k rows are tight.  No vertices are
+    """Vertices of {x : <x, w> >= -1 for w in normals}: the slice t = 1 of
+    the cone {(x, t) : <x, w> + t >= 0, t >= 0}, whose extreme rays
+    (``linalg.extreme_rays``) with t > 0 are the vertices.  No vertices are
     returned when the normals do not span.
     """
     from fractions import Fraction
     k = len(normals[0])
-    rows = [tuple(w) + (1,) for w in normals] + [(0,) * k + (1,)]
-    dot = linalg.vec_dot
-    lineality = list(linalg.identity_matrix(k + 1))
-    rays = []   # (ray, zero set)
-    added = 0
-    waiting = []
-    for i, a in enumerate(rows):
-        j = next((j for j, p in enumerate(lineality) if dot(a, p)), None)
-        if j is None:
-            waiting.append(i)
-            continue
-        p = lineality.pop(j)
-        if dot(a, p) < 0:
-            p = linalg.vec_neg(p)
-        lineality = [_into_hyperplane(a, p, v) for v in lineality]
-        rays = [(_into_hyperplane(a, p, v), z | 1 << i) for v, z in rays]
-        rays.append((p, added))
-        added |= 1 << i
-    if lineality:
-        return set()
-    for i in waiting:
-        a = rows[i]
-        side = [dot(a, v) for v, _ in rays]
-        new = [(v, z | 1 << i if s == 0 else z) for (v, z), s in zip(rays, side) if s >= 0]
-        for x in (x for x, s in enumerate(side) if s > 0):
-            for y in (y for y, s in enumerate(side) if s < 0):
-                common = rays[x][1] & rays[y][1]
-                if common.bit_count() >= k - 1 and not any(
-                        common & z == common
-                        for u, (_, z) in enumerate(rays) if u != x and u != y):
-                    new.append((_into_hyperplane(a, rays[x][0], rays[y][0]), common | 1 << i))
-        rays = new
-    return {tuple(Fraction(c, v[-1]) for c in v[:-1]) for v, _ in rays if v[-1] > 0}
+    rays = linalg.extreme_rays([tuple(w) + (1,) for w in normals] + [(0,) * k + (1,)])
+    return {tuple(Fraction(c, v[-1]) for c in v[:-1]) for v, _ in rays or () if v[-1] > 0}
 
 
 @lru_cache(maxsize=None)
@@ -550,18 +493,9 @@ def delta_polytope(n):
                    "facet description disagrees with the hull of the roots")
 
     # lattice points: the polytope sits inside the unit box of these coords
-    lattice, interior = [], []
-    def scan(prefix):
-        if len(prefix) == n:
-            vals = [linalg.vec_dot(prefix, w) for w in normals]
-            if all(v >= -1 for v in vals):
-                lattice.append(tuple(prefix))
-                if all(v > -1 for v in vals):
-                    interior.append(tuple(prefix))
-            return
-        for c in (-1, 0, 1):
-            scan(prefix + [c])
-    scan([])
+    lattice = [p for p in product((-1, 0, 1), repeat=n)
+               if all(linalg.vec_dot(p, w) >= -1 for w in normals)]
+    interior = [p for p in lattice if all(linalg.vec_dot(p, w) > -1 for w in normals)]
 
     polar_verts = _h_polytope_vertices(root_pts)
     is_reflexive = all(all(x.denominator == 1 for x in v) for v in polar_verts)

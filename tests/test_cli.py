@@ -112,10 +112,20 @@ PINNED_STDOUT += [
 ]
 
 
+# sha256 of the stdout of the root polytope, pinned while its vertices were
+# found by a double description inside ``typea``.
+PINNED_STDOUT += [
+    (["polytope", "--n", "4"],
+     "8c1b8eb51bc06802c345a5d938db84a09a4d3b19027f00361280b750f6c923f8"),
+    (["polytope", "--n", "5"],
+     "3ecbbc7363c946e20f5e4b950c25626e9585b0a2621262809381503e37c2b3f0"),
+]
+
+
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[
     "fan-D4", "fan-B4", "fan-C3", "fan-A2xB2", "embed-A2", "embed-B2", "lm-universal-3",
     "universal-at-B3", "to-point-A3", "lm-extract-4", "lm-from-data-3", "lm-contract-4",
-    "lm-roundtrip-4", "fan-A6", "fan-B5", "orbit-D4", "orbit-A5"])
+    "lm-roundtrip-4", "fan-A6", "fan-B5", "orbit-D4", "orbit-A5", "polytope-4", "polytope-5"])
 def test_stdout_pinned(argv, digest, capsys):
     assert cli.run(argv) == 0
     out = capsys.readouterr().out
@@ -712,7 +722,7 @@ def test_every_operation_reachable(capsys):
         typea.descent_basis, typea.reduce_to_basis,
         typea.multiply, typea.primitive_collections, typea.is_nef,
         typea.is_ample, typea.nef_oracle, typea.delta_polytope,
-        typea.sigma_delta_fan, typea.crepant_subdivision,
+        typea.sigma_delta_fan, typea.crepant_subdivision, linalg.extreme_rays,
         # lm
         chains.comb_type_from_data, chains.chain_from_data, chains.data_from_chain,
         chains.contract, chains.curve_membership, chains.universal_curve_structure,
@@ -810,3 +820,47 @@ def test_unwritable_output_is_an_error_object(name, tmp_path, capsys):
 def test_roundtrip_with_a_negative_n_is_invalid_input(capsys):
     out = run_json(["lm", "roundtrip", "--n", "-1", "--samples", "1"], capsys, expect_code=1)
     assert out["error"] == "InvalidInput"
+
+
+# A_2 data with a pair missing, and A_2 data whose ratios (1:1), (1:1), (5:1)
+# break the identity t_12 t_23 t_31 = t_21 t_32 t_13 of the triple.
+A2_MISSING = json.dumps({"pairs": [
+    {"positive_root": [1, -1, 0], "ratio": ["1", "1"]},
+    {"positive_root": [0, 1, -1], "ratio": ["1", "1"]}]})
+A2_VIOLATED = json.dumps({"pairs": [
+    {"positive_root": [1, -1, 0], "ratio": ["1", "1"]},
+    {"positive_root": [0, 1, -1], "ratio": ["1", "1"]},
+    {"positive_root": [1, 0, -1], "ratio": ["5", "1"]}]})
+POINT3 = json.dumps([["1", "1"], ["1", "1"], ["1", "1"]])
+
+
+@pytest.mark.parametrize("argv", [
+    ["lm", "type", "--data-json"],
+    ["lm", "from-data", "--data-json"],
+    ["lm", "membership", "--point-json", POINT3, "--data-json"],
+    ["rdata", "to-point", "--type", "A", "--rank", "2", "--data-json"],
+], ids=["lm-type", "lm-from-data", "lm-membership", "rdata-to-point"])
+def test_data_verbs_refuse_data_with_a_missing_pair_or_a_broken_triple(argv, capsys):
+    """The verbs that read ratio data validate it first: a missing pair is
+    named by its root, and violated triples are a domain error of their own,
+    not a failed self-check, a generic error or an answer."""
+    out = run_json(argv + [A2_MISSING], capsys, expect_code=1)
+    assert out == {"error": "MissingPair", "detail": "no ratio for the pair of (1, 0, -1)"}
+    out = run_json(argv + [A2_VIOLATED], capsys, expect_code=1)
+    assert out == {"error": "ViolatedTriples", "detail": "6 violated triple identities"}
+
+
+ONE_MARK = json.dumps({"n": 0, "blocks": [[1]], "coords": [{"i": 1, "pos": ["1", "1"]}]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["lm", "extract", "--chain-json", ONE_MARK],
+    ["lm", "roundtrip", "--n", "0", "--samples", "3"],
+], ids=["extract", "roundtrip"])
+def test_a_one_mark_chain_has_no_ratio_data(argv, capsys):
+    """``lm contract --keep 1`` prints a valid chain of one mark; the verbs
+    that would read its ratio data refuse it in terms of marks, not of A_0."""
+    assert run_json(["lm", "contract", "--chain-json", CHAIN, "--keep", "1"], capsys) == \
+        json.loads(ONE_MARK)
+    out = run_json(argv, capsys, expect_code=1)
+    assert out == {"error": "InvalidInput", "detail": "ratio data need at least two marks"}

@@ -209,12 +209,95 @@ def test_reflections_permute_chambers_freely():
 
 
 def test_deleting_a_chamber_breaks_completeness():
-    """Also for the fan of the root polytope of A_3, whose max cones have
-    four rays in rank 3: their facets come from supporting hyperplanes."""
-    for f in [fans.weyl_chamber_fan(sys(("A", 2))), typea.sigma_delta_fan(3)]:
-        broken = fans.Fan(f.lattice_rank, f.rays, f.max_cones[1:])
-        assert not fans.check_complete(broken)
+    """Deleting any one of the first three max cones.  Also for the fans of
+    the root polytopes of A_3 and A_5, whose max cones have 4 rays in rank 3
+    and 16 rays in rank 5: their facets come from the dual cones."""
+    for f in [fans.weyl_chamber_fan(sys(("A", 2))), typea.sigma_delta_fan(3),
+              typea.sigma_delta_fan(5)]:
         assert fans.check_complete(f)
+        for k in range(3):
+            broken = fans.Fan(f.lattice_rank, f.rays, f.max_cones[:k] + f.max_cones[k + 1:])
+            assert not fans.check_complete(broken)
+
+
+# Oracle for the facets of a non-simplicial cone: the search over every
+# (n-1)-subset of its rays, with one kernel per subset.
+def facets_by_subsets(f, cone):
+    """{facet: side} of a full-dimensional cone.  A subset of n-1 rays with a
+    one-dimensional orthogonal complement, all rays on one side of it, gives
+    the facet of the rays on that hyperplane, if they span it; the side is
+    sign det(B, x), B the first such subset and x the first ray off the facet."""
+    n = f.lattice_rank
+    rays = [f.rays[i] for i in cone]
+    facets = {}
+    for sub in combinations(range(len(cone)), n - 1):
+        mat = tuple(rays[i] for i in sub)
+        kern = linalg.kernel_basis(linalg.transpose(mat))
+        if len(kern) != 1:
+            continue
+        vals = [linalg.vec_dot(ray, kern[0]) for ray in rays]
+        if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
+            on = tuple(cone[i] for i, x in enumerate(vals) if x == 0)
+            if on not in facets and linalg.rank(tuple(f.rays[i] for i in on)) == n - 1:
+                off = next(ray for ray, x in zip(rays, vals) if x)
+                facets[on] = 1 if linalg.det(mat + (off,)) > 0 else -1
+    return facets
+
+
+# A cone over a square: four rays in rank 3 over the square at height 1.
+PYRAMID = [(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)]
+
+
+def pyramid_fan(apex):
+    """The pyramid cone and the four simplicial cones on its facets and
+    ``apex``: complete for an apex below the square, and the pyramid
+    subdivided, lying twice over itself, for an apex inside it."""
+    sides = [(k, (k + 1) % 4, 4) for k in range(4)]
+    return fans.make_fan(3, PYRAMID + [apex], [(0, 1, 2, 3)] + sides)
+
+
+def test_pyramid_shares_its_facets_with_simplicial_cones():
+    """A facet of n - 1 rays gets the same side from the dual extreme ray of
+    the pyramid as from the determinant of a simplicial cone."""
+    complete, doubled = pyramid_fan((0, 0, -1)), pyramid_fan((0, 0, 1))
+    assert fans.check_complete(complete)
+    assert not fans.check_complete(doubled)
+    for f in (complete, doubled):
+        sides = {}
+        for cone, d in zip(f.max_cones, fans._cone_dets(f)):
+            for facet, side in fans._cone_facets(f, cone, d):
+                sides.setdefault(facet, []).append(side)
+        assert sorted(map(len, sides.values())) == [2] * 8
+        opposite = [facet for facet, (a, b) in sides.items() if a + b == 0]
+        assert len(opposite) == (8 if f is complete else 4)
+
+
+def test_coplanar_rays_are_not_a_full_dimensional_cone():
+    """Four rays of one plane in rank 3, as one max cone: its dual cone holds
+    a line, so the fan is not complete."""
+    f = fans.make_fan(3, [(1, 0, 0), (1, 1, 0), (0, 1, 0), (-1, 1, 0)], [(0, 1, 2, 3)])
+    assert fans._cone_facets(f, f.max_cones[0], None) is None
+    assert not fans.check_complete(f)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cone_facets_equal_the_subset_search(n):
+    """On every max cone of sigma_delta_fan(n) and of the pyramid fans: the
+    same facets as the oracle, and the same sides on facets of n - 1 rays
+    (all of them at n = 3; at n = 4 each facet has four rays)."""
+    fs = [typea.sigma_delta_fan(n)] + ([pyramid_fan((0, 0, -1)), pyramid_fan((0, 0, 1))]
+                                        if n == 3 else [])
+    sides_checked = 0
+    for f in fs:
+        for cone, d in zip(f.max_cones, fans._cone_dets(f)):
+            got = fans._cone_facets(f, cone, d)
+            want = facets_by_subsets(f, cone)
+            assert len(got) == len(want) and dict(got).keys() == want.keys(), cone
+            for facet, side in got:
+                if len(facet) == n - 1:
+                    assert side == want[facet], (cone, facet)
+                    sides_checked += 1
+    assert sides_checked == (48 + 2 * 16 if n == 3 else 0)
 
 
 # Oracle for chamber_face: a scan of every max cone of a complete simplicial

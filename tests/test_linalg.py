@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -263,3 +264,69 @@ def test_det_matches_gauss():
         checked["big"] += abs(d) > 50
     assert linalg.det(()) == 1 == gauss_det(())
     assert min(checked.values()) > 20, checked
+
+
+def test_extreme_rays_examples():
+    """A cone with a line (a half-space, rows of a plane, no rows) gives None;
+    the orthant and the cone over a square give their rays and the bitmasks
+    of the rows each ray is tight on."""
+    assert linalg.extreme_rays([(1, 0, 0)]) is None
+    assert linalg.extreme_rays([(1, 0, 0), (0, 1, 0), (-1, -1, 0)]) is None
+    assert linalg.extreme_rays([]) is None
+    assert sorted(linalg.extreme_rays(linalg.identity_matrix(3))) == [
+        ((0, 0, 1), 0b011), ((0, 1, 0), 0b101), ((1, 0, 0), 0b110)]
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    assert sorted(linalg.extreme_rays(square)) == [
+        ((-1, -1, 1), 0b0011), ((-1, 1, 1), 0b1001), ((1, -1, 1), 0b0110), ((1, 1, 1), 0b1100)]
+    # a repeated row, a multiple of a row and a redundant row change nothing
+    # but the zero sets
+    more = square + [(0, 1, 1), (2, 0, 2), (0, 0, 1)]
+    assert sorted(linalg.extreme_rays(more)) == [
+        ((-1, -1, 1), 0b0110011), ((-1, 1, 1), 0b0101001), ((1, -1, 1), 0b0010110),
+        ((1, 1, 1), 0b0001100)]
+
+
+def extreme_rays_by_subsets(rows, k):
+    """Oracle: each set of k - 1 rows whose common kernel is a line gives
+    its two primitive directions; the extreme rays are those that satisfy
+    every row."""
+    found = set()
+    for sub in combinations(rows, k - 1):
+        kern = linalg.kernel_basis(linalg.transpose(sub)) if sub else linalg.identity_matrix(k)
+        if len(kern) != 1:
+            continue
+        for y in (kern[0], linalg.vec_neg(kern[0])):
+            y = linalg.vec_primitive(y)
+            if all(linalg.vec_dot(a, y) >= 0 for a in rows):
+                found.add(y)
+    return found
+
+
+def test_extreme_rays_equal_the_subset_search_random():
+    """Random rows with small entries, repeats and rows of a subspace
+    included: None iff the rows do not span; otherwise each ray satisfies
+    every row, its bitmask is exactly the rows it is tight on, and the rays
+    are the oracle's."""
+    rng = random.Random(29)
+    seen = {"none": 0, "rays": 0, "degenerate": 0}
+    for _ in range(300):
+        k = rng.randrange(1, 5)
+        rows = [tuple(rng.randrange(-2, 3) for _ in range(k)) for _ in range(rng.randrange(1, 8))]
+        if rng.random() < 0.2:
+            rows.append(rows[0])
+        got = linalg.extreme_rays(rows)
+        if linalg.rank(tuple(rows)) < k:
+            assert got is None, rows
+            seen["none"] += 1
+            continue
+        for y, zeros in got:
+            assert linalg.vec_primitive(y) == y and not linalg.vec_is_zero(y)
+            dots = [linalg.vec_dot(a, y) for a in rows]
+            assert min(dots) >= 0
+            assert zeros == sum(1 << i for i, x in enumerate(dots) if x == 0)
+            seen["degenerate"] += zeros.bit_count() > k - 1
+        rays = [y for y, _ in got]
+        assert len(set(rays)) == len(rays)
+        assert set(rays) == extreme_rays_by_subsets(rows, k), rows
+        seen["rays"] += len(rays) > k
+    assert min(seen.values()) > 10, seen
