@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import linalg, rdata as rdatamod, roots as rootsmod
-from .errors import EmptyKeep, NotPreorder, internal_check
+from .errors import EmptyKeep, MissingPair, NotPreorder, internal_check
 from .rdata import ProjectiveRatio
 
 
@@ -278,7 +278,8 @@ def _an_system(n):
     if n < 1:
         raise ValueError("ratio data need at least two marks")
     r = rootsmod.build_root_system(rootsmod.RootSystemSpec.parse([("A", n)]))
-    pair_root = {(i, j): r.root_index(_u_diff(i, j, n + 1))
+    index = {v: i for i, v in enumerate(r.roots)}
+    pair_root = {(i, j): index[_u_diff(i, j, n + 1)]
                  for i in range(1, n + 2) for j in range(i + 1, n + 2)}
     internal_check(sorted(pair_root.values()) == sorted(r.positive),
                    "the roots u_i - u_j, i < j, are not the positive roots")
@@ -353,4 +354,12 @@ def an_data_to_json(n, data):
 
 
 def an_data_from_json(n, obj):
+    """Fewer than n(n+1)/2 pairs are refused before A_n is built, naming the
+    first missing u_i - u_j in root order: i descending, then j ascending."""
+    pairs = obj["pairs"]
+    if len(pairs) < n * (n + 1) // 2:
+        given = {tuple(e["positive_root"]) for e in pairs}
+        missing = next(v for i in range(n, 0, -1) for j in range(i + 1, n + 2)
+                       if not given & {v := _u_diff(i, j, n + 1), linalg.vec_neg(v)})
+        raise MissingPair(f"no ratio for the pair of {missing}")
     return an_data_from_rdata(n, rdatamod.rdata_from_json(_an_system(n)[0], obj))

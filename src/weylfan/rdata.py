@@ -11,12 +11,12 @@ by a scan of the chambers.
 Ratios are stored keyed by the positive root of each pair (positivity taken
 with respect to the base simple set); reading a pair in the opposite
 orientation swaps the two components.  A ratio is a primitive integer pair,
-so every identity is checked by cross-multiplying ints, and the ratios over
-a chart point are products of the numerators and of the denominators of its
-coordinates.  Fractions appear only where a rational number enters or
-leaves: the parsed JSON numbers (``_exact``), the ``ChartPoint`` coordinates,
-and the one division, the chart coordinate t_s / t_{-s} of a simple root s
-in ``rdata_to_point``.  ``ProjectiveRatio``, ``RData`` and ``ChartPoint`` are
+so every identity is checked by cross-multiplying ints, and a chart point's
+ratios cost two int products per positive root (``roots.positive_steps``).
+Fractions appear only where a rational number enters or leaves: the parsed
+JSON numbers (``_exact``), the ``ChartPoint`` coordinates, and the one
+division, the chart coordinate t_s / t_{-s} of a simple root s in
+``rdata_to_point``.  ``ProjectiveRatio``, ``RData`` and ``ChartPoint`` are
 NamedTuples: immutable, and equal to any tuple with the same fields.
 """
 
@@ -165,26 +165,25 @@ class ChartPoint(NamedTuple):
 def universal_rdata_at(r, p):
     """The tautological ratios over a chart point.
 
-    Write the coordinates as x_k = p_k / q_k.  A positive root a with
-    expansion c in the chart's simple roots gets the value of its character,
-    (prod p_k^c_k : prod q_k^c_k), when c >= 0; otherwise c <= 0, and it gets
-    the swapped ratio (prod q_k^-c_k : prod p_k^-c_k), the inverse of the
-    character of -a.  Only ints are multiplied.
+    Write x_j = p_j / q_j.  The chart's walk to the base (``roots.chart_walk``)
+    gives u in W and moves x_j to the label of u(chart[j]), so a root a has
+    the base character of u(a): (prod p^m : prod q^m) for u(a) positive with
+    mcoords m, one product each from its parent's pair
+    (``roots.positive_steps``), swapped at -u(a) when u(a) is negative.
+    Only ints are multiplied.
     """
-    exp = rootsmod.simple_set_expansions(r, tuple(p.chart))
-    nums = [x.numerator for x in p.coords]
-    dens = [x.denominator for x in p.coords]
-    out = {}
-    for i in r.positive:
-        top = bottom = 1
-        for c, num, den in zip(exp[i], nums, dens):
-            if c:
-                top *= num ** abs(c)
-                bottom *= den ** abs(c)
-        if any(c < 0 for c in exp[i]):
-            top, bottom = bottom, top
-        out[i] = ProjectiveRatio.of(top, bottom)
-    return RData.of(out)
+    u, labels = rootsmod.chart_walk(r, tuple(p.chart))
+    nums, dens = [0] * r.rank, [0] * r.rank
+    for k, x in zip(labels, p.coords):
+        nums[k], dens[k] = x.numerator, x.denominator
+    top, bottom = [0] * len(r.roots), [0] * len(r.roots)
+    for b, parent, k in rootsmod.positive_steps(r):
+        if parent is None:
+            top[b], bottom[b] = nums[k], dens[k]
+        else:
+            top[b], bottom[b] = top[parent] * nums[k], bottom[parent] * dens[k]
+        top[r.neg[b]], bottom[r.neg[b]] = bottom[b], top[b]
+    return RData(tuple((i, ProjectiveRatio.of(top[u[i]], bottom[u[i]])) for i in r.positive))
 
 
 def rdata_to_point(r, d):
@@ -227,8 +226,6 @@ def verify_relation_generation(r):
             v[pos_index[j]] += 1
             v[pos_index[k]] -= 1
             gens.append(tuple(v))
-    if not gens:
-        return kern == ()
     return linalg.lattices_equal(tuple(gens), kern)
 
 

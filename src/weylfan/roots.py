@@ -20,10 +20,12 @@ the others (the contragredient action of W on N, Humphreys section 1.12).
 matrix inverse of its own.  Finding one chamber with a property never needs
 the whole orbit: ``descend`` walks from the base chamber, reflecting in a
 simple root on the wrong side, in at most |Phi+| steps.  It finds the chart
-of a point (``rdata``) and the face containing a vector (``fans``).  The
-same walk run backwards expands every root in a chart's simple roots
-(``simple_set_expansions``): reflecting the chart back to the base gives
-u in W with u(chart) = Delta, and u(beta)'s mcoords are beta's coefficients.
+of a point (``rdata``) and the face containing a vector (``fans``).  Run
+backwards from a chart, the walk gives u in W with u(chart) = Delta
+(``chart_walk``), and u(beta)'s mcoords are beta's coefficients in the
+chart.  Each positive root of height > 1 is a positive root plus a simple
+root (``positive_steps``), and a sum of two roots is looked up by an
+integer key of its mcoords (``additive_triples``).
 ``RootSystemSpec`` and ``RootSystem`` are NamedTuples: immutable, and equal
 to any tuple with the same fields.
 """
@@ -309,23 +311,19 @@ def descend(r, wrong):
 
 
 @lru_cache(maxsize=None)
-def simple_set_expansions(r, s):
-    """Expansion table of every root in the simple set ``s``.
+def chart_walk(r, s):
+    """(u, labels): the u in W with u(s) = Delta, as u[b] = index of u(root b),
+    and the base label of each u(s[j]).  So beta = sum_j c_j s[j] has c_j =
+    mcoords of u(beta) at labels[j], and no matrix is inverted.
 
-    Returns a tuple of integer coefficient vectors, one per root, in the
-    order of ``s``.  No matrix is inverted: S = s walks back to the base,
-    in its given order.  While some a in S is negative, S becomes s_a(S);
-    s_a permutes the positive roots of S other than a and sends a to -a, so
-    each step removes one negative root from them, and a simple set w(Delta)
-    reaches the base set within |Phi+| steps.  The walk gives u in W with
-    u(S) = Delta, so beta = sum_j c_j S[j] has u(beta) = sum_j c_j u(S[j]),
-    and c_j is the mcoords entry of u(beta) at the simple root u(S[j]).
-    Any other set of roots (mixed-sign, singular or repeated) does not reach
-    the base set, and raises NotInSpan.
+    While some a in S = s is negative, S becomes s_a(S), which removes one
+    negative root from the positive roots of S; a simple set w(Delta) reaches
+    the base set within |Phi+| steps.  Any other set of roots (mixed-sign,
+    singular or repeated) does not, and raises NotInSpan.
     """
     table = reflection_table(r)
     positive = set(r.positive)
-    t, u = s, range(len(r.roots))  # u[b] = index of u(root b)
+    t, u = s, range(len(r.roots))
     for _ in range(len(r.positive)):
         a = next((a for a in t if a not in positive), None)
         if a is None:
@@ -334,64 +332,60 @@ def simple_set_expansions(r, s):
         t, u = tuple(row[b] for b in t), [row[b] for b in u]
     if sorted(t) != sorted(r.base_simple_set):
         raise NotInSpan(f"the roots {[list(r.roots[a]) for a in s]} are not a simple set")
-    ks = [r.base_simple_set.index(a) for a in t]
-    return tuple(tuple(r.mcoords[b][k] for k in ks) for b in u)
+    return tuple(u), tuple(r.base_simple_set.index(a) for a in t)
+
+
+@lru_cache(maxsize=None)
+def positive_steps(r):
+    """(beta, parent, k) per positive root beta, by height: beta = parent +
+    alpha_k for the smallest such k, or parent None when beta = alpha_k.
+    Such a parent exists (Humphreys, *Introduction to Lie Algebras*, 10.2)."""
+    index = {r.mcoords[i]: i for i in r.positive}
+    out = []
+    for i in sorted(r.positive, key=lambda i: (sum(r.mcoords[i]), i)):
+        c = r.mcoords[i]
+        below = ((k, c[:k] + (c[k] - 1,) + c[k + 1:]) for k in range(len(c)) if c[k])
+        k, d = next((k, d) for k, d in below if d in index or not any(d))
+        out.append((i, index.get(d), k))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def additive_triples(r):
     """All triples (i, j, k) of root indices with root_k = root_i + root_j.
 
-    Each unordered pair {i, j} appears once (i < j).
+    Each unordered pair {i, j} appears once (i < j).  A root is looked up by
+    the additive key sum_k c_k R^k of its mcoords c, with R = 4m + 1 for m =
+    max |c_k|: the entries of a sum of two roots lie in [-2m, 2m], so they
+    are its balanced digits, and only a root has a root's key.
     """
-    idx = {v: i for i, v in enumerate(r.roots)}
-    out = []
-    for i, vi in enumerate(r.roots):
-        for j in range(i + 1, len(r.roots)):
-            k = idx.get(linalg.vec_add(vi, r.roots[j]))
-            if k is not None:
-                out.append((i, j, k))
-    return tuple(out)
+    radix = 4 * max((abs(x) for c in r.mcoords for x in c), default=0) + 1
+    keys = [sum(x * radix ** k for k, x in enumerate(c)) for c in r.mcoords]
+    index = {key: i for i, key in enumerate(keys)}.get
+    return tuple((i, j, k) for i, ki in enumerate(keys) for j in range(i + 1, len(keys))
+                 if (k := index(ki + keys[j])) is not None)
 
 
 def dynkin_components(r, s):
     """Partition of the simple set ``s`` into Dynkin-diagram components.
 
-    Adjacency is a nonzero ambient inner product.
+    Adjacency is a nonzero ambient inner product; each root merges the
+    components it is adjacent to.
     """
-    s = list(s)
     comps = []
-    unassigned = set(s)
-    while unassigned:
-        seed = min(unassigned)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            a = frontier.pop()
-            for b in list(unassigned - comp):
-                if linalg.vec_dot(r.roots[a], r.roots[b]) != 0:
-                    comp.add(b)
-                    frontier.append(b)
-        comps.append(tuple(sorted(comp)))
-        unassigned -= comp
+    for a in s:
+        near = [c for c in comps if any(linalg.vec_dot(r.roots[a], r.roots[b]) for b in c)]
+        comps = [c for c in comps if c not in near] + [tuple(sorted({a}.union(*near)))]
     return tuple(sorted(comps))
 
 
 def weyl_order(spec):
     """Order of the Weyl group from the family formulas (product over factors)."""
-    from math import factorial
-
-    total = 1
-    for fam, rk in spec.factors:
-        if fam == "A":
-            total *= factorial(rk + 1)
-        elif fam in ("B", "C"):
-            total *= 2 ** rk * factorial(rk)
-        elif fam == "D":
-            total *= 2 ** (rk - 1) * factorial(rk)
-        elif fam == "G":
-            total *= 12
-    return total
+    from math import factorial, prod
+    per_factor = {"A": lambda k: factorial(k + 1), "B": lambda k: 2 ** k * factorial(k),
+                  "C": lambda k: 2 ** k * factorial(k), "D": lambda k: 2 ** (k - 1) * factorial(k),
+                  "G": lambda k: 12}
+    return prod(per_factor[f](k) for f, k in spec.factors)
 
 
 def mcoords_of_vectors(r, vs):

@@ -7,7 +7,7 @@ from test_rdata import ONE_ZERO, ZERO_ONE, orbit_rdata_pattern
 from test_typea import chain_fan, ray_masks
 from weylfan import chains, linalg, rdata, typea
 from weylfan.chains import CombType, MarkedChain
-from weylfan.errors import EmptyKeep, NotPreorder
+from weylfan.errors import EmptyKeep, MissingPair, NotPreorder
 from weylfan.rdata import ProjectiveRatio
 
 R = ProjectiveRatio.of
@@ -310,6 +310,25 @@ def test_chain_json_roundtrip():
     data = chains.data_from_chain(c)
     j = chains.an_data_to_json(3, data)
     assert chains.an_data_from_json(3, j) == data
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_too_few_pairs_name_the_root_validate_rdata_names(n):
+    """Data with pairs left out, some given by the negative root, are
+    refused before A_n is built, naming the root that ``validate_rdata``
+    names on the built system."""
+    r = chains._an_system(n)[0]
+    rng = random.Random(f"missing:{n}")
+    for _ in range(60):
+        full = chains.an_data_to_json(n, chains.data_from_chain(chains.random_marked_chain(n, rng)))
+        pairs = [{"positive_root": [-x for x in e["positive_root"]], "ratio": e["ratio"][::-1]}
+                 if rng.random() < 0.3 else e for e in full["pairs"]]
+        pairs = rng.sample(pairs, rng.randrange(len(pairs)))
+        with pytest.raises(MissingPair) as early:
+            chains.an_data_from_json(n, {"pairs": pairs})
+        with pytest.raises(MissingPair) as late:
+            rdata.validate_rdata(r, rdata.rdata_from_json(r, {"pairs": pairs}))
+        assert str(early.value) == str(late.value)
 
 
 def test_chain_from_json_refuses_a_mark_given_twice():

@@ -850,6 +850,30 @@ def test_data_verbs_refuse_data_with_a_missing_pair_or_a_broken_triple(argv, cap
     assert out == {"error": "ViolatedTriples", "detail": "6 violated triple identities"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["lm", "type", "--data-json"],
+    ["lm", "from-data", "--data-json"],
+    ["lm", "membership", "--point-json", POINT3, "--data-json"],
+], ids=["lm-type", "lm-from-data", "lm-membership"])
+def test_data_verbs_refuse_too_few_pairs_before_building_a_n(argv, capsys, monkeypatch):
+    """The rank is read from the first root, and data with fewer than
+    n(n+1)/2 pairs are refused before A_n is built: one pair with a root of
+    121 entries names the first missing root of A_120 at once."""
+    from weylfan import chains, roots
+
+    def refuse(spec):
+        raise AssertionError(f"A_n was built for {spec}")
+
+    monkeypatch.setattr(roots, "build_root_system", refuse)
+    chains._an_system.cache_clear()  # a cached A_2 would hide a late check
+    out = run_json(argv + [A2_MISSING], capsys, expect_code=1)
+    assert out == {"error": "MissingPair", "detail": "no ratio for the pair of (1, 0, -1)"}
+    one = json.dumps({"pairs": [{"positive_root": [1] + [0] * 119 + [-1], "ratio": ["1", "1"]}]})
+    out = run_json(argv + [one], capsys, expect_code=1)
+    assert out == {"error": "MissingPair",
+                   "detail": f"no ratio for the pair of {(0,) * 119 + (1, -1)}"}
+
+
 ONE_MARK = json.dumps({"n": 0, "blocks": [[1]], "coords": [{"i": 1, "pos": ["1", "1"]}]})
 
 

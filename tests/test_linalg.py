@@ -78,7 +78,7 @@ def int_inverse(b):
     """Exact inverse of a square unimodular integer matrix: the u with
     u * b = h = identity from its Hermite normal form.  Raises ValueError
     when b is not square or |det b| != 1.  The oracle for the expansions in
-    a chart (``roots.simple_set_expansions``) and for the dual bases of
+    a chart (``roots.chart_walk``, ``test_roots``) and for the dual bases of
     cones (``test_fans``, ``test_typea``)."""
     n = len(b)
     if any(len(row) != n for row in b):

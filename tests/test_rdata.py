@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from test_roots import TRIPLE_FACTORS, TRIPLE_IDS, expansions_by_inverse, simple_set_expansions
 from weylfan import fans, rdata, roots
 from weylfan.errors import MissingPair
 from weylfan.rdata import ChartPoint, ProjectiveRatio, RData
@@ -266,6 +267,41 @@ def random_chart_point(r, rng, zero_prob=0.25):
     return ChartPoint(chart=chart, coords=tuple(coords))
 
 
+def universal_rdata_by_exponents(r, p):
+    """The ratios over a chart point, each a product of powers of the
+    coordinates' numerators and denominators, with the exponents from the
+    inverse of the chart's mcoords matrix: the oracle for
+    ``rdata.universal_rdata_at``."""
+    exp = expansions_by_inverse(r, p.chart)
+    out = {}
+    for i in r.positive:
+        top = bottom = 1
+        for c, x in zip(exp[i], p.coords):
+            top *= x.numerator ** abs(c)
+            bottom *= x.denominator ** abs(c)
+        if any(c < 0 for c in exp[i]):
+            top, bottom = bottom, top
+        out[i] = ProjectiveRatio.of(top, bottom)
+    return RData.of(out)
+
+
+@pytest.mark.parametrize("factors", TRIPLE_FACTORS, ids=TRIPLE_IDS)
+def test_universal_rdata_equals_the_exponent_oracle(factors):
+    """Random charts with zero, negative and fractional coordinates; the
+    ratios are the oracle's primitive integer pairs."""
+    r = sys(*factors)
+    rng = random.Random(f"exponents:{factors}")
+    kinds = set()
+    for _ in range(40):
+        p = random_chart_point(r, rng)
+        d = rdata.universal_rdata_at(r, p)
+        assert d == universal_rdata_by_exponents(r, p), p
+        assert all(type(t.num) is int and type(t.den) is int for _, t in d.ratios)
+        kinds |= {"zero" if x == 0 else "negative" if x < 0 else "positive" for x in p.coords}
+        kinds |= {"fractional" for x in p.coords if x.denominator > 1}
+    assert kinds == {"zero", "negative", "positive", "fractional"}
+
+
 @pytest.mark.parametrize("factors", [(("A", 2),), (("A", 3),), (("B", 2),),
                                      (("C", 3),), (("D", 3),), (("G", 2),)])
 def test_functor_roundtrip_random(factors):
@@ -286,7 +322,7 @@ def check_descent(r, d, q):
     """The chart of q is admissible: no root in the monoid of the chart has
     ratio (1:0).  It is where the descent ends, after one step per positive
     root with ratio (1:0), so at most |Phi+| steps."""
-    exp = roots.simple_set_expansions(r, q.chart)
+    exp = simple_set_expansions(r, q.chart)
     chart_positive = [i for i, x in enumerate(exp)
                       if all(v >= 0 for v in x) and any(v > 0 for v in x)]
     assert not any(rdata.ratio_for(r, d, i).is_one_zero for i in chart_positive)

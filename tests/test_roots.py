@@ -167,7 +167,7 @@ def test_every_root_in_span_of_every_simple_set():
     for factors in [(("A", 2),), (("B", 2),), (("G", 2),)]:
         r = sys(*factors)
         for s in simple_sets(r):
-            exp = roots.simple_set_expansions(r, s)
+            exp = simple_set_expansions(r, s)
             for x in exp:
                 assert all(v >= 0 for v in x) or all(v <= 0 for v in x)
 
@@ -178,26 +178,32 @@ def test_positive_root_expansion_examples():
     beta = r.root_index((0, 1, -1))
     gamma = r.root_index((1, 0, -1))
     s = tuple(sorted((alpha, beta)))
-    exp = roots.simple_set_expansions(r, s)[gamma]
+    exp = simple_set_expansions(r, s)[gamma]
     # gamma = alpha + beta, coefficients ordered by the sorted simple set
     assert exp == (1, 1)
-    assert roots.simple_set_expansions(r, s)[alpha] in ((1, 0), (0, 1))
+    assert simple_set_expansions(r, s)[alpha] in ((1, 0), (0, 1))
 
     b = sys(("B", 2))
     s = tuple(sorted((b.root_index((1, -1)), b.root_index((0, 1)))))
     e1e2 = b.root_index((1, 1))
-    exp = roots.simple_set_expansions(b, s)[e1e2]
+    exp = simple_set_expansions(b, s)[e1e2]
     # e1+e2 = (e1-e2) + 2 e2
     coeffs = dict(zip(s, exp))
     assert coeffs[b.root_index((1, -1))] == 1
     assert coeffs[b.root_index((0, 1))] == 2
 
 
+def simple_set_expansions(r, s):
+    """Every root's coefficients on the roots s, in the order of s, read off
+    ``roots.chart_walk``: u(beta)'s mcoords at the labels of s."""
+    u, labels = roots.chart_walk(r, s)
+    return tuple(tuple(r.mcoords[b][k] for k in labels) for b in u)
+
+
 def expansions_by_inverse(r, s):
     """Every root's coefficients on the roots s, from the inverse of their
     mcoords matrix; ValueError when that matrix is not unimodular or a root
-    has a mixed-sign expansion.  The oracle for
-    ``roots.simple_set_expansions``."""
+    has a mixed-sign expansion.  The oracle for ``simple_set_expansions``."""
     inv = int_inverse(tuple(r.mcoords[i] for i in s))
     out = tuple(linalg.vec_matmul(c, inv) for c in r.mcoords)
     if any(min(x) < 0 < max(x) for x in out):
@@ -216,7 +222,7 @@ def test_expansions_equal_the_inverse_oracle_on_every_chamber(factors):
     r = sys(*factors)
     for s in simple_sets(r):
         for t in (s, s[::-1]):
-            assert roots.simple_set_expansions(r, t) == expansions_by_inverse(r, t), t
+            assert simple_set_expansions(r, t) == expansions_by_inverse(r, t), t
 
 
 @pytest.mark.parametrize("factors", EXPANSION_FACTORS + [(("A", 2),), (("B", 2),)],
@@ -246,10 +252,10 @@ def test_expansions_refuse_exactly_the_sets_the_oracle_refuses(factors):
             kinds.add("repeated" if len(set(s)) < len(s)
                       else "singular" if "determinant 0 " in str(e) else str(e).split()[0])
             with pytest.raises(NotInSpan, match="are not a simple set"):
-                roots.simple_set_expansions(r, s)
+                simple_set_expansions(r, s)
         else:
             kinds.add("accepted")
-            assert roots.simple_set_expansions(r, s) == want, s
+            assert simple_set_expansions(r, s) == want, s
     assert {"accepted", "repeated", "singular", "mixed-sign", "matrix"} <= kinds
 
 
@@ -266,6 +272,57 @@ def test_additive_triples():
         for i, j, k in roots.additive_triples(b)
     )
     assert found
+
+
+def triples_by_sum(r):
+    """Every pair i < j whose ambient sum is a root, one vector sum each: the
+    oracle for ``roots.additive_triples``."""
+    index = {v: i for i, v in enumerate(r.roots)}
+    return tuple((i, j, index[w]) for i, vi in enumerate(r.roots)
+                 for j in range(i + 1, len(r.roots))
+                 if (w := linalg.vec_add(vi, r.roots[j])) in index)
+
+
+TRIPLE_FACTORS = ([(("A", n),) for n in range(1, 5)] + [(("B", n),) for n in range(2, 5)]
+                  + [(("C", 3),), (("D", 4),), (("G", 2),), (("A", 1), ("B", 2))])
+TRIPLE_IDS = ["x".join(f"{f}{k}" for f, k in fs) for fs in TRIPLE_FACTORS]
+
+
+@pytest.mark.parametrize("factors", TRIPLE_FACTORS, ids=TRIPLE_IDS)
+def test_additive_triples_equal_the_vector_sum_oracle(factors):
+    """The same triples in the same order; G_2 has mcoords up to 3."""
+    r = sys(*factors)
+    assert roots.additive_triples(r) == triples_by_sum(r)
+
+
+def test_additive_triples_of_the_empty_subsystem():
+    """The roots orthogonal to a maximal cone: no roots, no triples, no steps."""
+    r = sys(("B", 2))
+    f = fans.weyl_chamber_fan(r)
+    sub = fans.orbit_closure(r, f, f.max_cones[0]).subsystem
+    assert sub.roots == () and roots.additive_triples(sub) == triples_by_sum(sub) == ()
+    assert roots.positive_steps(sub) == ()
+
+
+@pytest.mark.parametrize("factors", TRIPLE_FACTORS, ids=TRIPLE_IDS)
+def test_positive_steps_build_each_root_from_its_parent(factors):
+    """Each positive root once, as parent + alpha_k with the parent listed
+    before it and k the smallest label that has one, or as the simple root
+    alpha_k itself."""
+    r = sys(*factors)
+    steps = roots.positive_steps(r)
+    assert sorted(b for b, _, _ in steps) == list(r.positive)
+    positive = {r.roots[i] for i in r.positive}
+    seen = set()
+    for b, parent, k in steps:
+        simple = r.root_lattice_basis[k]
+        if parent is None:
+            assert r.roots[b] == simple
+        else:
+            assert parent in seen and linalg.vec_add(r.roots[parent], simple) == r.roots[b]
+            assert not any(linalg.vec_sub(r.roots[b], a) in positive
+                           for a in r.root_lattice_basis[:k])
+        seen.add(b)
 
 
 def test_dynkin_components():
