@@ -13,7 +13,7 @@ descent from the base chamber (``chamber_face``), not by a scan of the
 chambers; the fan morphisms are built from it, and ``orbit_closure`` walks
 from it over the star of a cone only.  Completeness and smoothness share one
 Bareiss determinant per simplicial max cone, whose sign also gives the side
-of each facet (a sorted tuple of ray indices) on which the cone lies; other
+of each facet (the bitmask of its ray ids) on which the cone lies; other
 cones read their facets off their dual cones (``linalg.extreme_rays``).
 
 Cones are sorted tuples of ray indices; the empty tuple is the zero cone.
@@ -72,12 +72,13 @@ def _chamber_data(r):
     The chamber of a simple set S is {v : <alpha, v> >= 0 for alpha in S}.
     Its rays come from ``roots.chamber_orbit``, the one walk over W, which
     carries their ids from chamber to chamber by wall-crossing.  The chamber
-    map sends each simple set (sorted root-index tuple) to its max cone
-    (sorted ray-index tuple).
+    map sends each simple set S (sorted root-index tuple) to its ray ids,
+    aligned: ids[k] is the ray w with <S[k], w> = 1 and <b, w> = 0 for the
+    other b in S.  The max cone of S is its sorted ids.
     """
     rays, chambers = rootsmod.chamber_orbit(r)
-    cones = [tuple(sorted(ids)) for _, ids in chambers]
-    return Fan(r.rank, rays, tuple(sorted(cones))), dict(zip((s for s, _ in chambers), cones))
+    return Fan(r.rank, rays, tuple(sorted(tuple(sorted(ids)) for _, ids in chambers))), \
+        dict(chambers)
 
 
 def weyl_chamber_fan(r):
@@ -99,44 +100,42 @@ def chamber_face(r, v):
 
 def _chamber_and_face(r, v):
     """(S, face): the simple set S that ``roots.descend`` reaches for v, and
-    ``chamber_face(r, v)``, a face of the chamber of S."""
+    ``chamber_face(r, v)``, the sorted ray ids w_a of S's chamber with
+    <a, v> > 0, read off the chamber map by position."""
     pairing = lambda a: linalg.vec_dot(r.mcoords[a], v)
     walk = rootsmod.descend(r, lambda a: pairing(a) < 0)
     internal_check(walk is not None, f"the descent for {tuple(v)} did not end")
-    fan, chambers = _chamber_data(r)
-    positive = [a for a in walk[0] if pairing(a) > 0]
-    return walk[0], tuple(i for i in chambers[walk[0]] if any(
-        rootsmod.pairing_with_ray(r, a, fan.rays[i]) for a in positive))
+    s = walk[0]
+    return s, tuple(sorted(i for a, i in zip(s, _chamber_data(r)[1][s]) if pairing(a) > 0))
 
 
 def _cone_facets(f, cone, d):
     """(facet, side) for each facet of a max cone with ray determinant ``d``
     (None if not simplicial); None if the cone is not full-dimensional.  A
-    facet is the sorted tuple of the cone's rays on it, and two cones through
-    it lie on opposite sides iff their sides differ.
+    facet is the bitmask of the ids of the cone's rays on it, and two cones
+    through it lie on opposite sides iff their sides differ.
 
-    Simplicial cones: the (n-1)-subsets F, with side sign det(F, x) = sign(d)
-    (-1)^(n-1-k) for the ray x at position k off F.  Otherwise each extreme
-    ray y of the dual cone (``linalg.extreme_rays`` on the cone's rays) is the
-    inward normal of the facet on the rays of its zero set.  On a facet F of
-    n-1 rays, sign det(F, y) = sign det(F, x) as above; a larger facet is
-    only shared by two non-simplicial cones, and its side is the sign of y's
-    first nonzero entry.
+    Simplicial cones: mask ^ (1 << x) for the ray x at position k, with side
+    sign det(F, x) = sign(d) (-1)^(n-1-k), alternating along the cone.
+    Otherwise each extreme ray y of the dual cone (``linalg.extreme_rays`` on
+    the cone's rays) is the inward normal of the facet on the rays of its
+    zero set.  On a facet F of n-1 rays, sign det(F, y) = sign det(F, x) as
+    above; a larger facet is only shared by two non-simplicial cones, and its
+    side is the sign of y's first nonzero entry.
     """
     n = f.lattice_rank
     if d is not None:
-        sign = 1 if d > 0 else -1
-        return [(cone[:k] + cone[k + 1:], sign if (n - 1 - k) % 2 == 0 else -sign)
-                for k in range(n)]
+        mask, first = sum(1 << i for i in cone), 1 if (d > 0) == (n % 2 == 1) else -1
+        return [(mask ^ (1 << i), -first if k % 2 else first) for k, i in enumerate(cone)]
     dual = linalg.extreme_rays([f.rays[i] for i in cone])
     if dual is None:
         return None
     facets = []
     for y, zeros in dual:
-        facet = tuple(i for k, i in enumerate(cone) if zeros >> k & 1)
-        side = linalg.det(tuple(f.rays[i] for i in facet) + (y,)) if len(facet) == n - 1 \
+        on = [i for k, i in enumerate(cone) if zeros >> k & 1]
+        side = linalg.det(tuple(f.rays[i] for i in on) + (y,)) if len(on) == n - 1 \
             else next(x for x in y if x)
-        facets.append((facet, 1 if side > 0 else -1))
+        facets.append((sum(1 << i for i in on), 1 if side > 0 else -1))
     return facets
 
 
@@ -325,8 +324,7 @@ def orbit_closure(r, f, tau):
     if face != tau:
         raise NotInSpan(f"the cone spanned by {list(map(list, tau_rays))} is not a cone of the fan")
 
-    orth = [all(rootsmod.pairing_with_ray(r, i, ray) == 0 for ray in tau_rays)
-            for i in range(len(r.roots))]
+    orth = [not any(linalg.vec_dot(c, ray) for ray in tau_rays) for c in r.mcoords]
     table = rootsmod.reflection_table(r)
     star, todo = {start}, [start]
     while todo:
@@ -370,7 +368,6 @@ def opposite_sections(r, tau):
     minus = tuple(sorted(fan.ray_index(linalg.vec_neg(fan.rays[i])) for i in tau))
     if _chamber_and_face(r, linalg.vec_neg(v))[1] != minus:
         raise NotInSpan("the opposite cone is missing; fan is not symmetric")
-    plus_vanish = tuple(i for i in range(len(r.roots))
-                        if rootsmod.pairing_with_ray(r, i, v) > 0)
+    plus_vanish = tuple(i for i, c in enumerate(r.mcoords) if linalg.vec_dot(c, v) > 0)
     minus_vanish = tuple(sorted(r.neg[i] for i in plus_vanish))
     return SectionPair(tau, minus, plus_vanish, minus_vanish)

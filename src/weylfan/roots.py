@@ -13,11 +13,12 @@ W acts on root indices: ``reflection_table`` reflects vectors in the simple
 roots only and conjugates, s_{w(a)} = w s_a w^{-1} (Humphreys section 1.2).
 Sets of simple roots are identified with Weyl chambers.  ``chamber_orbit``
 walks W once, reaching each element from its prefix before the first
-descent, and carries the ids of each chamber's rays across the walls:
-crossing the wall of a in S replaces the ray w_a by w_a - a^vee and keeps
-the others (the contragredient action of W on N, Humphreys section 1.12).
-``fans`` reads the chamber fan off this walk, with no walk over all of W or
-matrix inverse of its own.  Finding one chamber with a property never needs
+descent, found by a subset test of two bitmasks over root ids, and
+carries the ids of each chamber's rays across the walls: crossing the wall
+of a in S replaces the ray w_a by w_a - a^vee and keeps the others (the
+contragredient action of W on N, Humphreys section 1.12).  ``fans`` reads
+the chamber fan off this walk, with no walk over all of W or matrix
+inverse of its own.  Finding one chamber with a property never needs
 the whole orbit: ``descend`` walks from the base chamber, reflecting in a
 simple root on the wrong side, in at most |Phi+| steps.  It finds the chart
 of a point (``rdata``) and the face containing a vector (``fans``).  Run
@@ -263,29 +264,35 @@ def chamber_orbit(r):
     of w, the smallest label with w(alpha_k) < 0 (Bjorner-Brenti,
     *Combinatorics of Coxeter Groups*, section 3.4; Humphreys section 1.7).
     In terms of the parent's S: S[k] is positive and s_a(S[j]) is positive
-    for every j < k.  So no chamber is built twice and no set is looked up.
+    for every j < k, that is, the bitmask of the root ids S[:k] is a subset
+    of ``stays_pos[a]``, the bitmask of the roots b with s_a(b) positive.
+    So no chamber is built twice and no set is looked up.
     """
     table = reflection_table(r)
-    positive = set(r.positive)
+    is_pos = [min(c) >= 0 for c in r.mcoords]
+    # stays_pos[a]: the bitmask of the roots b with s_a(b) positive
+    stays_pos = [sum(1 << b for b, c in enumerate(row) if is_pos[c]) for row in table]
     # a^vee in N-coordinates: (<beta_j, a^vee>)_j over the base simple roots
     coroots = [tuple(_pairing(r.roots[b], va) for b in r.base_simple_set) for va in r.roots]
     rays = list(linalg.identity_matrix(r.rank))
     ray_id = {v: i for i, v in enumerate(rays)}
     orbit = [(r.base_simple_set, tuple(range(r.rank)))]
     for s, ids in orbit:
+        prefix = 0  # the bitmask of s[:k]
         for k, a in enumerate(s):
-            image = table[a]
-            if a in positive and all(image[b] in positive for b in s[:k]):
-                crossed = linalg.vec_sub(rays[ids[k]], coroots[a])
-                i = ray_id.setdefault(crossed, len(rays))
-                if i == len(rays):
+            if is_pos[a] and not prefix & ~stays_pos[a]:
+                crossed = tuple([x - y for x, y in zip(rays[ids[k]], coroots[a])])
+                if (i := ray_id.get(crossed)) is None:
+                    i = ray_id[crossed] = len(rays)
                     rays.append(crossed)
-                orbit.append((tuple(image[b] for b in s), ids[:k] + (i,) + ids[k + 1:]))
+                image = table[a]
+                orbit.append((tuple([image[b] for b in s]), ids[:k] + (i,) + ids[k + 1:]))
+            prefix |= 1 << a
     order = sorted(range(len(rays)), key=rays.__getitem__)
-    lex = {old: new for new, old in enumerate(order)}
+    lex = sorted(range(len(rays)), key=order.__getitem__)  # the inverse of order
     for i, (s, ids) in enumerate(orbit):
         pairs = sorted(zip(s, ids))
-        orbit[i] = (tuple(a for a, _ in pairs), tuple(lex[j] for _, j in pairs))
+        orbit[i] = (tuple([a for a, _ in pairs]), tuple([lex[j] for _, j in pairs]))
     orbit.sort(key=lambda entry: entry[0])
     internal_check(all(x[0] != y[0] for x, y in zip(orbit, orbit[1:])),
                    "the first-descent walk reached a chamber twice")
@@ -396,11 +403,6 @@ def mcoords_of_vectors(r, vs):
         if x is None:
             raise NotInSpan(f"{v} is not in the root lattice")
     return tuple(xs)
-
-
-def pairing_with_ray(r, root_index, ray):
-    """<root, ray> where the ray is in the N(R)-coordinates dual to the base."""
-    return linalg.vec_dot(r.mcoords[root_index], ray)
 
 
 def root_system_to_json(r):

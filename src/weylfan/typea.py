@@ -180,13 +180,13 @@ def partition_blocks(chain, n):
     return blocks
 
 
-def sequence_key(chain, n):
-    """The tie-breaking sequence: blocks read last to first, each ascending."""
-    blocks = partition_blocks(chain, n)
-    seq = []
-    for b in reversed(blocks):
-        seq.extend(members(b))
-    return tuple(seq)
+def _gap_key(lower, mid, upper):
+    """members(upper & ~mid) + members(mid & ~lower): the part of the
+    sequence key (the blocks read last to first, each ascending) that
+    replacing ``mid`` between ``lower`` and ``upper`` can change.  Only the
+    two blocks around ``mid`` change, and their union stays upper & ~lower,
+    so one chain's key exceeds the other's iff this part does."""
+    return members(upper & ~mid) + members(mid & ~lower)
 
 
 def descent_basis(n):
@@ -215,33 +215,32 @@ def _straightening_terms(lower, upper, old, i_bit, j_bit):
             yield b, 1 if b & j_bit else -1
 
 
-def _rewrite_step(chain, t, n):
-    """One straightening step at bad position t (0-based gap of the chain).
+def _rewrite_step(chain, blocks, t):
+    """One straightening step at bad position t (0-based gap of the chain),
+    with ``blocks`` the chain's ``partition_blocks``.
 
-    Returns {new_chain: sign} with the convention old = sum(sign * new).
-    The witnesses are forced: i = min P_{t+1} and j = max P_{t+2}; any other
-    choice admits a replacement with an equal sequence key (insert the set
-    P_{t+1} plus the maximum of the next block), breaking the strict
-    order increase that guarantees termination.
+    Returns {new_chain: sign} with the convention old = sum(sign * new),
+    checked to increase the sequence order (``_gap_key``).  The witnesses
+    are forced: i = min P_{t+1} and j = max P_{t+2}; any other choice admits
+    a replacement with an equal sequence key (insert the set P_{t+1} plus the
+    maximum of the next block), breaking the strict order increase that
+    guarantees termination.
     """
-    blocks = partition_blocks(chain, n)
-    bk, bk1 = blocks[t], blocks[t + 1]
-    i_bit = bk & -bk
-    j_bit = 1 << (bk1.bit_length() - 1)
+    bk, bk1, old = blocks[t], blocks[t + 1], chain[t]
     lower = chain[t - 1] if t >= 1 else 0
-    upper = chain[t + 1] if t + 1 < len(chain) else full_mask(n)
-    return {chain[:t] + (b,) + chain[t + 1:]: sign
-            for b, sign in _straightening_terms(lower, upper, chain[t], i_bit, j_bit)}
+    upper = lower | bk | bk1
+    rewrite = {chain[:t] + (b,) + chain[t + 1:]: sign for b, sign in _straightening_terms(
+        lower, upper, old, bk & -bk, 1 << (bk1.bit_length() - 1))}
+    key = _gap_key(lower, old, upper)
+    internal_check(all(_gap_key(lower, c[t], upper) > key for c in rewrite),
+                   "rewrite must increase the order")
+    return rewrite
 
 
-def _bad_positions(chain, n):
-    blocks = partition_blocks(chain, n)
-    return [
-        t
-        for t in range(len(blocks) - 1)
-        if blocks[t] and blocks[t + 1]
-        and (blocks[t] & -blocks[t]) > blocks[t + 1]
-    ]
+def _bad_positions(blocks):
+    """The gaps t with min P_{t+1} > max P_{t+2}, from the ``partition_blocks``."""
+    return [t for t in range(len(blocks) - 1)
+            if blocks[t] and blocks[t + 1] and (blocks[t] & -blocks[t]) > blocks[t + 1]]
 
 
 @lru_cache(maxsize=None)
@@ -259,9 +258,10 @@ def _normal_form(chain, n):
 
     NF is linear: NF(chain) = sum(sign * NF(new)) over the rewrite at the
     smallest bad position.  Each chain is rewritten, and the rewrite checked
-    to increase the sequence order, once, when first met.  The walk is in
-    post-order on an explicit stack, not recursive: for a full chain at
-    n = 62 the stack reaches 1,027 chains, past Python's recursion limit.
+    to increase the sequence order (``_rewrite_step``), once, when first
+    met.  The walk is in post-order on an explicit stack, not recursive: for
+    a full chain at n = 62 the stack reaches 1,027 chains, past Python's
+    recursion limit.
     """
     memo = _normal_forms(n)
     stack = [(chain, None)]
@@ -270,14 +270,12 @@ def _normal_form(chain, n):
         if top in memo:
             stack.pop()
         elif rewrite is None:
-            bad = _bad_positions(top, n)
+            blocks = partition_blocks(top, n)
+            bad = _bad_positions(blocks)
             if not bad:
                 memo[top] = ((top, 1),)
                 continue
-            rewrite = _rewrite_step(top, bad[0], n)
-            key = sequence_key(top, n)
-            internal_check(all(sequence_key(c, n) > key for c in rewrite),
-                           "rewrite must increase the order")
+            rewrite = _rewrite_step(top, blocks, bad[0])
             stack[-1] = (top, rewrite)
             stack.extend((c, None) for c in rewrite if c not in memo)
         else:

@@ -111,20 +111,33 @@ def breadth_first_orbit(r):
     return tuple(sorted(orbit))
 
 
-def derived_b3():
-    """B_3 rebuilt from its list of roots: no spec, and the base that a
-    generic functional picks, not the standard one."""
-    return roots.root_system_from_roots(sys(("B", 3)).roots, 3)
+def label(factors):
+    return "x".join(f"{f}{n}" for f, n in factors)
 
 
-@pytest.mark.parametrize("factors", UP_TO_RANK_5 + [(("A", 6),), None],
-                         ids=lambda fs: "x".join(f"{f}{n}" for f, n in fs) if fs else "derived-B3")
-def test_wall_crossed_rays_are_dual_bases(factors):
+def derived(*factors):
+    """The system rebuilt from its list of roots: no spec, and the base that
+    a generic functional picks, not the standard one."""
+    r = sys(*factors)
+    return roots.root_system_from_roots(r.roots, r.ambient_dim)
+
+
+# Rebuilt systems whose positive roots are not the standard ones, so the
+# first-descent walk's bitmasks over root ids have other bits set.
+DERIVED = [(("B", 3),), (("G", 2),), (("A", 2), ("B", 2))]
+
+
+@pytest.mark.parametrize("factors,rebuilt",
+                         [pytest.param(fs, False, id=label(fs))
+                          for fs in UP_TO_RANK_5 + [(("A", 6),)]]
+                         + [pytest.param(fs, True, id="derived-" + label(fs)) for fs in DERIVED])
+def test_wall_crossed_rays_are_dual_bases(factors, rebuilt):
     """The ray ids of each chamber name the dual basis of its simple set,
     and the rays are the lex-sorted union of those bases."""
-    r = sys(*factors) if factors else derived_b3()
+    r = derived(*factors) if rebuilt else sys(*factors)
+    assert (r.positive != sys(*factors).positive) == rebuilt
     rays, chambers = roots.chamber_orbit(r)
-    assert len(chambers) == (roots.weyl_order(r.spec) if factors else 48)
+    assert len(chambers) == roots.weyl_order(roots.RootSystemSpec(factors))
     as_vectors = tuple((s, tuple(rays[i] for i in ids)) for s, ids in chambers)
     assert as_vectors == breadth_first_orbit(r)
     assert rays == tuple(sorted({w for _, ws in as_vectors for w in ws}))
@@ -220,6 +233,21 @@ def test_deleting_a_chamber_breaks_completeness():
             assert not fans.check_complete(broken)
 
 
+def test_check_complete_rejects_broken_b5_fans():
+    """The B_5 chamber fan has 242 rays, so its facet keys have bits past 63.
+    Dropping a max cone, or putting a second copy of a cone in place of its
+    neighbour across a facet (both then on one side of it), breaks it."""
+    f = fans.weyl_chamber_fan(sys(("B", 5)))
+    assert len(f.rays) == 242 and fans.check_complete(f)
+    k = next(k for k, cone in enumerate(f.max_cones) if cone[0] > 63)
+    cone = f.max_cones[k]
+    j = next(j for j, other in enumerate(f.max_cones) if len(set(cone) & set(other)) == 4)
+    without = f.max_cones[:k] + f.max_cones[k + 1:]
+    doubled = f.max_cones[:j] + (cone,) + f.max_cones[j + 1:]
+    for cones in (without, doubled):
+        assert not fans.check_complete(fans.Fan(5, f.rays, cones))
+
+
 # Oracle for the facets of a non-simplicial cone: the search over every
 # (n-1)-subset of its rays, with one kernel per subset.
 def facets_by_subsets(f, cone):
@@ -256,6 +284,11 @@ def pyramid_fan(apex):
     return fans.make_fan(3, PYRAMID + [apex], [(0, 1, 2, 3)] + sides)
 
 
+def ray_ids(mask):
+    """The sorted ray ids of a facet bitmask from ``fans._cone_facets``."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def test_pyramid_shares_its_facets_with_simplicial_cones():
     """A facet of n - 1 rays gets the same side from the dual extreme ray of
     the pyramid as from the determinant of a simplicial cone."""
@@ -266,8 +299,9 @@ def test_pyramid_shares_its_facets_with_simplicial_cones():
         sides = {}
         for cone, d in zip(f.max_cones, fans._cone_dets(f)):
             for facet, side in fans._cone_facets(f, cone, d):
-                sides.setdefault(facet, []).append(side)
+                sides.setdefault(ray_ids(facet), []).append(side)
         assert sorted(map(len, sides.values())) == [2] * 8
+        assert all(len(facet) == 2 for facet in sides)
         opposite = [facet for facet, (a, b) in sides.items() if a + b == 0]
         assert len(opposite) == (8 if f is complete else 4)
 
@@ -290,7 +324,7 @@ def test_cone_facets_equal_the_subset_search(n):
     sides_checked = 0
     for f in fs:
         for cone, d in zip(f.max_cones, fans._cone_dets(f)):
-            got = fans._cone_facets(f, cone, d)
+            got = [(ray_ids(mask), side) for mask, side in fans._cone_facets(f, cone, d)]
             want = facets_by_subsets(f, cone)
             assert len(got) == len(want) and dict(got).keys() == want.keys(), cone
             for facet, side in got:
@@ -381,6 +415,37 @@ def test_chamber_face_equals_scan(factors):
         negative = lambda a: linalg.vec_dot(r.mcoords[a], v) < 0
         _, steps = roots.descend(r, negative)
         assert steps == sum(map(negative, r.positive)) <= len(r.positive)
+
+
+def chamber_face_by_pairings(r, s, v):
+    """The face of v in the chamber of the simple set s, by testing every ray
+    of the chamber against every root of s positive on v: the oracle for the
+    positional reading of ``fans._chamber_and_face``."""
+    fan, chambers = fans._chamber_data(r)
+    positive = [a for a in s if linalg.vec_dot(r.mcoords[a], v) > 0]
+    return tuple(i for i in sorted(chambers[s]) if any(
+        linalg.vec_dot(r.mcoords[a], fan.rays[i]) for a in positive))
+
+
+@pytest.mark.parametrize("factors", UP_TO_RANK_5, ids=label)
+def test_chamber_face_by_position_equals_the_pairings(factors):
+    """On every ray, the ray sum of every max cone, a seeded sum of rays of
+    each of 50 max cones and 50 seeded rational vectors: the face read by
+    position in the chamber map is the face found by pairings."""
+    r = sys(*factors)
+    f = fans.weyl_chamber_fan(r)
+    rng = random.Random(label(factors))
+    vectors = list(f.rays) + [tuple(map(sum, zip(*(f.rays[i] for i in cone))))
+                              for cone in f.max_cones]
+    for cone in rng.sample(f.max_cones, min(50, len(f.max_cones))):
+        coeffs = [rng.randint(0, 2) for _ in cone]
+        vectors.append(tuple(sum(c * f.rays[i][k] for c, i in zip(coeffs, cone))
+                             for k in range(r.rank)))
+    vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(r.rank))
+                for _ in range(50)]
+    for v in vectors:
+        s, face = fans._chamber_and_face(r, v)
+        assert face == chamber_face_by_pairings(r, s, v), v
 
 
 def test_subsystem_morphism_a2_to_a1():
@@ -523,7 +588,7 @@ def orbit_charts_by_scan(r, tau):
     oracle for its walk over the star of tau.  Empty when tau is no cone."""
     fan, chambers = fans._chamber_data(r)
     rays = [fan.rays[i] for i in tau]
-    orth = lambda i: all(roots.pairing_with_ray(r, i, w) == 0 for w in rays)
+    orth = lambda i: all(linalg.vec_dot(r.mcoords[i], w) == 0 for w in rays)
     return tuple(sorted((s, tuple(i for i in s if orth(i)), tuple(i for i in s if not orth(i)))
                         for s, cone in chambers.items() if set(tau) <= set(cone)))
 
@@ -611,7 +676,7 @@ def test_opposite_sections_vanishing_sets_by_definition():
     for tau in [(i,) for i in range(len(f.rays))] + [c[:2] for c in f.max_cones[:6]]:
         sec = fans.opposite_sections(r, tau)
         v = tuple(sum(f.rays[i][k] for i in tau) for k in range(r.rank))
-        signs = [roots.pairing_with_ray(r, i, v) for i in range(len(r.roots))]
+        signs = [linalg.vec_dot(r.mcoords[i], v) for i in range(len(r.roots))]
         assert sec.plus_vanishing == tuple(i for i, x in enumerate(signs) if x > 0)
         assert sec.minus_vanishing == tuple(i for i, x in enumerate(signs) if x < 0)
 

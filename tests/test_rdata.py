@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from test_roots import TRIPLE_FACTORS, TRIPLE_IDS, expansions_by_inverse, simple_set_expansions
-from weylfan import fans, rdata, roots
+from weylfan import fans, linalg, rdata, roots
 from weylfan.errors import MissingPair
 from weylfan.rdata import ChartPoint, ProjectiveRatio, RData
 
@@ -400,7 +400,7 @@ def orbit_rdata_pattern(r, v):
     """
     out = {}
     for i in r.positive:
-        s = roots.pairing_with_ray(r, i, v)
+        s = linalg.vec_dot(r.mcoords[i], v)
         out[i] = ZERO_ONE if s > 0 else ONE_ZERO if s < 0 else FREE
     return out
 

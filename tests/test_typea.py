@@ -17,6 +17,16 @@ def d_statistic(chain, n):
     return sum(1 for p, q in zip(blocks, blocks[1:]) if p and q and min(p) > max(q))
 
 
+def sequence_key(chain, n):
+    """The tie-breaking sequence: blocks read last to first, each ascending.
+    The oracle for the order check of ``typea._normal_form``, which compares
+    only the two blocks that a rewrite changes (``typea._gap_key``)."""
+    seq = []
+    for b in reversed(typea.partition_blocks(chain, n)):
+        seq.extend(typea.members(b))
+    return tuple(seq)
+
+
 def eulerian_by_enumeration(m):
     """Independent oracle: count permutations of {1..m} by descent number."""
     counts = [0] * m
@@ -135,7 +145,8 @@ def test_d_statistic_examples():
     for size in range(n + 1):
         for chain in combinations(proper, size):
             if typea.is_chain(chain):
-                assert len(typea._bad_positions(chain, n)) == d_statistic(chain, n)
+                bad = typea._bad_positions(typea.partition_blocks(chain, n))
+                assert len(bad) == d_statistic(chain, n)
 
 
 def test_reduce_examples():
@@ -165,13 +176,14 @@ def random_position_reduce(terms, n, rng):
         chain, coeff = work.popitem()
         if coeff == 0:
             continue
-        bad = typea._bad_positions(chain, n)
+        blocks = typea.partition_blocks(chain, n)
+        bad = typea._bad_positions(blocks)
         if not bad:
             out[chain] = out.get(chain, 0) + coeff
             continue
-        key = typea.sequence_key(chain, n)
-        for new_chain, sign in typea._rewrite_step(chain, rng.choice(bad), n).items():
-            assert typea.sequence_key(new_chain, n) > key
+        key = sequence_key(chain, n)
+        for new_chain, sign in typea._rewrite_step(chain, blocks, rng.choice(bad)).items():
+            assert sequence_key(new_chain, n) > key
             work[new_chain] = work.get(new_chain, 0) + sign * coeff
     return {c: v for c, v in out.items() if v}
 
@@ -270,13 +282,40 @@ def test_anticanonical_top_power(n):
     assert power == {top: comb(2 * n, n)}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gap_key_orders_chains_as_the_sequence_key(n):
+    """Replacing the t-th set of a chain by any set B strictly between its
+    neighbours: the gap keys compare as the full sequence keys, on every
+    chain, every position and every such B, so also on every rewrite that
+    reducing all chains meets (each of which increases the key)."""
+    rewrites = 0
+    for chain in all_chains(n):
+        blocks = typea.partition_blocks(chain, n)
+        for t, old in enumerate(chain):
+            lower = chain[t - 1] if t else 0
+            upper = chain[t + 1] if t + 1 < len(chain) else typea.full_mask(n)
+            key, gap = sequence_key(chain, n), typea._gap_key(lower, old, upper)
+            for s in typea._submasks(upper & ~lower):
+                b = lower | s
+                if b in (lower, upper, old):
+                    continue
+                new = chain[:t] + (b,) + chain[t + 1:]
+                assert (typea._gap_key(lower, b, upper) > gap) == (sequence_key(new, n) > key)
+            if t in typea._bad_positions(blocks):
+                for new in typea._rewrite_step(chain, blocks, t):
+                    assert typea._gap_key(lower, new[t], upper) > gap
+                    assert sequence_key(new, n) > key
+                    rewrites += 1
+    assert rewrites > 0
+
+
 def test_reduce_checks_that_each_rewrite_increases_the_order(monkeypatch):
     """With a sequence order that a rewrite does not increase, the memoized
     normal form must refuse, not return."""
     n = 3
     chain = (typea.mask_of([4]),)
-    assert typea._bad_positions(chain, n)
-    monkeypatch.setattr(typea, "sequence_key", lambda chain, n: ())
+    assert typea._bad_positions(typea.partition_blocks(chain, n))
+    monkeypatch.setattr(typea, "_gap_key", lambda lower, mid, upper: ())
     typea._normal_forms.cache_clear()
     try:
         with pytest.raises(InternalCheckFailed):
