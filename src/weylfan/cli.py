@@ -432,8 +432,10 @@ def run(argv):
         payload, code = args.func(args), 0
     except WeylFanError as e:
         payload, code = {"error": e.code, "detail": str(e)}, 1
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, json.JSONDecodeError) as e:
         payload, code = {"error": "InvalidInput", "detail": str(e)}, 1
+    except KeyError as e:  # a JSON object without a required key; str(e) is the bare key
+        payload, code = {"error": "InvalidInput", "detail": f"missing key {e}"}, 1
     try:
         _emit(payload, args.output)
     except OSError as e:

@@ -9,29 +9,30 @@ the base under the simple reflections, and the same closure gives each
 root's coordinates ("mcoords") in the base, the basis of the root lattice
 M(R).  A root is *positive* when its mcoords are componentwise >= 0.
 
-W acts on root indices: ``reflection_table`` reflects vectors in the simple
-roots only and conjugates, s_{w(a)} = w s_a w^{-1} (Humphreys section 1.2).
+W acts on root indices: ``reflection_table`` reads the simple rows off the
+Cartan matrix <alpha_j, alpha_k^vee> and the mcoords, with no vector
+reflected, and conjugates, s_{w(a)} = w s_a w^{-1} (Humphreys section 1.2).
 Sets of simple roots are identified with Weyl chambers.  ``chamber_orbit``
 walks W once, reaching each element from its prefix before the first
-descent, found by a subset test of two bitmasks over root ids, and
-carries the ids of each chamber's rays across the walls: crossing the wall
-of a in S replaces the ray w_a by w_a - a^vee and keeps the others (the
-contragredient action of W on N, Humphreys section 1.12).  ``fans`` reads
-the chamber fan off this walk, with no walk over all of W or matrix
-inverse of its own.  Finding one chamber with a property never needs
-the whole orbit: ``descend`` walks from the base chamber, reflecting in a
-simple root on the wrong side, in at most |Phi+| steps.  It finds the chart
-of a point (``rdata``) and the face containing a vector (``fans``).  Run
-backwards from a chart, the walk gives u in W with u(chart) = Delta
-(``chart_walk``), and u(beta)'s mcoords are beta's coefficients in the
-chart.  Each positive root of height > 1 is a positive root plus a simple
-root (``positive_steps``), and a sum of two roots is looked up by an
+descent, found by a subset test of two bitmasks over root ids, and carries
+the ids of each chamber's rays across the walls: crossing the wall of a in S
+replaces the ray w_a by w_a - a^vee, read off the reflection table, and
+keeps the others (the contragredient action of W on N, Humphreys section
+1.12).  ``fans`` reads the chamber fan off this walk, with no walk over all
+of W or matrix inverse of its own.  Finding one chamber with a property
+never needs the whole orbit: ``descend`` walks from the base chamber,
+reflecting in a simple root on the wrong side, in at most |Phi+| steps.  It
+finds the chart of a point (``rdata``) and the face containing a vector
+(``fans``).  Run backwards from a chart, the walk gives u in W with
+u(chart) = Delta (``chart_walk``), and u(beta)'s mcoords are beta's
+coefficients in the chart.  Each positive root of height > 1 is a positive root plus a
+simple root (``positive_steps``), and a sum of two roots is looked up by an
 integer key of its mcoords (``additive_triples``).
 ``RootSystemSpec`` and ``RootSystem`` are NamedTuples: immutable, and equal
 to any tuple with the same fields.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import linalg
@@ -75,7 +76,7 @@ class RootSystemSpec(NamedTuple):
         return {"factors": [{"family": f, "rank": r} for f, r in self.factors]}
 
 
-class RootSystem(NamedTuple):
+class _RootSystemFields(NamedTuple):
     spec: object                 # RootSystemSpec or None for derived systems
     ambient_dim: int
     roots: tuple                 # ambient integer vectors, lex sorted
@@ -84,6 +85,16 @@ class RootSystem(NamedTuple):
     mcoords: tuple               # per root: coords in root_lattice_basis
     neg: tuple                   # per root: index of its negative
     positive: tuple              # sorted indices of base-positive roots
+
+
+class RootSystem(_RootSystemFields):  # no __slots__: the hash is cached in __dict__
+    _hash = cached_property(tuple.__hash__)  # so every cache keyed on it hashes it once
+
+    def __hash__(self):
+        return self._hash
+
+    def __getstate__(self):  # a pickle keeps no hash: str hashes differ between processes
+        return None
 
     @property
     def rank(self):
@@ -205,7 +216,12 @@ def _finish(spec, dim, base, within=None):
 
 def _pairing(b, a):
     """<b, a^vee> = 2 (b, a) / (a, a) of ambient vectors; an integer on roots."""
-    q, rem = divmod(2 * linalg.vec_dot(b, a), linalg.vec_dot(a, a))
+    return _quotient(2 * linalg.vec_dot(b, a), linalg.vec_dot(a, a), b, a)
+
+
+def _quotient(num, den, b, a):
+    """num / den, the integer <b, a^vee>: a remainder raises, it is not rounded."""
+    q, rem = divmod(num, den)
     if rem:
         raise NotInSpan(f"non-crystallographic pairing for {b}, {a}")
     return q
@@ -215,18 +231,19 @@ def _pairing(b, a):
 def reflection_table(r):
     """table[a][b] = index of s_{root a}(root b); built once per system.
 
-    Only the n simple rows reflect vectors.  The others follow by
+    The n simple rows come from the Cartan matrix: s_k lowers coordinate k of
+    the mcoords c by sum_j c_j <alpha_j, alpha_k^vee>.  The others follow by
     conjugation, s_{w(a)} = w s_a w^{-1} (Humphreys section 1.2), as
     table[s_k(a)][b] = sigma_k[table[a][sigma_k[b]]] for sigma_k the k-th
-    simple row, in a walk from the base that reaches every root: n |Phi|
-    pairings instead of |Phi|^2.
+    simple row, in a walk from the base that reaches every root: n^2
+    pairings, and no vector is reflected.
     """
-    idx = {v: i for i, v in enumerate(r.roots)}
+    index = {c: i for i, c in enumerate(r.mcoords)}
     table = [None] * len(r.roots)
-    for a in r.base_simple_set:
-        va = r.roots[a]
-        table[a] = tuple(idx.get(linalg.vec_sub(vb, linalg.vec_scale(_pairing(vb, va), va)))
-                         for vb in r.roots)
+    for k, (a, va) in enumerate(zip(r.base_simple_set, r.root_lattice_basis)):
+        column = [(j, x) for j, b in enumerate(r.root_lattice_basis) if (x := _pairing(b, va))]
+        table[a] = tuple([index.get(c[:k] + (c[k] - sum([c[j] * x for j, x in column]),)
+                                    + c[k + 1:]) for c in r.mcoords])
         if None in table[a]:
             vb = r.roots[table[a].index(None)]
             raise NotInSpan(f"reflection of {vb} in {va} left the root set")
@@ -256,9 +273,9 @@ def chamber_orbit(r):
     order, S[j] = w(alpha_j) for the j-th base simple root alpha_j, so
     crossing the wall of label k (to w s_k) maps S to s_a(S) entry by entry,
     a = S[k].  W acts on N contragrediently, so each ray keeps its label, and
-    the ray of label k becomes w_k - a^vee, the ray of -a; the base
-    chamber's rays are the unit vectors of N.  A crossed ray gets an id when
-    first met, and the ids are relabelled to lex order once, at the end.
+    the ray of label k becomes w_k - a^vee (``_coroots``), the ray of -a; the
+    base chamber's rays are the unit vectors of N.  A crossed ray gets an id
+    when first met, and the ids are relabelled to lex order once, at the end.
 
     Each w != 1 is reached exactly once, from w s_k for the first descent k
     of w, the smallest label with w(alpha_k) < 0 (Bjorner-Brenti,
@@ -272,8 +289,7 @@ def chamber_orbit(r):
     is_pos = [min(c) >= 0 for c in r.mcoords]
     # stays_pos[a]: the bitmask of the roots b with s_a(b) positive
     stays_pos = [sum(1 << b for b, c in enumerate(row) if is_pos[c]) for row in table]
-    # a^vee in N-coordinates: (<beta_j, a^vee>)_j over the base simple roots
-    coroots = [tuple(_pairing(r.roots[b], va) for b in r.base_simple_set) for va in r.roots]
+    coroots = _coroots(r)
     rays = list(linalg.identity_matrix(r.rank))
     ray_id = {v: i for i, v in enumerate(rays)}
     orbit = [(r.base_simple_set, tuple(range(r.rank)))]
@@ -297,6 +313,15 @@ def chamber_orbit(r):
     internal_check(all(x[0] != y[0] for x, y in zip(orbit, orbit[1:])),
                    "the first-descent walk reached a chamber twice")
     return tuple(rays[i] for i in order), tuple(orbit)
+
+
+def _coroots(r):
+    """a^vee in N-coordinates for each root a, (<beta_j, a^vee>)_j over the
+    base, read off the reflection table: heights are additive and s_a(beta_j) =
+    beta_j - <beta_j, a^vee> a, so <beta_j, a^vee> = (1 - ht s_a(beta_j)) / ht a."""
+    height = [sum(c) for c in r.mcoords]
+    return [tuple(_quotient(1 - height[row[b]], height[a], r.roots[b], r.roots[a])
+                  for b in r.base_simple_set) for a, row in enumerate(reflection_table(r))]
 
 
 def descend(r, wrong):

@@ -448,6 +448,18 @@ def test_missing_or_short_input_is_invalid_input(argv, flag, capsys):
     assert flag in out["detail"]
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["fan", "--factors", '[{"family": "A"}]'], "rank"),
+    (["rdata", "validate", "--type", "A", "--rank", "2", "--data-json",
+      A2_DATA.replace(', "ratio": ["2", "1"]', "", 1)], "ratio"),
+], ids=["factor-without-rank", "pair-without-ratio"])
+def test_missing_key_is_named(argv, key, capsys):
+    """A JSON object without a required key is invalid input whose detail
+    names the key, not the bare key alone."""
+    out = run_json(argv, capsys, expect_code=1)
+    assert out == {"error": "InvalidInput", "detail": f"missing key {key!r}"}
+
+
 @pytest.mark.parametrize("argv", [
     ["rdata", "validate", "--type", "A", "--rank", "2", "--data-json",
      A2_DATA.replace("[0, 1, -1]", "[1, -1, 0]")],

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 from pathlib import Path
@@ -400,23 +401,81 @@ def test_reflection_table_equals_vector_reflections(factors):
 @pytest.mark.parametrize("factors", [(("A", 5),), (("B", 4),), (("G", 2), ("D", 4))],
                          ids=["A5", "B4", "G2xD4"])
 def test_reflection_table_reflects_only_simple_roots(factors, monkeypatch):
-    """Only the n simple rows are reflections of vectors, n |Phi| pairings;
-    reflecting every pair would take |Phi|^2."""
+    """The only pairings are the n^2 of the Cartan matrix: the simple rows are
+    read off the mcoords, the others by conjugation.  Reflecting each root in
+    each simple root would take n |Phi|, and every pair |Phi|^2."""
     r = sys(*factors)
     calls = []
     pairing = roots._pairing
     monkeypatch.setattr(roots, "_pairing", lambda b, a: calls.append(1) or pairing(b, a))
     table = roots.reflection_table.__wrapped__(r)
-    assert len(calls) <= r.rank * len(r.roots) < len(r.roots) ** 2
+    assert len(calls) <= r.rank ** 2 < r.rank * len(r.roots)
     assert table == reflection_table_by_vectors(r)
 
 
 def test_reflection_table_keeps_the_refusal():
     """A simple reflection that leaves the root set is refused, as when every
-    pair was reflected."""
+    pair was reflected: an A_2 without the pair of alpha_1 + alpha_2, taken out
+    of every per-root field (roots, mcoords, neg and positive) together."""
     a2 = sys(("A", 2))
-    kept = tuple(v for v in a2.roots if v not in ((1, 0, -1), (-1, 0, 1)))
+    keep = [i for i, v in enumerate(a2.roots) if v not in ((1, 0, -1), (-1, 0, 1))]
+    kept = tuple(a2.roots[i] for i in keep)
     broken = a2._replace(roots=kept,
-                         base_simple_set=tuple(map(kept.index, a2.root_lattice_basis)))
-    with pytest.raises(NotInSpan, match="left the root set"):
+                         base_simple_set=tuple(map(kept.index, a2.root_lattice_basis)),
+                         mcoords=tuple(a2.mcoords[i] for i in keep),
+                         neg=tuple(kept.index(linalg.vec_neg(v)) for v in kept),
+                         positive=tuple(keep.index(i) for i in a2.positive if i in keep))
+    assert (1, 1) not in broken.mcoords and len(broken.positive) == 2
+    with pytest.raises(NotInSpan, match=r"of \(0, -1, 1\) in \(1, -1, 0\) left the root set"):
         roots.reflection_table.__wrapped__(broken)
+
+
+@pytest.mark.parametrize("factors", ORACLE_FACTORS + [None],
+                         ids=["x".join(f"{f}{k}" for f, k in fs) for fs in ORACLE_FACTORS]
+                         + ["derived-B3"])
+def test_coroots_equal_the_pairings(factors):
+    """The coroots that ``chamber_orbit`` crosses walls with, read off the
+    reflection table by heights, are the ambient pairings <beta_j, a^vee>."""
+    r = sys(*factors) if factors else roots.root_system_from_roots(sys(("B", 3)).roots, 3)
+    assert roots._coroots(r) == [tuple(roots._pairing(r.roots[b], va) for b in r.base_simple_set)
+                                 for va in r.roots]
+
+
+def test_coroots_refuse_a_remainder(monkeypatch):
+    """A coroot entry that is not an integer raises; it is not rounded.  The
+    table is broken so that s_a(alpha_1) has height 2 for a = alpha_1 + alpha_2
+    of height 2: the entry would be (1 - 2) / 2."""
+    r = sys(("A", 2))
+    a, b = r.mcoords.index((1, 1)), r.base_simple_set[0]
+    table = [list(row) for row in roots.reflection_table(r)]
+    table[a][b] = a
+    monkeypatch.setattr(roots, "reflection_table", lambda r: table)
+    with pytest.raises(NotInSpan, match="non-crystallographic pairing"):
+        roots._coroots(r)
+
+
+@pytest.mark.parametrize("factors", [(("D", 5),), (("G", 2), ("B", 2))], ids=["D5", "G2xB2"])
+def test_value_equal_systems_hash_equal(factors):
+    """A system caches its hash, and a value-equal copy, built apart, hashes
+    as the system and as the plain tuple of its fields do, so every cache
+    keyed on a system finds it."""
+    r = sys(*factors)
+    base = [r.roots[i] for i in r.base_simple_set]
+    rebuilt = roots.root_system_from_roots(r.roots, r.ambient_dim, base=base)
+    for x, y in [(r, r._replace()), (r._replace(spec=None), rebuilt)]:
+        assert x is not y and x == y and hash(x) == hash(y) == hash(tuple(x)) == hash(tuple(y))
+        roots.reflection_table(x)
+        before = roots.reflection_table.cache_info()
+        assert roots.reflection_table(y) is roots.reflection_table(x)
+        after = roots.reflection_table.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+
+
+def test_a_pickled_system_hashes_afresh():
+    """str hashes differ between processes, so a pickle carries the fields
+    and not the cached hash."""
+    r = sys(("B", 3))
+    hash(r)
+    copy = pickle.loads(pickle.dumps(r))
+    assert copy == r and type(copy) is roots.RootSystem and vars(copy) == {}
+    assert hash(copy) == hash(r) == hash(tuple(r))
