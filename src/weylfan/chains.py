@@ -222,16 +222,14 @@ def universal_curve_structure(n):
     morphism = fans._morphism_from_lattice_inclusion(big, small)
 
     # rows: small base in big base coordinates
-    proj = rootsmod.mcoords_of_vectors(big, [small.roots[i] for i in small.base_simple_set])
+    proj = linalg.transpose(morphism.lattice_map)
     sections = []
     for label in range(1, n + 2):
-        # ambient: u_t -> u_t for t <= n+1, u_{n+2} -> u_label
-        amb = [list(row) for row in linalg.identity_matrix(dim)]
-        amb[dim - 1] = [0] * dim
-        amb[dim - 1][label - 1] = 1
-        amb = tuple(tuple(row) for row in amb)
-        lat = rootsmod.mcoords_of_vectors(
-            small, [linalg.vec_matmul(big.roots[i], amb) for i in big.base_simple_set])
+        # ambient: u_t -> u_t for t <= n+1, u_{n+2} -> u_label, so coordinate
+        # n+2 moves onto the label and each simple root goes to a root or 0
+        lat = rootsmod.mcoords_of_vectors(small, [
+            tuple(x + v[-1] * (t == label - 1) for t, x in enumerate(v[:-1])) + (0,)
+            for v in (big.roots[i] for i in big.base_simple_set)])
         sections.append(SectionInfo(label, _u_diff(label, dim, dim), lat))
         # composition: include then project must be the identity
         internal_check(linalg.matmul(proj, lat) == linalg.identity_matrix(n),

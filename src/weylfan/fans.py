@@ -246,13 +246,15 @@ def projection_embedding_equations(r, rprime, mu):
     chamber of S' (``roots.chamber_orbit``), which invert the rows of S'.
     """
     mu = tuple(tuple(row) for row in mu)
+    coords = []   # mu of each root of rprime, in the base coordinates of r
     for v in rprime.roots:
         img = linalg.vec_matmul(v, mu)
-        if not _is_root_multiple(r, img):
-            raise NotInSpan(f"mu sends {v} to {img}, not a root multiple")
+        try:
+            coords += rootsmod.mcoords_of_vectors(r, [img])
+        except NotInSpan:
+            raise NotInSpan(f"mu sends {v} to {img}, not a root multiple") from None
     # mu on root lattices, in base coordinates: M(R') -> M(R).
-    p = rootsmod.mcoords_of_vectors(
-        r, [linalg.vec_matmul(rprime.roots[i], mu) for i in rprime.base_simple_set])
+    p = tuple(coords[i] for i in rprime.base_simple_set)
     if not linalg.lattices_equal(p, linalg.identity_matrix(r.rank)):
         raise NotSurjective("mu does not map M(R') onto M(R)")
     kern = linalg.kernel_basis(p)
@@ -273,22 +275,6 @@ def projection_embedding_equations(r, rprime, mu):
             eqs.append((tuple(pos), tuple(neg)))
         charts.append((s, tuple(eqs)))
     return EmbeddingEquations(kern, kern_ambient, tuple(charts))
-
-
-def _is_root_multiple(r, v):
-    """True iff v = a * alpha for some root alpha and integer a (incl. 0)."""
-    v = tuple(v)
-    if linalg.vec_is_zero(v):
-        return True
-    w = linalg.vec_primitive(v)
-    for alpha in r.roots:
-        if linalg.vec_primitive(alpha) != w:
-            continue
-        k = next(i for i, x in enumerate(alpha) if x != 0)
-        a, rem = divmod(v[k], alpha[k])
-        if rem == 0 and linalg.vec_scale(a, alpha) == v:
-            return True
-    return False
 
 
 class OrbitClosure(NamedTuple):

@@ -5,9 +5,9 @@ Everything is arbitrary precision and immutable; no floats appear anywhere
 in this package, and Fractions only pass through the ``vec_*`` helpers.
 
 There are two eliminations and one double description.
-``hermite_normal_form`` serves the lattices and the integer solves
-(``solve_left``); Bareiss serves ``det``; ``extreme_rays`` gives both the
-vertices of a polytope from its facets and the facets of a cone from its rays.
+``hermite_normal_form`` serves the lattices; Bareiss serves ``det``;
+``extreme_rays`` gives both the vertices of a polytope from its facets and
+the facets of a cone from its rays.
 
 Conventions:
 
@@ -175,32 +175,6 @@ def det(m):
                     row[j] = row[j] * p // prev
         prev = p
     return sign * a[n - 1][n - 1]
-
-
-def solve_left(basis, targets):
-    """Solve x * basis = t over Z for each target t; None where no integer
-    x exists.
-
-    ``basis`` must have linearly independent rows (ValueError otherwise), so
-    each solution is unique; an empty basis solves only the zero vector.  One
-    Hermite normal form u * basis = h serves every target: y * h = t is read
-    off the pivots of h, row by row, and x = y * u.
-    """
-    h, u = hermite_normal_form(basis)
-    if any(vec_is_zero(row) for row in h):
-        raise ValueError("basis rows are linearly dependent")
-    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
-    ut = transpose(u)
-    out = []
-    for t in targets:
-        rest, y = list(t), []
-        for row, c in zip(h, pivots):
-            y.append(rest[c] // row[c])
-            rest = [a - y[-1] * b for a, b in zip(rest, row, strict=True)]
-        # rest = t - y * h.  Later rows of h are zero in column c, so a
-        # remainder left at a pivot stays in rest, and y * h == t iff rest = 0.
-        out.append(None if any(rest) else tuple(vec_dot(y, col) for col in ut))
-    return out
 
 
 def in_rational_span(basis, v):

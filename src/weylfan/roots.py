@@ -27,7 +27,8 @@ finds the chart of a point (``rdata``) and the face containing a vector
 u(chart) = Delta (``chart_walk``), and u(beta)'s mcoords are beta's
 coefficients in the chart.  Each positive root of height > 1 is a positive root plus a
 simple root (``positive_steps``), and a sum of two roots is looked up by an
-integer key of its mcoords (``additive_triples``).
+integer key of its mcoords (``additive_triples``).  A root multiple a * alpha
+has a times alpha's mcoords (``mcoords_of_vectors``), with no elimination.
 ``RootSystemSpec`` and ``RootSystem`` are NamedTuples: immutable, and equal
 to any tuple with the same fields.
 """
@@ -421,13 +422,22 @@ def weyl_order(spec):
 
 
 def mcoords_of_vectors(r, vs):
-    """Coordinates of ambient lattice vectors in the root lattice basis."""
-    vs = [tuple(v) for v in vs]
-    xs = linalg.solve_left(r.root_lattice_basis, vs)
-    for v, x in zip(vs, xs):
-        if x is None:
-            raise NotInSpan(f"{v} is not in the root lattice")
-    return tuple(xs)
+    """Coordinates in the root lattice basis of vectors a * alpha, alpha a
+    root and a an integer (zero included): a times the mcoords of alpha.  A
+    reduced system has at most one root on each ray from the origin, so the
+    primitive vector of v names alpha.  Any other vector raises NotInSpan."""
+    on_ray = {linalg.vec_primitive(v): (v, c) for v, c in zip(r.roots, r.mcoords)}
+    out = []
+    for v in map(tuple, vs):
+        if linalg.vec_is_zero(v):
+            out.append((0,) * r.rank)
+            continue
+        alpha, c = on_ray.get(linalg.vec_primitive(v), (v, None))
+        a = next(x // y for x, y in zip(v, alpha) if y)
+        if c is None or linalg.vec_scale(a, alpha) != v:
+            raise NotInSpan(f"{v} is not an integer multiple of a root")
+        out.append(linalg.vec_scale(a, c))
+    return tuple(out)
 
 
 def root_system_to_json(r):

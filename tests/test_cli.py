@@ -122,10 +122,24 @@ PINNED_STDOUT += [
 ]
 
 
+# sha256 of the stdout of the fan morphisms of a subsystem and of the universal
+# chain, pinned while root-lattice coordinates were solved by a Hermite normal
+# form rather than read off the mcoords of a root.
+PINNED_STDOUT += [
+    (["morphism", "--type", "C", "--rank", "3", "--sub-roots", "[[1,0,0],[0,1,0]]"],
+     "a313a70da60defe5aa41aca18c101645188b4b82c62937383ab4a300e5cb5bf9"),
+    (["morphism", "--type", "G", "--sub-roots", "[[1,-1,0]]"],
+     "0fdeb01d59a2bac23b54b19514014a1dbfc829432ae491bd75f451778b0c6563"),
+    (["lm", "universal", "--n", "2"],
+     "ac1fc27b47c6a347f23c193600b256dfd7839536c04d63d6e0fae616f61de432"),
+]
+
+
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[
     "fan-D4", "fan-B4", "fan-C3", "fan-A2xB2", "embed-A2", "embed-B2", "lm-universal-3",
     "universal-at-B3", "to-point-A3", "lm-extract-4", "lm-from-data-3", "lm-contract-4",
-    "lm-roundtrip-4", "fan-A6", "fan-B5", "orbit-D4", "orbit-A5", "polytope-4", "polytope-5"])
+    "lm-roundtrip-4", "fan-A6", "fan-B5", "orbit-D4", "orbit-A5", "polytope-4", "polytope-5",
+    "morphism-C3-sub", "morphism-G2-sub", "lm-universal-2"])
 def test_stdout_pinned(argv, digest, capsys):
     assert cli.run(argv) == 0
     out = capsys.readouterr().out

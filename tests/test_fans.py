@@ -8,7 +8,7 @@ import pytest
 
 from test_linalg import dual_basis, int_inverse
 from weylfan import fans, linalg, roots, typea
-from weylfan.errors import NotInSpan, NotRootSpan
+from weylfan.errors import NotInSpan, NotRootSpan, NotSurjective
 
 
 def sys(*factors):
@@ -520,6 +520,16 @@ def test_projection_embedding_identity():
     eq = fans.projection_embedding_equations(r, r, mu)
     assert eq.kernel_mcoords == ()
     assert all(not eqs for _, eqs in eq.per_chart)
+
+
+def test_projection_embedding_refusals():
+    # mu from the plane of A_1 onto that of C_2: e_1 - e_2 goes to e_1, half
+    # the long root 2 e_1; doubled, it is that root, which spans a sublattice
+    c2, a1 = sys(("C", 2)), sys(("A", 1))
+    with pytest.raises(NotInSpan, match=r"^mu sends \(-1, 1\) to \(-1, 0\), not a root multiple$"):
+        fans.projection_embedding_equations(c2, a1, ((1, 0), (0, 0)))
+    with pytest.raises(NotSurjective, match="does not map M"):
+        fans.projection_embedding_equations(c2, a1, ((2, 0), (0, 0)))
 
 
 def test_projection_embedding_a3_rank():

@@ -130,19 +130,10 @@ def test_dual_basis_involution_random():
         assert dual_basis(d) == b
 
 
-def test_solve_left():
-    basis = ((1, 2, 0), (0, 1, 1))
-    assert linalg.solve_left(basis, [(1, 3, 1), (0, 0, 1), (0, 0, 0)]) == [(1, 1), None, (0, 0)]
-    assert linalg.solve_left(((2, 0), (0, 1)), [(1, 0), (2, 3)]) == [None, (1, 3)]
-    assert linalg.solve_left(basis, []) == []
-    assert linalg.solve_left((), [(0, 0), (0, 1)]) == [(), None]
-    with pytest.raises(ValueError):
-        linalg.solve_left(((1, 2), (2, 4)), [(1, 2)])
-
-
 def gauss_jordan_solve(basis, target):
-    """The former rational solver, kept as the oracle: the unique x over Q
-    with x * basis = target, or None; ValueError for dependent rows."""
+    """The unique x over Q with x * basis = target, or None; ValueError for
+    dependent rows.  Fraction Gauss-Jordan, the oracle for the mcoords of the
+    listed roots (``test_roots``)."""
     k = len(basis)
     ncols = len(target)
     aug = [[Fraction(basis[i][j]) for i in range(k)] + [Fraction(target[j])]
@@ -172,9 +163,10 @@ def gauss_jordan_solve(basis, target):
     return tuple(x)
 
 
-def test_solve_left_matches_gauss_jordan():
-    """Integer combinations come back exactly; half-integer combinations and
-    targets outside the span give None; dependent bases raise ValueError."""
+def test_gauss_jordan_oracle():
+    """The oracle of ``test_roots``: integer combinations come back exactly,
+    half-integer ones as Fractions, a target is solved iff it lies in the
+    rational span, and a dependent basis raises ValueError."""
     rng = random.Random(9)
     checked = {"integer": 0, "half": 0, "outside": 0, "dependent": 0}
     for _ in range(400):
@@ -185,40 +177,31 @@ def test_solve_left_matches_gauss_jordan():
             # last row a combination of the others (the zero row when k = 1)
             c = tuple(rng.randrange(-2, 3) for _ in range(k - 1))
             basis = basis[:-1] + (linalg.vec_matmul(c, basis[:-1]) if c else (0,) * dim,)
-        try:
-            gauss_jordan_solve(basis, (0,) * dim)
-        except ValueError:
+        if linalg.rank(basis) < k:
             with pytest.raises(ValueError):
-                linalg.solve_left(basis, [(0,) * dim])
+                gauss_jordan_solve(basis, (0,) * dim)
             checked["dependent"] += 1
             continue
         ys = [tuple(rng.randrange(-5, 6) for _ in range(k)) for _ in range(4)]
-        combos = [linalg.vec_matmul(y, basis) if k else (0,) * dim for y in ys]
-        others = [tuple(rng.randrange(-4, 5) for _ in range(dim)) for _ in range(4)]
-        got = linalg.solve_left(basis, combos + others)
-        assert got[:4] == ys
-        for t, x in zip(others, got[4:]):
+        for y in ys:
+            assert gauss_jordan_solve(basis, linalg.vec_matmul(y, basis) if k else (0,) * dim) == y
+        for t in (tuple(rng.randrange(-4, 5) for _ in range(dim)) for _ in range(4)):
             q = gauss_jordan_solve(basis, t)
+            assert (q is not None) == linalg.in_rational_span(basis, t)
             if q is None:
                 checked["outside"] += 1
-            assert x == (q if q is not None and all(v.denominator == 1 for v in q) else None)
+            else:
+                assert tuple(sum(x * b[j] for x, b in zip(q, basis)) for j in range(dim)) == t
         if k:
             # over the basis with its first row doubled, y = (y0 / 2, y1, ...)
             doubled = (linalg.vec_scale(2, basis[0]),) + basis[1:]
-            odd = [y for y in ys if y[0] % 2]
-            got = linalg.solve_left(doubled, [linalg.vec_matmul(y, basis) for y in odd])
-            for y, x in zip(odd, got):
+            for y in (y for y in ys if y[0] % 2):
                 t = linalg.vec_matmul(y, basis)
                 assert gauss_jordan_solve(doubled, t) == (Fraction(y[0], 2),) + y[1:]
-                assert x is None
                 checked["half"] += 1
         checked["integer"] += 4
-    dep = ((1, 2, 3), (0, 1, 1), (1, 3, 4))
     with pytest.raises(ValueError):
-        gauss_jordan_solve(dep, (0, 0, 0))
-    with pytest.raises(ValueError):
-        linalg.solve_left(dep, [(0, 0, 0)])
-    assert linalg.solve_left((), [(0,) * 4, (0, 0, 1, 0)]) == [(), None]
+        gauss_jordan_solve(((1, 2, 3), (0, 1, 1), (1, 3, 4)), (0, 0, 0))
     assert gauss_jordan_solve((), (0, 0, 1, 0)) is None
     assert min(checked.values()) > 20, checked
 

@@ -7,7 +7,7 @@ from sys import executable
 
 import pytest
 
-from test_linalg import int_inverse
+from test_linalg import gauss_jordan_solve, int_inverse
 from weylfan import fans, linalg, roots
 from weylfan.errors import NotInSpan, UnsupportedFamily
 
@@ -42,7 +42,7 @@ def family_roots(family, rk):
 
 def reference_system(*factors):
     """The RootSystem of the listed roots, each solved in the base by
-    ``linalg.solve_left``."""
+    Fraction Gauss-Jordan; every coordinate must be an integer."""
     spec = roots.RootSystemSpec.parse(factors)
     blocks = [family_roots(f, r) for f, r in spec.factors]
     dim = sum(b[0] for b in blocks)
@@ -53,7 +53,9 @@ def reference_system(*factors):
         base += map(pad, bbase)
         off += bdim
     listed = tuple(sorted(listed))
-    mcoords = tuple(linalg.solve_left(tuple(base), listed))
+    solved = [gauss_jordan_solve(tuple(base), v) for v in listed]
+    assert all(x is not None and all(q.denominator == 1 for q in x) for x in solved)
+    mcoords = tuple(tuple(map(int, x)) for x in solved)
     return roots.RootSystem(
         spec, dim, listed, tuple(listed.index(b) for b in base), tuple(base), mcoords,
         tuple(listed.index(linalg.vec_neg(v)) for v in listed),
@@ -75,6 +77,33 @@ def test_closure_of_the_base_equals_the_listed_roots(factors):
     base = [r.roots[i] for i in r.base_simple_set]
     assert roots.root_system_from_roots(r.roots, r.ambient_dim, base=base) == r._replace(spec=None)
     assert roots.root_system_from_roots(r.roots, r.ambient_dim).roots == r.roots
+
+
+@pytest.mark.parametrize("factors", ORACLE_FACTORS,
+                         ids=["x".join(f"{f}{k}" for f, k in fs) for fs in ORACLE_FACTORS])
+def test_mcoords_of_root_multiples(factors):
+    r = sys(*factors)
+    vs = [linalg.vec_scale(a, v) for a in range(-2, 3) for v in r.roots]
+    assert roots.mcoords_of_vectors(r, vs) == tuple(
+        linalg.vec_scale(a, c) for a in range(-2, 3) for c in r.mcoords)
+    if r.rank > 1:
+        # mcoords (1, 7, 0, ...): no root has a coefficient 7 (E_8 tops out at 6)
+        a, b = (r.roots[i] for i in r.base_simple_set[:2])
+        with pytest.raises(NotInSpan, match="not an integer multiple of a root"):
+            roots.mcoords_of_vectors(r, [a, linalg.vec_add(a, linalg.vec_scale(7, b))])
+
+
+def test_mcoords_of_vectors_refuses_other_vectors():
+    c2 = sys(("C", 2))
+    assert roots.mcoords_of_vectors(c2, []) == ()
+    # half the long root 2 e_1, and vectors on no root's line
+    for v in [(1, 0), (3, 0), (2, 1), (1, 3)]:
+        with pytest.raises(NotInSpan, match=rf"\({v[0]}, {v[1]}\) is not an integer multiple"):
+            roots.mcoords_of_vectors(c2, [(1, -1), v])
+    # off the span of the roots: A_1 in Z^2, G_2 in the sum-zero plane of Z^3
+    for r, v in [(sys(("A", 1)), (1, 1)), (sys(("G", 2)), (1, 1, 1))]:
+        with pytest.raises(NotInSpan):
+            roots.mcoords_of_vectors(r, [v])
 
 
 @pytest.mark.parametrize("vectors,base,error,match", [
