@@ -9,12 +9,13 @@ walk over W that the package makes, one step per chamber.  The walk carries
 the ids of each chamber's rays across the walls by the contragredient action
 of W on N (Humphreys, section 1.12), so no chamber's root matrix is inverted
 and the fan is read off the ids.  The face containing a vector is found by
-descent from the base chamber (``chamber_face``), not by a scan of the
-chambers; the fan morphisms are built from it, and ``orbit_closure`` walks
-from it over the star of a cone only.  Completeness and smoothness share one
-Bareiss determinant per simplicial max cone, whose sign also gives the side
-of each facet (the bitmask of its ray ids) on which the cone lies; other
-cones read their facets off their dual cones (``linalg.extreme_rays``).
+descent from the base chamber (``chamber_face``), carrying the rays along
+the roots crossed, not by a scan or a map of the chambers; the fan
+morphisms are built from it, and ``orbit_closure`` walks from it over the
+star of a cone only.  Completeness and smoothness share one Bareiss
+determinant per simplicial max cone, whose sign also gives the side of each
+facet (the bitmask of its ray ids) on which the cone lies; other cones read
+their facets off their dual cones (``linalg.extreme_rays``).
 
 Cones are sorted tuples of ray indices; the empty tuple is the zero cone.
 Rays and max-cone lists are canonicalized (lexicographic) on construction,
@@ -50,11 +51,10 @@ def make_fan(rank, rays, cones):
     for v in rays:
         if linalg.vec_is_zero(v) or linalg.vec_primitive(v) != v:
             raise ValueError(f"ray {v} is not primitive")
-    order = sorted(range(len(rays)), key=lambda i: rays[i])
-    remap = {old: new for new, old in enumerate(order)}
-    new_rays = tuple(rays[i] for i in order)
-    new_cones = sorted({tuple(sorted(remap[i] for i in cone)) for cone in cones})
-    return Fan(rank, new_rays, tuple(new_cones))
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    remap = sorted(range(len(rays)), key=order.__getitem__)  # the inverse of order
+    new_cones = sorted({tuple(sorted([remap[i] for i in cone])) for cone in cones})
+    return Fan(rank, tuple(rays[i] for i in order), tuple(new_cones))
 
 
 def fan_to_json(f):
@@ -67,18 +67,15 @@ def fan_to_json(f):
 
 @lru_cache(maxsize=None)
 def _chamber_data(r):
-    """(fan, chamber map) for the fan of Weyl chambers of ``r``.
-
-    The chamber of a simple set S is {v : <alpha, v> >= 0 for alpha in S}.
-    Its rays come from ``roots.chamber_orbit``, the one walk over W, which
-    carries their ids from chamber to chamber by wall-crossing.  The chamber
-    map sends each simple set S (sorted root-index tuple) to its ray ids,
-    aligned: ids[k] is the ray w with <S[k], w> = 1 and <b, w> = 0 for the
-    other b in S.  The max cone of S is its sorted ids.
-    """
+    """(fan, ray ids): the fan of Weyl chambers of ``r``, and the index of
+    each ray vector in it.  ``roots.chamber_orbit`` walks the chambers with
+    their ray ids, unsorted, and ``make_fan`` sorts rays and cones once; W is
+    simply transitive on the chambers, so there is one max cone per chamber."""
     rays, chambers = rootsmod.chamber_orbit(r)
-    return Fan(r.rank, rays, tuple(sorted(tuple(sorted(ids)) for _, ids in chambers))), \
-        dict(chambers)
+    fan = make_fan(r.rank, rays, [ids for _, ids in chambers])
+    internal_check(len(fan.max_cones) == len(chambers),
+                   "the first-descent walk reached a chamber twice")
+    return fan, {v: i for i, v in enumerate(fan.rays)}
 
 
 def weyl_chamber_fan(r):
@@ -100,13 +97,22 @@ def chamber_face(r, v):
 
 def _chamber_and_face(r, v):
     """(S, face): the simple set S that ``roots.descend`` reaches for v, and
-    ``chamber_face(r, v)``, the sorted ray ids w_a of S's chamber with
-    <a, v> > 0, read off the chamber map by position."""
+    ``chamber_face(r, v)``, the sorted ray ids w_a of S's chamber with <a, v>
+    > 0.  The rays of the base chamber, the walk's first n rays, are carried
+    along the crossed roots by the rule of ``roots.chamber_orbit``: crossing
+    a sends w_a to w_a - a^vee, the ray of -a, and the ray of each other b to
+    that of s_a(b)."""
     pairing = lambda a: linalg.vec_dot(r.mcoords[a], v)
     walk = rootsmod.descend(r, lambda a: pairing(a) < 0)
     internal_check(walk is not None, f"the descent for {tuple(v)} did not end")
-    s = walk[0]
-    return s, tuple(sorted(i for a, i in zip(s, _chamber_data(r)[1][s]) if pairing(a) > 0))
+    table, coroots = rootsmod.reflection_table(r), rootsmod._coroots(r)
+    labels, rays = r.base_simple_set, list(rootsmod.chamber_orbit(r)[0][:r.rank])
+    for a in walk[1]:
+        k = labels.index(a)
+        rays[k] = tuple([x - y for x, y in zip(rays[k], coroots[a])])
+        labels = [table[a][b] for b in labels]
+    ray_id = _chamber_data(r)[1]
+    return walk[0], tuple(sorted(ray_id[w] for a, w in zip(labels, rays) if pairing(a) > 0))
 
 
 def _cone_facets(f, cone, d):
@@ -240,10 +246,10 @@ def projection_embedding_equations(r, rprime, mu):
     ``mu`` maps the ambient space of rprime onto the ambient space of r (rows
     are images of the standard basis vectors), carrying every root of rprime
     to an integer multiple of a root of r and M(rprime) onto M(r).  Returns
-    the kernel lattice and, per simple set S' of rprime, binomial equations
-    prod x^{alpha_i} = prod x^{beta_j} with alpha_i, beta_j in S'.  A kernel
-    vector x expands in S' with coefficients <x, w> over the rays w of the
-    chamber of S' (``roots.chamber_orbit``), which invert the rows of S'.
+    the kernel lattice and, per sorted simple set S' of rprime, binomial
+    equations prod x^{alpha_i} = prod x^{beta_j} with alpha_i, beta_j in S'.
+    A kernel vector x expands in S' with coefficients <x, w> over the rays w
+    of the chamber of S' (``roots.chamber_orbit``), which invert the rows of S'.
     """
     mu = tuple(tuple(row) for row in mu)
     coords = []   # mu of each root of rprime, in the base coordinates of r
@@ -261,20 +267,22 @@ def projection_embedding_equations(r, rprime, mu):
     kern_ambient = tuple(
         linalg.vec_matmul(x, rprime.root_lattice_basis) for x in kern)
     rays, chambers = rootsmod.chamber_orbit(rprime)
+    pairings = [[linalg.vec_dot(x, w) for w in rays] for x in kern]
     charts = []
     for s, ids in chambers:
+        pairs = sorted(zip(s, ids))
         eqs = []
-        for x in kern:
+        for row in pairings:
             pos, neg = [], []
-            for root_idx, i in zip(s, ids):
-                coeff = linalg.vec_dot(x, rays[i])
+            for root_idx, i in pairs:
+                coeff = row[i]
                 if coeff > 0:
                     pos.extend([root_idx] * coeff)
                 elif coeff < 0:
                     neg.extend([root_idx] * (-coeff))
             eqs.append((tuple(pos), tuple(neg)))
-        charts.append((s, tuple(eqs)))
-    return EmbeddingEquations(kern, kern_ambient, tuple(charts))
+        charts.append((tuple(a for a, _ in pairs), tuple(eqs)))
+    return EmbeddingEquations(kern, kern_ambient, tuple(sorted(charts)))
 
 
 class OrbitClosure(NamedTuple):

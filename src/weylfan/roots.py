@@ -18,17 +18,18 @@ descent, found by a subset test of two bitmasks over root ids, and carries
 the ids of each chamber's rays across the walls: crossing the wall of a in S
 replaces the ray w_a by w_a - a^vee, read off the reflection table, and
 keeps the others (the contragredient action of W on N, Humphreys section
-1.12).  ``fans`` reads the chamber fan off this walk, with no walk over all
-of W or matrix inverse of its own.  Finding one chamber with a property
-never needs the whole orbit: ``descend`` walks from the base chamber,
-reflecting in a simple root on the wrong side, in at most |Phi+| steps.  It
-finds the chart of a point (``rdata``) and the face containing a vector
-(``fans``).  Run backwards from a chart, the walk gives u in W with
-u(chart) = Delta (``chart_walk``), and u(beta)'s mcoords are beta's
-coefficients in the chart.  Each positive root of height > 1 is a positive root plus a
-simple root (``positive_steps``), and a sum of two roots is looked up by an
-integer key of its mcoords (``additive_triples``).  A root multiple a * alpha
-has a times alpha's mcoords (``mcoords_of_vectors``), with no elimination.
+1.12).  Nothing is sorted: ``fans`` reads the chamber fan off this walk and
+sorts it once.  Finding one chamber with a property never needs the whole
+orbit: ``descend`` walks from the base chamber, reflecting in a simple root
+on the wrong side, in at most |Phi+| steps, and returns the roots crossed.
+It finds the chart of a point (``rdata``) and the face containing a vector
+(``fans``, which carries the rays along the crossed roots).  Run backwards
+from a chart, the walk gives u in W with u(chart) = Delta (``chart_walk``),
+and u(beta)'s mcoords are beta's coefficients in the chart.  Each positive
+root of height > 1 is a positive root plus a simple root
+(``positive_steps``), and a sum of two roots is looked up by an integer key
+of its mcoords (``additive_triples``).  A root multiple a * alpha has a
+times alpha's mcoords (``mcoords_of_vectors``), with no elimination.
 ``RootSystemSpec`` and ``RootSystem`` are NamedTuples: immutable, and equal
 to any tuple with the same fields.
 """
@@ -187,21 +188,20 @@ def _finish(spec, dim, base, within=None):
         raise NotInSpan(f"base root {min(set(base) - within)} is not in the root set")
     # <v, a_k^vee> = sum_j c_j <a_j, a_k^vee>, over the nonzero entries of column k
     columns = [[(j, x) for j, b in enumerate(base) if (x := _pairing(b, a))] for a in base]
+    todo = list(zip(linalg.identity_matrix(len(base)), base))
+    reached = {c for c, _ in todo}  # mcoords, looked up before a vector is built
     found = {}  # root -> its mcoords
-    todo = list(zip(base, linalg.identity_matrix(len(base))))
-    for v, c in todo:
-        if v in found:
-            if found[v] != c:
-                raise ValueError(f"the base is linearly dependent: {v} is {found[v]} and {c}")
-            continue
-        found[v] = c
+    for c, v in todo:
+        if found.setdefault(v, c) != c:
+            raise ValueError(f"the base is linearly dependent: {v} is {found[v]} and {c}")
         for k, a in enumerate(base):
             p = sum(c[j] * x for j, x in columns[k])
-            if p:
+            if p and (d := c[:k] + (c[k] - p,) + c[k + 1:]) not in reached:
                 w = linalg.vec_sub(v, linalg.vec_scale(p, a))
                 if within is not None and w not in within:
                     raise NotInSpan(f"reflection of {v} in {a} left the root set")
-                todo.append((w, c[:k] + (c[k] - p,) + c[k + 1:]))
+                reached.add(d)
+                todo.append((d, w))
     if within is not None and len(found) != len(within):
         raise NotInSpan(f"root {min(within - found.keys())} is not reached from the base")
     roots = tuple(sorted(found))
@@ -263,20 +263,16 @@ def reflection_table(r):
 
 @lru_cache(maxsize=None)
 def chamber_orbit(r):
-    """(rays, chambers): the lex-sorted ray vectors, and every set S of
-    simple roots with the ids of its chamber's rays.
-
-    Each chamber is (S, ids): S a sorted root-index tuple and rays[ids[k]]
-    the ray w of the chamber {v : <alpha, v> >= 0 for alpha in S} with
-    <S[k], w> = 1 and <b, w> = 0 for the other b in S; the chambers are
-    sorted by S.  There is one chamber per element w of W, the chamber of w
-    having the simple set w(Delta).  While walking, S is kept in label
-    order, S[j] = w(alpha_j) for the j-th base simple root alpha_j, so
-    crossing the wall of label k (to w s_k) maps S to s_a(S) entry by entry,
-    a = S[k].  W acts on N contragrediently, so each ray keeps its label, and
-    the ray of label k becomes w_k - a^vee (``_coroots``), the ray of -a; the
-    base chamber's rays are the unit vectors of N.  A crossed ray gets an id
-    when first met, and the ids are relabelled to lex order once, at the end.
+    """(rays, chambers): the walk over W as it runs, one chamber (S, ids) per
+    w in W in walk order, and the ray vectors in the order met.  S is in label
+    order, S[j] = w(alpha_j) for the j-th base simple root, and rays[ids[j]]
+    is the ray w_j of the chamber {v : <alpha, v> >= 0 for alpha in S}, with
+    <S[k], w_j> = 1 if k = j, else 0.  The walk starts at the base chamber,
+    whose rays are the unit vectors of N.  Crossing the wall of label k (to
+    w s_k) maps S to s_a(S) entry by entry, a = S[k].  W acts on N
+    contragrediently, so each ray keeps its label, and the ray of label k
+    becomes w_k - a^vee (``_coroots``), the ray of -a, with a new id when
+    first met.  Nothing is sorted: ``fans`` canonicalizes the fan once.
 
     Each w != 1 is reached exactly once, from w s_k for the first descent k
     of w, the smallest label with w(alpha_k) < 0 (Bjorner-Brenti,
@@ -305,17 +301,10 @@ def chamber_orbit(r):
                 image = table[a]
                 orbit.append((tuple([image[b] for b in s]), ids[:k] + (i,) + ids[k + 1:]))
             prefix |= 1 << a
-    order = sorted(range(len(rays)), key=rays.__getitem__)
-    lex = sorted(range(len(rays)), key=order.__getitem__)  # the inverse of order
-    for i, (s, ids) in enumerate(orbit):
-        pairs = sorted(zip(s, ids))
-        orbit[i] = (tuple([a for a, _ in pairs]), tuple([lex[j] for _, j in pairs]))
-    orbit.sort(key=lambda entry: entry[0])
-    internal_check(all(x[0] != y[0] for x, y in zip(orbit, orbit[1:])),
-                   "the first-descent walk reached a chamber twice")
-    return tuple(rays[i] for i in order), tuple(orbit)
+    return tuple(rays), tuple(orbit)
 
 
+@lru_cache(maxsize=None)
 def _coroots(r):
     """a^vee in N-coordinates for each root a, (<beta_j, a^vee>)_j over the
     base, read off the reflection table: heights are additive and s_a(beta_j) =
@@ -331,14 +320,16 @@ def descend(r, wrong):
     While some a in S is ``wrong``, S becomes s_a(S) for the smallest such a.
     If ``wrong(a)`` excludes ``wrong(-a)``, each step removes one wrong root
     from the positive roots of S (s_a permutes the others), so the walk ends
-    within |Phi+| steps.  Returns (S, steps), or None after |Phi+| steps.
+    within |Phi+| steps.  Returns (S, crossed), the roots a in the order they
+    were crossed, one per step, or None after |Phi+| steps.
     """
     table = reflection_table(r)
-    s = tuple(sorted(r.base_simple_set))
-    for steps in range(len(r.positive) + 1):
+    s, crossed = tuple(sorted(r.base_simple_set)), []
+    for _ in range(len(r.positive) + 1):
         a = next((a for a in s if wrong(a)), None)
         if a is None:
-            return s, steps
+            return s, tuple(crossed)
+        crossed.append(a)
         s = tuple(sorted(table[a][b] for b in s))
     return None
 

@@ -7,17 +7,13 @@ from math import comb
 import pytest
 
 from test_linalg import dual_basis, int_inverse
+from test_roots import simple_sets, sorted_orbit
 from weylfan import fans, linalg, roots, typea
-from weylfan.errors import NotInSpan, NotRootSpan, NotSurjective
+from weylfan.errors import InternalCheckFailed, NotInSpan, NotRootSpan, NotSurjective
 
 
 def sys(*factors):
     return roots.build_root_system(roots.RootSystemSpec.parse(factors))
-
-
-def simple_sets(r):
-    """The simple sets of ``roots.chamber_orbit``, one per chamber, sorted."""
-    return tuple(s for s, _ in roots.chamber_orbit(r)[1])
 
 
 def test_a1_fan():
@@ -132,17 +128,33 @@ DERIVED = [(("B", 3),), (("G", 2),), (("A", 2), ("B", 2))]
                           for fs in UP_TO_RANK_5 + [(("A", 6),)]]
                          + [pytest.param(fs, True, id="derived-" + label(fs)) for fs in DERIVED])
 def test_wall_crossed_rays_are_dual_bases(factors, rebuilt):
-    """The ray ids of each chamber name the dual basis of its simple set,
-    and the rays are the lex-sorted union of those bases."""
+    """The walk starts at the base chamber with the unit vectors as rays.
+    Sorted, its chambers are the breadth-first orbit, the ray ids of each
+    chamber name the dual basis of its simple set, and the rays are the
+    lex-sorted union of those bases, which are the rays of the chamber fan."""
     r = derived(*factors) if rebuilt else sys(*factors)
     assert (r.positive != sys(*factors).positive) == rebuilt
-    rays, chambers = roots.chamber_orbit(r)
-    assert len(chambers) == roots.weyl_order(roots.RootSystemSpec(factors))
+    walk = roots.chamber_orbit(r)[1]
+    assert walk[0] == (r.base_simple_set, tuple(range(r.rank)))
+    rays, chambers = sorted_orbit(r)
+    assert len(chambers) == len(walk) == roots.weyl_order(roots.RootSystemSpec(factors))
+    assert rays == fans.weyl_chamber_fan(r).rays
     as_vectors = tuple((s, tuple(rays[i] for i in ids)) for s, ids in chambers)
     assert as_vectors == breadth_first_orbit(r)
     assert rays == tuple(sorted({w for _, ws in as_vectors for w in ws}))
     for s, ws in as_vectors:
         assert ws == dual_basis(tuple(r.mcoords[i] for i in s)), s
+
+
+def test_a_chamber_walked_twice_is_caught(monkeypatch):
+    """The fan has one max cone per chamber of the walk: a walk that yields
+    one chamber twice makes ``weyl_chamber_fan`` raise, not return a fan."""
+    r = sys(("B", 3))
+    rays, chambers = roots.chamber_orbit(r)
+    monkeypatch.setattr(roots, "chamber_orbit", lambda r: (rays, chambers + chambers[5:6]))
+    fans._chamber_data.cache_clear()  # so that the patched walk is read
+    with pytest.raises(InternalCheckFailed, match="reached a chamber twice"):
+        fans.weyl_chamber_fan(r)
 
 
 def test_check_complete_rejects_a_degenerate_cone():
@@ -393,14 +405,17 @@ FACE_SYSTEMS = ([(("A", n),) for n in range(1, 5)] + [(("B", n),) for n in range
                 + [(("C", 3),), (("D", 4),), (("G", 2),), (("A", 2), ("B", 2))])
 
 
-@pytest.mark.parametrize("factors", FACE_SYSTEMS,
-                         ids=lambda fs: "x".join(f"{f}{n}" for f, n in fs))
-def test_chamber_face_equals_scan(factors):
+@pytest.mark.parametrize("factors,rebuilt",
+                         [pytest.param(fs, False, id=label(fs)) for fs in FACE_SYSTEMS]
+                         + [pytest.param(fs, True, id="derived-" + label(fs)) for fs in DERIVED])
+def test_chamber_face_equals_scan(factors, rebuilt):
     """Descent and the scan over every chamber find the same face, for
     integer vectors with small entries (often on walls), sums of a few rays
     (on faces of every dimension) and rational vectors.  The descent takes
-    one step per positive root negative on v, so at most |Phi+| steps."""
-    r = sys(*factors)
+    one step per positive root negative on v, so at most |Phi+| steps.  The
+    rebuilt systems have a generic base, so the coroots that carry the rays
+    are not the standard ones."""
+    r = derived(*factors) if rebuilt else sys(*factors)
     f = fans.weyl_chamber_fan(r)
     rng = random.Random("x".join(f"{fam}{n}" for fam, n in factors))
     vectors = [tuple(rng.randint(-2, 2) for _ in range(r.rank)) for _ in range(25)]
@@ -413,25 +428,32 @@ def test_chamber_face_equals_scan(factors):
     for v in vectors:
         assert fans.chamber_face(r, v) == minimal_containing_cone(f, v), v
         negative = lambda a: linalg.vec_dot(r.mcoords[a], v) < 0
-        _, steps = roots.descend(r, negative)
-        assert steps == sum(map(negative, r.positive)) <= len(r.positive)
+        _, crossed = roots.descend(r, negative)
+        assert len(crossed) == sum(map(negative, r.positive)) <= len(r.positive)
+
+
+@lru_cache(maxsize=None)
+def chamber_map(r):
+    """{sorted simple set S: its ray ids in the chamber fan, aligned to S}:
+    the walk of ``roots.chamber_orbit`` with each chamber sorted."""
+    return dict(sorted_orbit(r)[1])
 
 
 def chamber_face_by_pairings(r, s, v):
     """The face of v in the chamber of the simple set s, by testing every ray
-    of the chamber against every root of s positive on v: the oracle for the
-    positional reading of ``fans._chamber_and_face``."""
-    fan, chambers = fans._chamber_data(r)
+    of the chamber (from the chamber map) against every root of s positive
+    on v: the oracle for the carried rays of ``fans._chamber_and_face``."""
+    fan = fans.weyl_chamber_fan(r)
     positive = [a for a in s if linalg.vec_dot(r.mcoords[a], v) > 0]
-    return tuple(i for i in sorted(chambers[s]) if any(
+    return tuple(i for i in sorted(chamber_map(r)[s]) if any(
         linalg.vec_dot(r.mcoords[a], fan.rays[i]) for a in positive))
 
 
 @pytest.mark.parametrize("factors", UP_TO_RANK_5, ids=label)
 def test_chamber_face_by_position_equals_the_pairings(factors):
     """On every ray, the ray sum of every max cone, a seeded sum of rays of
-    each of 50 max cones and 50 seeded rational vectors: the face read by
-    position in the chamber map is the face found by pairings."""
+    each of 50 max cones and 50 seeded rational vectors: the face read off
+    the rays carried along the descent is the face found by pairings."""
     r = sys(*factors)
     f = fans.weyl_chamber_fan(r)
     rng = random.Random(label(factors))
@@ -596,11 +618,11 @@ ORBIT_SYSTEMS = [(("B", 3),), (("A", 2), ("B", 2)), (("D", 4),), (("A", 5),)]
 def orbit_charts_by_scan(r, tau):
     """The charts of ``fans.orbit_closure`` by a scan of every chamber: the
     oracle for its walk over the star of tau.  Empty when tau is no cone."""
-    fan, chambers = fans._chamber_data(r)
+    fan = fans.weyl_chamber_fan(r)
     rays = [fan.rays[i] for i in tau]
     orth = lambda i: all(linalg.vec_dot(r.mcoords[i], w) == 0 for w in rays)
     return tuple(sorted((s, tuple(i for i in s if orth(i)), tuple(i for i in s if not orth(i)))
-                        for s, cone in chambers.items() if set(tau) <= set(cone)))
+                        for s, cone in chamber_map(r).items() if set(tau) <= set(cone)))
 
 
 def opposite_cone_by_scan(f, tau):

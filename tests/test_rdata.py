@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from test_roots import TRIPLE_FACTORS, TRIPLE_IDS, expansions_by_inverse, simple_set_expansions
+from test_roots import (TRIPLE_FACTORS, TRIPLE_IDS, expansions_by_inverse,
+                        simple_set_expansions, sorted_orbit)
 from weylfan import fans, linalg, rdata, roots
 from weylfan.errors import MissingPair
 from weylfan.rdata import ChartPoint, ProjectiveRatio, RData
@@ -255,7 +256,7 @@ def test_rdata_to_point_roundtrip_examples():
 
 
 def random_chart_point(r, rng, zero_prob=0.25):
-    chambers = roots.chamber_orbit(r)[1]
+    chambers = sorted_orbit(r)[1]
     chart = chambers[rng.randrange(len(chambers))][0]
     coords = []
     for _ in chart:
@@ -327,9 +328,9 @@ def check_descent(r, d, q):
                       if all(v >= 0 for v in x) and any(v > 0 for v in x)]
     assert not any(rdata.ratio_for(r, d, i).is_one_zero for i in chart_positive)
     one_zero = lambda a: rdata.ratio_for(r, d, a).is_one_zero
-    chart, steps = roots.descend(r, one_zero)
+    chart, crossed = roots.descend(r, one_zero)
     assert chart == q.chart
-    assert steps == sum(map(one_zero, r.positive)) <= len(r.positive)
+    assert len(crossed) == sum(map(one_zero, r.positive)) <= len(r.positive)
 
 
 def random_walk_chart(r, rng, length):

@@ -2,6 +2,7 @@ import os
 import pickle
 import random
 import subprocess
+from functools import lru_cache
 from pathlib import Path
 from sys import executable
 
@@ -16,9 +17,24 @@ def sys(*factors):
     return roots.build_root_system(roots.RootSystemSpec.parse(factors))
 
 
+@lru_cache(maxsize=None)
+def sorted_orbit(r):
+    """``roots.chamber_orbit`` in canonical order: the rays lex-sorted (the
+    rays of the chamber fan), each chamber's S sorted with its relabelled ray
+    ids aligned, and the chambers sorted by S."""
+    rays, chambers = roots.chamber_orbit(r)
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    lex = {old: new for new, old in enumerate(order)}
+    out = []
+    for s, ids in chambers:
+        pairs = sorted(zip(s, ids))
+        out.append((tuple(a for a, _ in pairs), tuple(lex[i] for _, i in pairs)))
+    return tuple(rays[i] for i in order), tuple(sorted(out))
+
+
 def simple_sets(r):
     """The simple sets of ``roots.chamber_orbit``, one per chamber, sorted."""
-    return tuple(s for s, _ in roots.chamber_orbit(r)[1])
+    return tuple(s for s, _ in sorted_orbit(r)[1])
 
 
 def family_roots(family, rk):
@@ -77,6 +93,20 @@ def test_closure_of_the_base_equals_the_listed_roots(factors):
     base = [r.roots[i] for i in r.base_simple_set]
     assert roots.root_system_from_roots(r.roots, r.ambient_dim, base=base) == r._replace(spec=None)
     assert roots.root_system_from_roots(r.roots, r.ambient_dim).roots == r.roots
+
+
+@pytest.mark.parametrize("factors", [(("D", 5),), (("B", 5),), (("A", 2), ("G", 2))],
+                         ids=["D5", "B5", "A2xG2"])
+def test_closure_builds_each_root_once(factors, monkeypatch):
+    """The closure looks a reflection's mcoords up before it builds the
+    ambient vector, so it reflects one vector per root outside the base, not
+    one per pair of a root and a simple root with a nonzero pairing."""
+    r = sys(*factors)
+    calls = []
+    vec_sub = linalg.vec_sub
+    monkeypatch.setattr(linalg, "vec_sub", lambda a, b: calls.append(1) or vec_sub(a, b))
+    assert roots._finish(r.spec, r.ambient_dim, r.root_lattice_basis) == r
+    assert len(calls) == len(r.roots) - r.rank
 
 
 @pytest.mark.parametrize("factors", ORACLE_FACTORS,
@@ -479,6 +509,7 @@ def test_coroots_refuse_a_remainder(monkeypatch):
     table = [list(row) for row in roots.reflection_table(r)]
     table[a][b] = a
     monkeypatch.setattr(roots, "reflection_table", lambda r: table)
+    roots._coroots.cache_clear()  # so that the broken table is read
     with pytest.raises(NotInSpan, match="non-crystallographic pairing"):
         roots._coroots(r)
 
