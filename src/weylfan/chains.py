@@ -286,7 +286,7 @@ def _an_system(n):
 
 def an_data_from_rdata(n, d):
     """Ratio dict keyed by (i, j), i < j, from the generic pair data."""
-    table = d.lookup
+    table = d.as_dict()
     return {ij: table[k] for ij, k in _an_system(n)[1].items() if k in table}
 
 

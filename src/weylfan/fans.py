@@ -9,13 +9,14 @@ walk over W that the package makes, one step per chamber.  The walk carries
 the ids of each chamber's rays across the walls by the contragredient action
 of W on N (Humphreys, section 1.12), so no chamber's root matrix is inverted
 and the fan is read off the ids.  The face containing a vector is found by
-descent from the base chamber (``chamber_face``), carrying the rays along
-the roots crossed, not by a scan or a map of the chambers; the fan
-morphisms are built from it, and ``orbit_closure`` walks from it over the
-star of a cone only.  Completeness and smoothness share one Bareiss
-determinant per simplicial max cone, whose sign also gives the side of each
-facet (the bitmask of its ray ids) on which the cone lies; other cones read
-their facets off their dual cones (``linalg.extreme_rays``).
+descent from the base chamber (``chamber_face``), carrying each ray along
+the steps of its label, not by a scan or a map of the chambers.  The fan
+morphisms are built from it, and a cone is checked as the face of its ray
+sum (``_cone_point``), from where ``orbit_closure`` walks over its star
+only.  Completeness and smoothness share one Bareiss determinant per
+simplicial max cone, whose sign also gives the side of each facet (the
+bitmask of its ray ids) on which the cone lies; other cones read their
+facets off their dual cones (``linalg.extreme_rays``).
 
 Cones are sorted tuples of ray indices; the empty tuple is the zero cone.
 Rays and max-cone lists are canonicalized (lexicographic) on construction,
@@ -96,23 +97,20 @@ def chamber_face(r, v):
 
 
 def _chamber_and_face(r, v):
-    """(S, face): the simple set S that ``roots.descend`` reaches for v, and
-    ``chamber_face(r, v)``, the sorted ray ids w_a of S's chamber with <a, v>
-    > 0.  The rays of the base chamber, the walk's first n rays, are carried
-    along the crossed roots by the rule of ``roots.chamber_orbit``: crossing
-    a sends w_a to w_a - a^vee, the ray of -a, and the ray of each other b to
-    that of s_a(b)."""
+    """(S, face): the simple set S, in label order, that ``roots.descend``
+    reaches for v, and ``chamber_face(r, v)``, the sorted ray ids w_a of S's
+    chamber with <a, v> > 0.  The rays of the base chamber, the walk's first
+    n rays, are carried along the steps by the rule of
+    ``roots.chamber_orbit``: the step (k, a) sends the ray of label k to
+    w_k - a^vee, the ray of -a, and each other ray keeps its label."""
     pairing = lambda a: linalg.vec_dot(r.mcoords[a], v)
     walk = rootsmod.descend(r, lambda a: pairing(a) < 0)
     internal_check(walk is not None, f"the descent for {tuple(v)} did not end")
-    table, coroots = rootsmod.reflection_table(r), rootsmod._coroots(r)
-    labels, rays = r.base_simple_set, list(rootsmod.chamber_orbit(r)[0][:r.rank])
-    for a in walk[1]:
-        k = labels.index(a)
+    coroots, rays = rootsmod._coroots(r), list(rootsmod.chamber_orbit(r)[0][:r.rank])
+    for k, a in walk[1]:
         rays[k] = tuple([x - y for x, y in zip(rays[k], coroots[a])])
-        labels = [table[a][b] for b in labels]
     ray_id = _chamber_data(r)[1]
-    return walk[0], tuple(sorted(ray_id[w] for a, w in zip(labels, rays) if pairing(a) > 0))
+    return walk[0], tuple(sorted(ray_id[w] for a, w in zip(walk[0], rays) if pairing(a) > 0))
 
 
 def _cone_facets(f, cone, d):
@@ -292,6 +290,19 @@ class OrbitClosure(NamedTuple):
     factors: tuple           # Dynkin components of the first chart's S'
 
 
+def _cone_point(r, fan, tau):
+    """(tau, v, S): tau's sorted ray ids, the sum v of its rays, and the simple
+    set S of a chamber containing v.  v is in the relative interior of tau,
+    so tau is a cone iff it is the ``chamber_face`` of v; else NotInSpan."""
+    tau = tuple(sorted(set(tau)))
+    v = tuple(sum(fan.rays[i][k] for i in tau) for k in range(fan.lattice_rank))
+    s, face = _chamber_and_face(r, v)
+    if face != tau:
+        raise NotInSpan(f"the cone spanned by {[list(fan.rays[i]) for i in tau]} "
+                        "is not a cone of the fan")
+    return tau, v, s
+
+
 def orbit_closure(r, f, tau):
     """The torus-orbit closure for a cone of the chamber fan.
 
@@ -302,23 +313,18 @@ def orbit_closure(r, f, tau):
 
     Only the star of tau is visited.  The sum v of tau's rays lies in the
     relative interior of tau, so a chamber contains tau iff it contains v.
-    ``roots.descend`` finds one, S0; tau is a cone iff ``chamber_face`` of v
-    is tau.  The others are the images of S0 under the stabilizer of v,
-    reached by reflecting in the simple roots orthogonal to tau: a simple
-    root of a chamber containing tau is >= 0 on each of tau's rays, so it is
-    orthogonal to tau iff <a, v> = 0.  ``f`` must be ``weyl_chamber_fan(r)``.
+    ``roots.descend`` finds one, S0 (``_cone_point``).  The others are the
+    images of S0 under the stabilizer of v, reached by reflecting in the
+    simple roots orthogonal to tau: a simple root of a chamber containing tau
+    is >= 0 on each of tau's rays, so it is orthogonal to tau iff <a, v> = 0.
+    ``f`` must be ``weyl_chamber_fan(r)``.
     """
     fan = weyl_chamber_fan(r)
     if f != fan:
         raise ValueError("orbit_closure needs the chamber fan of r")
-    tau = tuple(sorted(set(tau)))
-    tau_rays = [fan.rays[i] for i in tau]
-    v = tuple(map(sum, zip(*tau_rays))) if tau else (0,) * r.rank
-    start, face = _chamber_and_face(r, v)
-    if face != tau:
-        raise NotInSpan(f"the cone spanned by {list(map(list, tau_rays))} is not a cone of the fan")
-
-    orth = [not any(linalg.vec_dot(c, ray) for ray in tau_rays) for c in r.mcoords]
+    tau, _, start = _cone_point(r, fan, tau)
+    start = tuple(sorted(start))
+    orth = [not any(linalg.vec_dot(c, fan.rays[i]) for i in tau) for c in r.mcoords]
     table = rootsmod.reflection_table(r)
     star, todo = {start}, [start]
     while todo:
@@ -351,17 +357,15 @@ class SectionPair(NamedTuple):
 
 def opposite_sections(r, tau):
     """tau and -tau as cones of the chamber fan, with the root sets whose
-    characters vanish on the corresponding orbit closures.  tau (-tau) is a
-    cone iff it is the ``chamber_face`` of the sum v of its rays (of -v)."""
+    characters vanish on the corresponding orbit closures.  tau is a cone iff
+    it is the ``chamber_face`` of the sum v of its rays (``_cone_point``).
+    -C is the chamber of the simple set -Delta, so -tau is always a cone, the
+    face of -v; a missing one is an internal fault."""
     fan = weyl_chamber_fan(r)
-    tau = tuple(sorted(set(tau)))
-    v = tuple(sum(fan.rays[i][k] for i in tau) for k in range(fan.lattice_rank))
-    if _chamber_and_face(r, v)[1] != tau:
-        raise NotInSpan(f"the cone spanned by {[list(fan.rays[i]) for i in tau]} "
-                        "is not a cone of the fan")
+    tau, v, _ = _cone_point(r, fan, tau)
     minus = tuple(sorted(fan.ray_index(linalg.vec_neg(fan.rays[i])) for i in tau))
-    if _chamber_and_face(r, linalg.vec_neg(v))[1] != minus:
-        raise NotInSpan("the opposite cone is missing; fan is not symmetric")
+    internal_check(_chamber_and_face(r, linalg.vec_neg(v))[1] == minus,
+                   f"the opposite of the cone {list(tau)} is not a cone of the fan")
     plus_vanish = tuple(i for i, c in enumerate(r.mcoords) if linalg.vec_dot(c, v) > 0)
     minus_vanish = tuple(sorted(r.neg[i] for i in plus_vanish))
     return SectionPair(tau, minus, plus_vanish, minus_vanish)

@@ -9,10 +9,11 @@ the chart is found by descent from the base chamber (``roots.descend``), not
 by a scan of the chambers.
 
 Ratios are stored keyed by the positive root of each pair (positivity taken
-with respect to the base simple set); reading a pair in the opposite
-orientation swaps the two components.  A ratio is a primitive integer pair,
-so every identity is checked by cross-multiplying ints, and a chart point's
-ratios cost two int products per positive root (``roots.positive_steps``).
+with respect to the base simple set), and read by ``ratio_lists``: two lists
+indexed by root that hold each pair in both orientations, the opposite one
+swapped.  A ratio is a primitive integer pair, so every identity is checked
+by cross-multiplying ints, and a chart point's ratios cost two int products
+per positive root (``roots.positive_steps``).
 Fractions appear only where a rational number enters or leaves: the parsed
 JSON numbers (``_exact``), the ``ChartPoint`` coordinates, and the one
 division, the chart coordinate t_s / t_{-s} of a simple root s in
@@ -22,7 +23,6 @@ NamedTuples: immutable, and equal to any tuple with the same fields.
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from . import linalg, roots as rootsmod
@@ -91,12 +91,12 @@ def _exact(x):
     return Fraction(x)
 
 
-class _RDataFields(NamedTuple):
-    ratios: tuple  # sorted tuple of (positive root index, ProjectiveRatio)
+class RData(NamedTuple):
+    """One ratio per opposite-root pair, keyed by the base-positive root (a
+    pair may be keyed by its negative root instead); ``ratio_lists`` reads
+    the ratio of every root."""
 
-
-class RData(_RDataFields):  # no __slots__: ``lookup`` is cached in __dict__
-    """One ratio per opposite-root pair, keyed by the base-positive root."""
+    ratios: tuple  # sorted tuple of (root index, ProjectiveRatio)
 
     @staticmethod
     def of(mapping):
@@ -105,47 +105,34 @@ class RData(_RDataFields):  # no __slots__: ``lookup`` is cached in __dict__
     def as_dict(self):
         return dict(self.ratios)
 
-    @cached_property
-    def lookup(self):
-        """The ratios as a dict, built once per RData; read it, do not change it."""
-        return dict(self.ratios)
 
+def ratio_lists(r, d):
+    """(num, den): two lists indexed by root, (num[a] : den[a]) = (t_a : t_{-a}).
 
-def ratio_for(r, d, root_index):
-    """(t_a : t_{-a}) for an arbitrary root index a, respecting orientation."""
-    table = d.lookup
-    if root_index in table:
-        return table[root_index]
-    other = r.neg[root_index]
-    if other in table:
-        return table[other].swap()
-    raise MissingPair(f"no ratio for the pair of {r.roots[root_index]}")
-
-
-def _require_all_pairs(r, d):
-    table = d.lookup
-    for i in r.positive:
-        if i not in table and r.neg[i] not in table:
-            raise MissingPair(f"no ratio for the pair of {r.roots[i]}")
+    An entry (num : den) of ``d`` for a also gives (den : num) for -a, unless
+    d holds -a itself, whose own entry wins.  The swapped pair is not
+    normalized.  A pair with no ratio raises MissingPair.
+    """
+    num, den = [0] * len(r.roots), [0] * len(r.roots)
+    for i, t in d.ratios:
+        num[r.neg[i]], den[r.neg[i]] = t.den, t.num
+    for i, t in d.ratios:
+        num[i], den[i] = t
+    missing = next((i for i in r.positive if not (num[i] or den[i])), None)
+    if missing is not None:
+        raise MissingPair(f"no ratio for the pair of {r.roots[missing]}")
+    return num, den
 
 
 def validate_rdata(r, d):
     """List of additive triples (i, j, k) whose identity fails; empty = ok.
 
     For every triple root_k = root_i + root_j the cross-multiplied identity
-    t_i t_j t_{-k} = t_{-i} t_{-j} t_k must hold exactly.  Each root's ratio
-    is read from one pair of lists indexed by root, built once from
-    ``d.ratios``: an entry (num : den) for a also gives (den : num) for -a,
-    unless d holds -a itself, whose own entry wins, as in ``ratio_for``.
-    The identity is homogeneous in each ratio, so the swapped pair needs no
-    normalizing.
+    t_i t_j t_{-k} = t_{-i} t_{-j} t_k must hold exactly, on the ratios of
+    ``ratio_lists``.  The identity is homogeneous in each ratio, so the
+    swapped pairs need no normalizing.
     """
-    _require_all_pairs(r, d)
-    num, den = [0] * len(r.roots), [0] * len(r.roots)
-    for i, t in d.ratios:
-        num[r.neg[i]], den[r.neg[i]] = t.den, t.num
-    for i, t in d.ratios:
-        num[i], den[i] = t
+    num, den = ratio_lists(r, d)
     return [(i, j, k) for i, j, k in rootsmod.additive_triples(r)
             if num[i] * num[j] * den[k] != den[i] * den[j] * num[k]]
 
@@ -189,19 +176,20 @@ def universal_rdata_at(r, p):
 def rdata_to_point(r, d):
     """Invert the ratios to a chart point (the representability bijection).
 
-    ``roots.descend`` reflects in simple roots with ratio (1:0); no chamber
-    is enumerated.  Under the triple identities a root with ratio (1:0) is a
-    sum of simple roots one of which has ratio (1:0), so no positive root of
-    the chart reached (not always the first in canonical order) has ratio
-    (1:0).  There the coordinate of a simple root s is t_s / t_{-s}; the
-    reconstruction is checked to reproduce ``d``.
+    ``roots.descend`` reflects in simple roots with ratio (1:0), read off
+    ``ratio_lists``; no chamber is enumerated.  Under the triple identities a
+    root with ratio (1:0) is a sum of simple roots one of which has ratio
+    (1:0), so no positive root of the chart reached (not always the first in
+    canonical order) has ratio (1:0).  There the coordinate of a simple root
+    s is t_s / t_{-s}, on the sorted chart; the reconstruction is checked to
+    reproduce ``d``.
     """
-    _require_all_pairs(r, d)
-    walk = rootsmod.descend(r, lambda a: ratio_for(r, d, a).is_one_zero)
+    num, den = ratio_lists(r, d)
+    walk = rootsmod.descend(r, lambda a: den[a] == 0)
     if walk is None:
         raise NoChartFound("no admissible chart; the ratios violate the triple identities")
-    ratios = [ratio_for(r, d, i) for i in walk[0]]
-    point = ChartPoint(chart=walk[0], coords=tuple(Fraction(t.num, t.den) for t in ratios))
+    chart = tuple(sorted(walk[0]))
+    point = ChartPoint(chart=chart, coords=tuple(Fraction(num[i], den[i]) for i in chart))
     internal_check(universal_rdata_at(r, point) == d,
                    "chart reconstruction failed on validated data")
     return point
@@ -259,6 +247,8 @@ def chart_point_to_json(r, p):
 
 
 def chart_point_from_json(r, obj):
+    if not (isinstance(obj["chart"], list) and isinstance(obj["coords"], list)):
+        raise TypeError("a chart point's chart and coords are JSON lists")
     chart = tuple(r.root_index(tuple(v)) for v in obj["chart"])
     if len(set(chart)) != len(chart):
         twice = next(a for a in chart if chart.count(a) > 1)

@@ -20,18 +20,18 @@ replaces the ray w_a by w_a - a^vee, read off the reflection table, and
 keeps the others (the contragredient action of W on N, Humphreys section
 1.12).  Nothing is sorted: ``fans`` reads the chamber fan off this walk and
 sorts it once.  Finding one chamber with a property never needs the whole
-orbit: ``descend`` walks from the base chamber, reflecting in a simple root
-on the wrong side, in at most |Phi+| steps, and returns the roots crossed.
-It finds the chart of a point (``rdata``) and the face containing a vector
-(``fans``, which carries the rays along the crossed roots).  Run backwards
-from a chart, the walk gives u in W with u(chart) = Delta (``chart_walk``),
-and u(beta)'s mcoords are beta's coefficients in the chart.  Each positive
-root of height > 1 is a positive root plus a simple root
-(``positive_steps``), and a sum of two roots is looked up by an integer key
-of its mcoords (``additive_triples``).  A root multiple a * alpha has a
-times alpha's mcoords (``mcoords_of_vectors``), with no elimination.
-``RootSystemSpec`` and ``RootSystem`` are NamedTuples: immutable, and equal
-to any tuple with the same fields.
+orbit: ``descend`` walks from a simple set in label order, reflecting in a
+member on the wrong side, in at most |Phi+| steps, and returns the label and
+root of each crossing.  It finds the chart of a point (``rdata``), the face
+containing a vector (``fans`` carries each ray along its label's crossings),
+and, from a chart, the u in W with u(chart) = Delta, the product of the
+reflections crossed (``chart_walk``): u(beta)'s mcoords are beta's
+coefficients in the chart.  Each positive root of height > 1 is a positive
+root plus a simple root (``positive_steps``), and a sum of two roots is
+looked up by an integer key of its mcoords (``additive_triples``).  A root
+multiple a * alpha has a times alpha's mcoords (``mcoords_of_vectors``),
+with no elimination.  ``RootSystemSpec`` and ``RootSystem`` are NamedTuples:
+immutable, and equal to any tuple with the same fields.
 """
 
 from functools import cached_property, lru_cache
@@ -314,23 +314,26 @@ def _coroots(r):
                   for b in r.base_simple_set) for a, row in enumerate(reflection_table(r))]
 
 
-def descend(r, wrong):
-    """Walk from the sorted base simple set S to one with no ``wrong`` member.
+def descend(r, wrong, s=None):
+    """Walk from the simple set s (the base by default) to one with no
+    ``wrong`` member, keeping S in label order, S[k] = w(s[k]).
 
-    While some a in S is ``wrong``, S becomes s_a(S) for the smallest such a.
-    If ``wrong(a)`` excludes ``wrong(-a)``, each step removes one wrong root
-    from the positive roots of S (s_a permutes the others), so the walk ends
-    within |Phi+| steps.  Returns (S, crossed), the roots a in the order they
-    were crossed, one per step, or None after |Phi+| steps.
+    While some a in S is ``wrong``, S becomes s_a(S) entry by entry, for the
+    wrong a of smallest root index.  If ``wrong(a)`` excludes ``wrong(-a)``,
+    each step removes one wrong root from the positive roots of S (s_a
+    permutes the others), so the walk ends within |Phi+| steps.  Returns (S,
+    steps), one (k, a) per step with a = S[k] the root crossed, or None
+    after |Phi+| steps.
     """
     table = reflection_table(r)
-    s, crossed = tuple(sorted(r.base_simple_set)), []
+    s, steps = r.base_simple_set if s is None else s, []
     for _ in range(len(r.positive) + 1):
-        a = next((a for a in s if wrong(a)), None)
+        a = next(filter(wrong, sorted(s)), None)
         if a is None:
-            return s, tuple(crossed)
-        crossed.append(a)
-        s = tuple(sorted(table[a][b] for b in s))
+            return s, tuple(steps)
+        steps.append((s.index(a), a))
+        row = table[a]
+        s = tuple([row[b] for b in s])
     return None
 
 
@@ -340,23 +343,20 @@ def chart_walk(r, s):
     and the base label of each u(s[j]).  So beta = sum_j c_j s[j] has c_j =
     mcoords of u(beta) at labels[j], and no matrix is inverted.
 
-    While some a in S = s is negative, S becomes s_a(S), which removes one
-    negative root from the positive roots of S; a simple set w(Delta) reaches
-    the base set within |Phi+| steps.  Any other set of roots (mixed-sign,
-    singular or repeated) does not, and raises NotInSpan.
+    ``descend`` from s across its negative members reaches the base set
+    within |Phi+| steps when s is a simple set w(Delta), and u is the product
+    of the reflections crossed.  Any other set of roots (mixed-sign, singular
+    or repeated) does not, and raises NotInSpan.
     """
-    table = reflection_table(r)
-    positive = set(r.positive)
-    t, u = s, range(len(r.roots))
-    for _ in range(len(r.positive)):
-        a = next((a for a in t if a not in positive), None)
-        if a is None:
-            break
-        row = table[a]
-        t, u = tuple(row[b] for b in t), [row[b] for b in u]
-    if sorted(t) != sorted(r.base_simple_set):
+    negative = frozenset(r.neg[a] for a in r.positive)
+    walk = descend(r, negative.__contains__, s)
+    if walk is None or sorted(walk[0]) != sorted(r.base_simple_set):
         raise NotInSpan(f"the roots {[list(r.roots[a]) for a in s]} are not a simple set")
-    return tuple(u), tuple(r.base_simple_set.index(a) for a in t)
+    table, u = reflection_table(r), range(len(r.roots))
+    for _, a in walk[1]:
+        row = table[a]
+        u = [row[b] for b in u]
+    return tuple(u), tuple(r.base_simple_set.index(a) for a in walk[0])
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from test_rdata import ONE_ZERO, ZERO_ONE, orbit_rdata_pattern
+from test_rdata import ONE_ZERO, ZERO_ONE, orbit_rdata_pattern, ratio_for
 from test_typea import chain_fan, ray_masks
 from weylfan import chains, linalg, rdata, typea
 from weylfan.chains import CombType, MarkedChain
@@ -294,7 +294,7 @@ def test_data_pattern_matches_orbit_pattern():
     v = typea.subset_ray(chain[0], n)
     pattern = orbit_rdata_pattern(r, v)
     for idx, kind in pattern.items():
-        t = rdata.ratio_for(r, d, idx)
+        t = ratio_for(r, d, idx)
         if kind == ZERO_ONE:
             assert t.is_zero_one
         elif kind == ONE_ZERO:

@@ -513,6 +513,21 @@ def test_a_chart_that_is_not_a_simple_set_is_refused(rank, chart, error, detail)
     assert json.loads(proc.stdout) == {"error": error, "detail": detail}
 
 
+@pytest.mark.parametrize("point", [
+    {"chart": [[1, -1, 0], [0, 1, -1]], "coords": "12"},
+    {"chart": [[1, -1, 0], [0, 1, -1]], "coords": {"1": "1", "2": "2"}},
+    {"chart": "[[1,-1,0],[0,1,-1]]", "coords": ["1", "2"]},
+    {"chart": {"a": [1, -1, 0], "b": [0, 1, -1]}, "coords": ["1", "2"]},
+], ids=["coords-string", "coords-object", "chart-string", "chart-object"])
+def test_a_chart_point_reads_json_lists_only(point, capsys):
+    """A string is not read character by character, nor an object by its
+    keys: the string "12" is no pair of coordinates 1 and 2."""
+    out = run_json(["rdata", "universal-at", "--type", "A", "--rank", "2",
+                    "--point-json", json.dumps(point)], capsys, expect_code=1)
+    assert out == {"error": "InvalidInput", "detail": "--point-json has the wrong shape: "
+                   "a chart point's chart and coords are JSON lists"}
+
+
 @pytest.mark.parametrize("argv", [
     ["rdata", "universal-at", "--type", "A", "--rank", "2", "--point-json",
      json.dumps({"chart": [[1, -1, 0], [0, 1, -1]], "coords": ["1e300000", "1"]})],
@@ -752,12 +767,11 @@ def test_every_operation_reachable(capsys):
         # lm
         chains.comb_type_from_data, chains.chain_from_data, chains.data_from_chain,
         chains.contract, chains.curve_membership, chains.universal_curve_structure,
-        chains.comb_type_over_cone,
+        chains.comb_type_over_cone, rdata.RData.as_dict,
     }
     # Library operations that no verb reaches; the tests of their modules
     # exercise them.
-    library_only = {fans.check_complete, fans.check_smooth, rdata.RData.as_dict,
-                    roots.weyl_order}
+    library_only = {fans.check_complete, fans.check_smooth, roots.weyl_order}
     for fn in covered | library_only:
         assert callable(fn)
     parser = cli.build_parser()

@@ -428,8 +428,8 @@ def test_chamber_face_equals_scan(factors, rebuilt):
     for v in vectors:
         assert fans.chamber_face(r, v) == minimal_containing_cone(f, v), v
         negative = lambda a: linalg.vec_dot(r.mcoords[a], v) < 0
-        _, crossed = roots.descend(r, negative)
-        assert len(crossed) == sum(map(negative, r.positive)) <= len(r.positive)
+        _, steps = roots.descend(r, negative)
+        assert len(steps) == sum(map(negative, r.positive)) <= len(r.positive)
 
 
 @lru_cache(maxsize=None)
@@ -445,7 +445,7 @@ def chamber_face_by_pairings(r, s, v):
     on v: the oracle for the carried rays of ``fans._chamber_and_face``."""
     fan = fans.weyl_chamber_fan(r)
     positive = [a for a in s if linalg.vec_dot(r.mcoords[a], v) > 0]
-    return tuple(i for i in sorted(chamber_map(r)[s]) if any(
+    return tuple(i for i in sorted(chamber_map(r)[tuple(sorted(s))]) if any(
         linalg.vec_dot(r.mcoords[a], fan.rays[i]) for a in positive))
 
 
@@ -682,6 +682,24 @@ def test_orbit_closure_negation_invariant():
         a = fans.orbit_closure(r, f, sec.plus_cone)
         b = fans.orbit_closure(r, f, sec.minus_cone)
         assert a.subsystem.roots == b.subsystem.roots
+
+
+def test_a_missing_opposite_cone_is_an_internal_fault(monkeypatch):
+    """-C is the chamber of the simple set -Delta, so -tau is always a cone:
+    a face of -v other than -tau is a fault of the library, not of tau."""
+    r = sys(("A", 2))
+    tau = (fans.weyl_chamber_fan(r).ray_index((1, 0)),)
+    real, calls = fans._chamber_and_face, []
+
+    def wrong_after_the_first(r, v):
+        calls.append(v)
+        s, face = real(r, v)
+        return s, face if len(calls) == 1 else ()
+
+    monkeypatch.setattr(fans, "_chamber_and_face", wrong_after_the_first)
+    with pytest.raises(InternalCheckFailed, match="opposite"):
+        fans.opposite_sections(r, tau)
+    assert len(calls) == 2
 
 
 def test_opposite_sections():

@@ -1,11 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from test_roots import (TRIPLE_FACTORS, TRIPLE_IDS, expansions_by_inverse,
+from test_roots import (ORACLE_FACTORS, TRIPLE_FACTORS, TRIPLE_IDS, expansions_by_inverse,
                         simple_set_expansions, sorted_orbit)
 from weylfan import fans, linalg, rdata, roots
 from weylfan.errors import MissingPair
@@ -143,12 +144,24 @@ def test_validate_examples():
     assert rdata.validate_rdata(a1, RData.of({pos: ProjectiveRatio.of(5, 3)})) == []
 
 
+def ratio_for(r, d, root_index):
+    """(t_a : t_{-a}) for any root a: d's entry for a, else its entry for -a
+    swapped.  The oracle for ``rdata.ratio_lists``."""
+    table = d.as_dict()
+    if root_index in table:
+        return table[root_index]
+    other = r.neg[root_index]
+    if other in table:
+        return table[other].swap()
+    raise MissingPair(f"no ratio for the pair of {r.roots[root_index]}")
+
+
 def violated_by_ratio_for(r, d):
     """The triples whose identity fails, each ratio read by ``ratio_for``:
     the oracle for the list that ``validate_rdata`` reads."""
     bad = []
     for i, j, k in roots.additive_triples(r):
-        ti, tj, tk = (rdata.ratio_for(r, d, x) for x in (i, j, k))
+        ti, tj, tk = (ratio_for(r, d, x) for x in (i, j, k))
         if ti.num * tj.num * tk.den != ti.den * tj.den * tk.num:
             bad.append((i, j, k))
     return bad
@@ -194,6 +207,39 @@ def test_validate_equals_the_ratio_for_oracle(factors):
     assert outcomes == {False, True}
 
 
+@pytest.mark.parametrize("factors", ORACLE_FACTORS,
+                         ids=["x".join(f"{f}{k}" for f, k in fs) for fs in ORACLE_FACTORS])
+def test_ratio_lists_equal_the_ratio_for_oracle(factors):
+    """On every root: the ratios of a chart point, with the first pair keyed
+    by its negative root, the last negative root given a second ratio of its
+    own, and the other pairs changed in the same two ways at random.  With
+    one pair dropped, both refuse it with the same text."""
+    r = sys(*factors)
+    rng = random.Random(len(r.roots))
+    ratios = [ProjectiveRatio.of(x, y) for x in range(-3, 4) for y in range(4) if x or y]
+    chart = random_walk_chart(r, rng, len(r.positive))
+    coords = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in chart)
+    d = rdata.universal_rdata_at(r, ChartPoint(chart=chart, coords=coords)).as_dict()
+    first, last = r.positive[0], r.positive[-1]
+    for i in r.positive:
+        if i == first or i != last and rng.random() < 0.2:
+            d[r.neg[i]] = d.pop(i).swap()
+        elif i == last or rng.random() < 0.2:
+            d[r.neg[i]] = rng.choice(ratios)
+    both = RData.of(d)
+    num, den = rdata.ratio_lists(r, both)
+    assert [ProjectiveRatio.of(x, y) for x, y in zip(num, den)] == \
+        [ratio_for(r, both, a) for a in range(len(r.roots))]
+    dropped = rng.choice(r.positive)
+    for key in (dropped, r.neg[dropped]):
+        d.pop(key, None)
+    missing = RData.of(d)
+    with pytest.raises(MissingPair) as want:
+        ratio_for(r, missing, dropped)
+    with pytest.raises(MissingPair, match=f"^{re.escape(str(want.value))}$"):
+        rdata.ratio_lists(r, missing)
+
+
 def test_validate_missing_pair():
     r = sys(("A", 2))
     alpha, beta, _ = a2_pairs(r)
@@ -207,8 +253,8 @@ def test_ratio_orientation_swap():
     alpha, _, _ = a2_pairs(r)
     d = rdata.universal_rdata_at(
         r, ChartPoint(chart=tuple(sorted(a2_pairs(r)[:2])), coords=(Fraction(2), Fraction(3))))
-    t = rdata.ratio_for(r, d, alpha)
-    assert rdata.ratio_for(r, d, r.neg[alpha]) == t.swap()
+    t = ratio_for(r, d, alpha)
+    assert ratio_for(r, d, r.neg[alpha]) == t.swap()
 
 
 def test_universal_rdata_examples():
@@ -217,18 +263,18 @@ def test_universal_rdata_examples():
     chart = tuple(sorted((alpha, beta)))
     coords = tuple(Fraction(2) if i == alpha else Fraction(3) for i in chart)
     d = rdata.universal_rdata_at(r, ChartPoint(chart=chart, coords=coords))
-    assert rdata.ratio_for(r, d, gamma) == ProjectiveRatio.of(6, 1)
+    assert ratio_for(r, d, gamma) == ProjectiveRatio.of(6, 1)
     assert rdata.validate_rdata(r, d) == []
 
     # torus fixed point: every chart-positive pair degenerates to (0:1)
     zero = rdata.universal_rdata_at(r, ChartPoint(chart=chart, coords=(Fraction(0), Fraction(0))))
     for i in (alpha, beta, gamma):
-        assert rdata.ratio_for(r, zero, i) == ProjectiveRatio.of(0, 1)
+        assert ratio_for(r, zero, i) == ProjectiveRatio.of(0, 1)
 
     a1 = sys(("A", 1))
     pos = a1.positive[0]
     d1 = rdata.universal_rdata_at(a1, ChartPoint(chart=(pos,), coords=(Fraction(1),)))
-    assert rdata.ratio_for(a1, d1, pos) == ProjectiveRatio.of(1, 1)
+    assert ratio_for(a1, d1, pos) == ProjectiveRatio.of(1, 1)
 
 
 def test_rdata_to_point_roundtrip_examples():
@@ -326,11 +372,11 @@ def check_descent(r, d, q):
     exp = simple_set_expansions(r, q.chart)
     chart_positive = [i for i, x in enumerate(exp)
                       if all(v >= 0 for v in x) and any(v > 0 for v in x)]
-    assert not any(rdata.ratio_for(r, d, i).is_one_zero for i in chart_positive)
-    one_zero = lambda a: rdata.ratio_for(r, d, a).is_one_zero
-    chart, crossed = roots.descend(r, one_zero)
-    assert chart == q.chart
-    assert len(crossed) == sum(map(one_zero, r.positive)) <= len(r.positive)
+    assert not any(ratio_for(r, d, i).is_one_zero for i in chart_positive)
+    one_zero = lambda a: ratio_for(r, d, a).is_one_zero
+    chart, steps = roots.descend(r, one_zero)
+    assert tuple(sorted(chart)) == q.chart
+    assert len(steps) == sum(map(one_zero, r.positive)) <= len(r.positive)
 
 
 def random_walk_chart(r, rng, length):

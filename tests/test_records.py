@@ -72,8 +72,3 @@ def test_records_are_immutable_values(record):
     else:
         assert hash(copy) == hash(record)
 
-
-def test_rdata_lookup_is_built_once():
-    r = roots.build_root_system(roots.RootSystemSpec.parse([("A", 2)]))
-    d = rdata.RData.of({i: rdata.ProjectiveRatio.of(1, 1) for i in r.positive})
-    assert d.lookup is d.lookup and d.lookup == d.as_dict()

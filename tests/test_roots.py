@@ -277,6 +277,30 @@ EXPANSION_IDS = ["x".join(f"{f}{k}" for f, k in fs) for fs in EXPANSION_FACTORS]
 
 
 @pytest.mark.parametrize("factors", EXPANSION_FACTORS, ids=EXPANSION_IDS)
+def test_descend_steps_cross_the_root_of_their_label(factors):
+    """Each step (k, a) of ``descend`` crosses a = S[k], the wrong member of
+    S of smallest index, and S ends in label order, as the S of its chamber
+    in ``chamber_orbit``.  From S back across its negative members, the walk
+    ends at the base set in label order."""
+    r = sys(*factors)
+    table, positive = roots.reflection_table(r), set(r.positive)
+    label_order = {tuple(sorted(s)): s for s, _ in roots.chamber_orbit(r)[1]}
+    rng = random.Random(len(label_order))
+    for _ in range(40):
+        v = tuple(rng.randint(-3, 3) for _ in range(r.rank))
+        wrong = lambda a: linalg.vec_dot(r.mcoords[a], v) < 0
+        s, steps = roots.descend(r, wrong)
+        t = r.base_simple_set
+        for k, a in steps:
+            assert a == t[k] == min(b for b in t if wrong(b))
+            t = tuple(table[a][b] for b in t)
+        assert t == s == label_order[tuple(sorted(s))]
+        assert not any(map(wrong, s))
+        back, _ = roots.descend(r, lambda a: a not in positive, s)
+        assert back == r.base_simple_set
+
+
+@pytest.mark.parametrize("factors", EXPANSION_FACTORS, ids=EXPANSION_IDS)
 def test_expansions_equal_the_inverse_oracle_on_every_chamber(factors):
     """Sorted and reversed: the walk back to the base keeps the order of s."""
     r = sys(*factors)
