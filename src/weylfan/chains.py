@@ -63,13 +63,6 @@ class MarkedChain(NamedTuple):
         return self.ctype.labels
 
 
-def data_ratio(data, i, j):
-    """(t_ij : t_ji) for any ordered pair, from the i<j keyed dict."""
-    if i < j:
-        return data[(i, j)]
-    return data[(j, i)].swap()
-
-
 def comb_type_from_data(data, labels):
     """Blocks of the total preorder defined by the degeneration pattern.
 
@@ -99,7 +92,7 @@ def chain_from_data(data, labels):
         anchor = b[0]
         coords[anchor] = ProjectiveRatio.of(1, 1)
         for i in b[1:]:
-            coords[i] = data_ratio(data, i, anchor)
+            coords[i] = data[(anchor, i)].swap()
     chain = MarkedChain.of(ctype, coords)
     internal_check(data_from_chain(chain) == dict(data), "chain does not reproduce its data")
     return chain
@@ -123,14 +116,10 @@ def data_from_chain(chain):
     return out
 
 
-def normalize_chain(chain):
-    """Rescale every component so its minimal mark sits at (1:1)."""
-    return contract(chain, chain.labels)
-
-
 def chains_isomorphic(c1, c2):
-    """Isomorphism = equal type and componentwise equality after anchoring."""
-    return normalize_chain(c1) == normalize_chain(c2)
+    """Equal types, and equal marks once ``contract`` onto all labels has
+    rescaled each component to put its minimal mark at (1:1)."""
+    return contract(c1, c1.labels) == contract(c2, c2.labels)
 
 
 def contract(chain, keep):
@@ -170,7 +159,7 @@ def curve_membership(data, labels, zs):
     labels = tuple(sorted(labels))
     for a, i in enumerate(labels):
         for j in labels[a + 1:]:
-            t = data_ratio(data, i, j)
+            t = data[(i, j)]
             zi, zj = zs[i], zs[j]
             if t.num * zj.den * zi.num != t.den * zj.num * zi.den:
                 return False, ()
@@ -193,8 +182,6 @@ class SectionInfo(NamedTuple):
 class UniversalCurve(NamedTuple):
     n: int
     morphism: object          # FanMorphism of the chamber fans
-    total_system: object      # the bigger root system
-    base_system: object       # the smaller one, realized in the same ambient
     sections: tuple
     pole_minus_ray: int       # ray index of -v_{n+2} in the source fan
     pole_plus_ray: int        # ray index of v_{n+2}
@@ -245,8 +232,6 @@ def universal_curve_structure(n):
     return UniversalCurve(
         n=n,
         morphism=morphism,
-        total_system=big,
-        base_system=small,
         sections=tuple(sections),
         pole_minus_ray=pole_minus,
         pole_plus_ray=pole_plus,

@@ -1,9 +1,9 @@
 """Batch command-line frontend: every library operation behind a JSON verb.
 
 Output is a single JSON document on stdout (or --output FILE), with fixed
-key order and canonically sorted arrays, so identical flags and seed give
-byte-identical results.  Domain errors exit 1 with {"error", "detail"};
-usage errors exit 2.
+key order and canonically sorted arrays, so identical flags give
+byte-identical results; ``--seed`` belongs to ``lm``, for ``lm roundtrip``.
+Domain errors exit 1 with {"error", "detail"}; usage errors exit 2.
 
 Each verb imports only the layers it runs, inside its ``cmd_*`` function, so
 a usage error loads nothing of the package but this module and ``errors``.
@@ -12,7 +12,8 @@ A projective ratio (t_a : t_{-a}) is written as its primitive integer pair
 ["p", "q"]: p and q coprime with q > 0, or exactly ["1", "0"].  So (2:1) is
 ["2", "1"], (1/2 : 1) is ["1", "2"] and (0:5) is ["0", "1"].  Ratios read
 from input may use any non-zero scaling, fractions included: ["4", "2"] and
-["1", "1/2"] both mean (2:1).
+["1", "1/2"] both mean (2:1).  A JSON decimal means the decimal it spells:
+[0.1, 1] is (1:10), as ["0.1", "1"] is, and exponent notation is refused.
 """
 
 import argparse
@@ -53,10 +54,11 @@ def _payload(args, flag, parse):
 
     A value of the wrong JSON type or shape is invalid input, like a missing
     one: the TypeError, IndexError or ZeroDivisionError it causes while being
-    read becomes a ValueError naming the flag.
+    read becomes a ValueError naming the flag.  A JSON decimal stays a
+    string, which ``rdata._exact`` reads exactly.
     """
     try:
-        return parse(json.loads(_required(args, flag)))
+        return parse(json.loads(_required(args, flag), parse_float=str))
     except (TypeError, IndexError, ZeroDivisionError) as e:
         raise ValueError(f"{flag} has the wrong shape: {e}") from None
 
@@ -350,7 +352,6 @@ def cmd_lm(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized verbs")
     common.add_argument("--output", help="write the JSON result to a file")
 
     top = argparse.ArgumentParser(prog="weylfan")
@@ -416,6 +417,7 @@ def build_parser():
     p.add_argument("--keep", help="comma-separated labels to keep")
     p.add_argument("--cone", help="JSON chain of subsets, e.g. [[1],[1,2]]")
     p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0, help="seed for roundtrip's random chains")
     p.set_defaults(func=cmd_lm)
 
     return top

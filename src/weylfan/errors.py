@@ -1,7 +1,8 @@
 """Domain errors raised by the library.
 
-Every error carries a stable machine-readable ``code`` so the CLI can emit
-``{"error": code, "detail": ...}`` objects without string matching.
+Every error carries a stable machine-readable ``code``, and its message is
+``str(e)``, so the CLI emits ``{"error": code, "detail": str(e)}`` objects
+without string matching.
 """
 
 
@@ -9,10 +10,6 @@ class WeylFanError(Exception):
     """Base class for all domain errors."""
 
     code = "Error"
-
-    def __init__(self, detail=""):
-        super().__init__(detail)
-        self.detail = detail
 
 
 class UnsupportedFamily(WeylFanError):

@@ -218,9 +218,12 @@ def subsystem_morphism(r, subspace_basis):
     Returns (rprime, morphism) where rprime = R intersect span(subspace_basis)
     and the morphism is the induced surjection of chamber fans.
     Raises NotRootSpan if the intersection does not span the subspace.
+    A root is in the span iff it is orthogonal to ``perp``, the kernel of
+    the matrix whose columns are the basis vectors: one kernel for all roots.
     """
     basis = tuple(tuple(v) for v in subspace_basis)
-    sub = [v for v in r.roots if linalg.in_rational_span(basis, v)]
+    perp = linalg.kernel_basis(tuple(tuple(v[i] for v in basis) for i in range(r.ambient_dim)))
+    sub = [v for v in r.roots if not any(linalg.vec_dot(x, v) for x in perp)]
     if linalg.rank(tuple(sub)) != linalg.rank(basis):
         raise NotRootSpan("subspace is not spanned by the roots it contains")
     if len(sub) == len(r.roots):
@@ -234,7 +237,6 @@ def subsystem_morphism(r, subspace_basis):
 
 class EmbeddingEquations(NamedTuple):
     kernel_mcoords: tuple   # Z-basis of ker(mu) in M(R')-coordinates
-    kernel_ambient: tuple   # the same basis as ambient vectors of E'
     per_chart: tuple        # (simple set S', tuple of (pos roots, neg roots))
 
 
@@ -262,8 +264,6 @@ def projection_embedding_equations(r, rprime, mu):
     if not linalg.lattices_equal(p, linalg.identity_matrix(r.rank)):
         raise NotSurjective("mu does not map M(R') onto M(R)")
     kern = linalg.kernel_basis(p)
-    kern_ambient = tuple(
-        linalg.vec_matmul(x, rprime.root_lattice_basis) for x in kern)
     rays, chambers = rootsmod.chamber_orbit(rprime)
     pairings = [[linalg.vec_dot(x, w) for w in rays] for x in kern]
     charts = []
@@ -280,7 +280,7 @@ def projection_embedding_equations(r, rprime, mu):
                     neg.extend([root_idx] * (-coeff))
             eqs.append((tuple(pos), tuple(neg)))
         charts.append((tuple(a for a, _ in pairs), tuple(eqs)))
-    return EmbeddingEquations(kern, kern_ambient, tuple(sorted(charts)))
+    return EmbeddingEquations(kern, tuple(sorted(charts)))
 
 
 class OrbitClosure(NamedTuple):

@@ -177,11 +177,6 @@ def det(m):
     return sign * a[n - 1][n - 1]
 
 
-def in_rational_span(basis, v):
-    """True iff v lies in the Q-span of the rows of basis."""
-    return rank(tuple(basis) + (tuple(v),)) == rank(basis)
-
-
 def _into_hyperplane(a, p, v):
     """The primitive multiple of <a, p> v - <a, v> p, which lies on a = 0."""
     return vec_primitive(vec_sub(vec_scale(vec_dot(a, p), v), vec_scale(vec_dot(a, v), p)))

@@ -36,8 +36,8 @@ class ProjectiveRatio(NamedTuple):
     so two ratios are equal exactly when their fields are.  ``of`` takes ints
     or Fractions in any non-zero scaling.  The JSON form is the fields as
     strings: (2:1) is ``["2", "1"]`` and (0:5) is ``["0", "1"]``.
-    ``from_json`` accepts integers, decimals and "p/q" strings, but no
-    exponent notation.
+    ``from_json`` accepts integers, decimals, as JSON numbers or strings, and
+    "p/q" strings, but no exponent notation.
     """
 
     num: int

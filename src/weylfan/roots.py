@@ -131,9 +131,7 @@ def _family_base(family, rk):
 
 
 def build_root_system(spec):
-    """Construct the standard realization of a (product) root system."""
-    if not isinstance(spec, RootSystemSpec):
-        spec = RootSystemSpec.parse(spec)
+    """The standard realization of the (product) root system of a ``RootSystemSpec``."""
     blocks = [_family_base(f, r) for f, r in spec.factors]
     dim = sum(bdim for bdim, _ in blocks)
     base, off = [], 0

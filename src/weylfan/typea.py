@@ -509,7 +509,7 @@ def delta_polytope(n):
     )
 
 
-def subdivide_cone(b1, b2, n):
+def subdivide_cone(b1, b2):
     """Chains subdividing the cone of all subsets between b1 and b2, one per
     permutation of the gap members."""
     return tuple((b1, *_prefix_masks(perm, b1)) for perm in permutations(members(b2 & ~b1)))
@@ -538,7 +538,7 @@ def crepant_subdivision(n):
     the result is the chamber fan again."""
     _check_n(n)
     return _subset_fan(n, (chain for b1, b2 in _singleton_cosingletons(n)
-                           for chain in subdivide_cone(b1, b2, n)))
+                           for chain in subdivide_cone(b1, b2)))
 
 
 # -- JSON -------------------------------------------------------------------

@@ -180,6 +180,12 @@ def test_deterministic_output(capsys):
     assert json.loads(out1) == {"ok": True, "samples": 20}
 
 
+def test_seed_belongs_to_lm_only(capsys):
+    """Only ``lm roundtrip`` reads --seed, so no other verb accepts it."""
+    assert cli.run(["fan", "--type", "A", "--rank", "2", "--seed", "1"]) == 2
+    capsys.readouterr()
+
+
 def test_error_object_and_codes(capsys):
     out = run_json(["fan", "--type", "E", "--rank", "6"], capsys, expect_code=1)
     assert out["error"] == "UnsupportedFamily"
@@ -537,13 +543,29 @@ def test_a_chart_point_reads_json_lists_only(point, capsys):
      A2_DATA.replace('["2", "1"]', '["2", "1e300000"]', 1)],
     ["rdata", "to-point", "--type", "A", "--rank", "2", "--data-json",
      A2_DATA.replace('["1", "1"]', '["-1.5e300000", "1"]', 1)],
+    ["rdata", "validate", "--type", "A", "--rank", "2", "--data-json",
+     A2_DATA.replace('["2", "1"]', '[2, 1e5]', 1)],
+    ["rdata", "universal-at", "--type", "A", "--rank", "2", "--point-json",
+     '{"chart": [[1, -1, 0], [0, 1, -1]], "coords": [1e300000, 1]}'],
 ])
 def test_exponent_notation_is_invalid_input(argv, capsys):
-    """A ratio or coordinate in exponent notation is refused before it is
-    turned into a 300,000-digit integer."""
+    """A ratio or coordinate in exponent notation, as a string or as a JSON
+    number, is refused before it is turned into a 300,000-digit integer."""
     out = run_json(argv, capsys, expect_code=1)
     assert out["error"] == "InvalidInput"
     assert "exponent" in out["detail"]
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["numbers", "strings"])
+def test_json_decimals_are_exact(quote, capsys):
+    """A JSON decimal means the decimal it spells, not the nearest binary
+    float: 0.1 * 0.2 = 0.02 holds for JSON numbers as for strings."""
+    data = ('{"pairs":[{"positive_root":[1,-1,0],"ratio":[Q0.1Q,1]},'
+            '{"positive_root":[0,1,-1],"ratio":[Q0.2Q,1]},'
+            '{"positive_root":[1,0,-1],"ratio":[Q0.02Q,1]}]}').replace("Q", quote)
+    out = run_json(["rdata", "validate", "--type", "A", "--rank", "2", "--data-json", data],
+                   capsys)
+    assert out == {"ok": True, "violations": []}
 
 
 def test_infinite_json_number_is_invalid_input(capsys):

@@ -6,8 +6,8 @@ from math import comb
 
 import pytest
 
-from test_linalg import dual_basis, int_inverse
-from test_roots import simple_sets, sorted_orbit
+from test_linalg import dual_basis, in_rational_span, int_inverse
+from test_roots import ORACLE_FACTORS, simple_sets, sorted_orbit
 from weylfan import fans, linalg, roots, typea
 from weylfan.errors import InternalCheckFailed, NotInSpan, NotRootSpan, NotSurjective
 
@@ -516,6 +516,36 @@ def test_subsystem_not_root_span():
     r = sys(("A", 2))
     with pytest.raises(NotRootSpan):
         fans.subsystem_morphism(r, ((1, 0, 0),))
+
+
+def subsystem_bases(r, rng):
+    """An empty basis, a dependent one (a, b, a + b) for two simple roots, the
+    whole ambient space, the span of the roots, and two random pairs: of
+    roots, and of small vectors."""
+    simple = r.root_lattice_basis
+    a, b = simple[0], simple[-1]
+    return [(), (a, b, linalg.vec_add(a, b)), linalg.identity_matrix(r.ambient_dim), simple,
+            (rng.choice(r.roots), rng.choice(r.roots)),
+            tuple(tuple(rng.randrange(-1, 2) for _ in range(r.ambient_dim)) for _ in range(2))]
+
+
+@pytest.mark.parametrize("factors", ORACLE_FACTORS,
+                         ids=["x".join(f"{f}{k}" for f, k in fs) for fs in ORACLE_FACTORS])
+def test_subsystem_roots_equal_the_rank_oracle(factors, monkeypatch):
+    """The roots that ``subsystem_morphism`` finds in the span of each basis
+    are those of the rank oracle, and NotRootSpan is raised iff they span
+    less than the basis.  The chamber fans, too large to build for the rank-7
+    systems, are stubbed: only the root set is under test."""
+    r = sys(*factors)
+    monkeypatch.setattr(fans, "weyl_chamber_fan", lambda r: fans.Fan(r.rank, (), ()))
+    monkeypatch.setattr(fans, "_morphism_from_lattice_inclusion", lambda r, rp: None)
+    for basis in subsystem_bases(r, random.Random(f"subsystem:{factors}")):
+        expected = {v for v in r.roots if in_rational_span(basis, v)}
+        if linalg.rank(tuple(expected)) != linalg.rank(basis):
+            with pytest.raises(NotRootSpan):
+                fans.subsystem_morphism(r, basis)
+        else:
+            assert set(fans.subsystem_morphism(r, basis)[0].roots) == expected
 
 
 def test_projection_embedding_a2_into_a1_cubed():

@@ -130,6 +130,12 @@ def test_dual_basis_involution_random():
         assert dual_basis(d) == b
 
 
+def in_rational_span(basis, v):
+    """True iff v lies in the Q-span of the rows of basis: the rank oracle of
+    ``test_gauss_jordan_oracle`` and of ``test_fans``' subsystem roots."""
+    return linalg.rank(tuple(basis) + (tuple(v),)) == linalg.rank(basis)
+
+
 def gauss_jordan_solve(basis, target):
     """The unique x over Q with x * basis = target, or None; ValueError for
     dependent rows.  Fraction Gauss-Jordan, the oracle for the mcoords of the
@@ -187,7 +193,7 @@ def test_gauss_jordan_oracle():
             assert gauss_jordan_solve(basis, linalg.vec_matmul(y, basis) if k else (0,) * dim) == y
         for t in (tuple(rng.randrange(-4, 5) for _ in range(dim)) for _ in range(4)):
             q = gauss_jordan_solve(basis, t)
-            assert (q is not None) == linalg.in_rational_span(basis, t)
+            assert (q is not None) == in_rational_span(basis, t)
             if q is None:
                 checked["outside"] += 1
             else:

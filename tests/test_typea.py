@@ -723,7 +723,7 @@ def test_subdivide_cone_counts():
     # |B2 \ B1| = 2, cone dimension d = 3: subdivided into (d-1)! = 2 chains
     b1 = typea.mask_of([1])
     b2 = typea.mask_of([1, 2, 3])
-    chains = typea.subdivide_cone(b1, b2, 3)
+    chains = typea.subdivide_cone(b1, b2)
     assert len(chains) == 2
     for chain in chains:
         assert chain[0] == b1 and chain[-1] == b2 and typea.is_chain(chain)
