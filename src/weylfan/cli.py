@@ -49,16 +49,21 @@ def _required(args, flag):
     return value
 
 
+class _Decimal(str):
+    """A JSON decimal as its text; a refusal quotes it as 2.5, not '2.5'."""
+    __repr__ = str.__str__
+
+
 def _payload(args, flag, parse):
     """``parse`` applied to the JSON value of ``flag``.
 
     A value of the wrong JSON type or shape is invalid input, like a missing
     one: the TypeError, IndexError or ZeroDivisionError it causes while being
-    read becomes a ValueError naming the flag.  A JSON decimal stays a
-    string, which ``rdata._exact`` reads exactly.
+    read becomes a ValueError naming the flag.  A JSON decimal stays its
+    text (``_Decimal``), which ``rdata._exact`` reads exactly.
     """
     try:
-        return parse(json.loads(_required(args, flag), parse_float=str))
+        return parse(json.loads(_required(args, flag), parse_float=_Decimal))
     except (TypeError, IndexError, ZeroDivisionError) as e:
         raise ValueError(f"{flag} has the wrong shape: {e}") from None
 

@@ -9,14 +9,15 @@ walk over W that the package makes, one step per chamber.  The walk carries
 the ids of each chamber's rays across the walls by the contragredient action
 of W on N (Humphreys, section 1.12), so no chamber's root matrix is inverted
 and the fan is read off the ids.  The face containing a vector is found by
-descent from the base chamber (``chamber_face``), carrying each ray along
-the steps of its label, not by a scan or a map of the chambers.  The fan
-morphisms are built from it, and a cone is checked as the face of its ray
-sum (``_cone_point``), from where ``orbit_closure`` walks over its star
-only.  Completeness and smoothness share one Bareiss determinant per
-simplicial max cone, whose sign also gives the side of each facet (the
-bitmask of its ray ids) on which the cone lies; other cones read their
-facets off their dual cones (``linalg.extreme_rays``).
+walking its coweight coordinates to the dominant chamber by the Cartan
+matrix, carrying each ray across the walls of its label (``chamber_face``).
+The fan morphisms are built from it, and a cone is checked as the face of
+its ray sum (``_cone_point``), from where ``orbit_closure`` walks its star
+by the parabolic subgroup fixing that sum.  Completeness and smoothness
+share one Bareiss determinant per simplicial max cone, whose sign also
+gives the side of each facet (the bitmask of its ray ids) on which the cone
+lies; other cones read their facets off their dual cones
+(``linalg.extreme_rays``).
 
 Cones are sorted tuples of ray indices; the empty tuple is the zero cone.
 Rays and max-cone lists are canonicalized (lexicographic) on construction,
@@ -88,29 +89,34 @@ def chamber_face(r, v):
     """The cone of ``weyl_chamber_fan(r)`` with v (rational entries allowed)
     in its relative interior, as a sorted tuple of ray indices.
 
-    ``roots.descend`` reflects in simple roots a with <a, v> < 0 until the
-    chamber S contains v.  As v = sum <a, v> w_a over the rays w_a of S
-    (<a, w_b> = 1 if a = b, else 0), the face is spanned by the rays w_a of S
-    with <a, v> > 0.
-    """
+    N is written dual to the base, so v_k = <alpha_k, v>; for S = w(Delta),
+    <S[k], v> = u_k with u = w^{-1} v.  If no u_k < 0, then v = sum u_k w_k
+    over the rays w_k of S, and the face is spanned by the w_k with u_k > 0."""
     return _chamber_and_face(r, v)[1]
 
 
 def _chamber_and_face(r, v):
-    """(S, face): the simple set S, in label order, that ``roots.descend``
-    reaches for v, and ``chamber_face(r, v)``, the sorted ray ids w_a of S's
-    chamber with <a, v> > 0.  The rays of the base chamber, the walk's first
-    n rays, are carried along the steps by the rule of
-    ``roots.chamber_orbit``: the step (k, a) sends the ray of label k to
-    w_k - a^vee, the ray of -a, and each other ray keeps its label."""
-    pairing = lambda a: linalg.vec_dot(r.mcoords[a], v)
-    walk = rootsmod.descend(r, lambda a: pairing(a) < 0)
-    internal_check(walk is not None, f"the descent for {tuple(v)} did not end")
-    coroots, rays = rootsmod._coroots(r), list(rootsmod.chamber_orbit(r)[0][:r.rank])
-    for k, a in walk[1]:
-        rays[k] = tuple([x - y for x, y in zip(rays[k], coroots[a])])
+    """(S, face, u): S = w(Delta) in label order for the chamber nearest the
+    base one that contains v, ``chamber_face(r, v)``, and u = w^{-1} v >= 0.
+    From u = v, S = Delta and the unit vectors as rays, the walk crosses the
+    wall of the smallest label k with u_k < 0, a = S[k] (Humphreys 1.12; the
+    numbers game, Bjorner-Brenti ch. 4): u_j -= <alpha_j, alpha_k^vee> u_k,
+    one Cartan column; S becomes s_a(S), one reflection table row; the ray of
+    label k becomes w_k - a^vee, as in ``roots.chamber_orbit``.  Each wall
+    crossed separates v from the base chamber: one step per positive root
+    negative on v, ending at the minimal coset representative's chamber."""
+    base, coroots, table = r.base_simple_set, rootsmod._coroots(r), rootsmod.reflection_table(r)
+    s, u, rays = base, list(v), list(linalg.identity_matrix(r.rank))
+    for _ in range(len(r.positive) + 1):
+        if (k := next((k for k, x in enumerate(u) if x < 0), None)) is None:
+            break
+        a, x = s[k], u[k]
+        u = [y - c * x for y, c in zip(u, coroots[base[k]])]
+        rays[k] = tuple([y - z for y, z in zip(rays[k], coroots[a])])
+        s = tuple(map(table[a].__getitem__, s))
+    internal_check(k is None, f"the walk for {tuple(v)} did not end")
     ray_id = _chamber_data(r)[1]
-    return walk[0], tuple(sorted(ray_id[w] for a, w in zip(walk[0], rays) if pairing(a) > 0))
+    return s, tuple(sorted(ray_id[w] for w, x in zip(rays, u) if x > 0)), u
 
 
 def _cone_facets(f, cone, d):
@@ -269,17 +275,9 @@ def projection_embedding_equations(r, rprime, mu):
     charts = []
     for s, ids in chambers:
         pairs = sorted(zip(s, ids))
-        eqs = []
-        for row in pairings:
-            pos, neg = [], []
-            for root_idx, i in pairs:
-                coeff = row[i]
-                if coeff > 0:
-                    pos.extend([root_idx] * coeff)
-                elif coeff < 0:
-                    neg.extend([root_idx] * (-coeff))
-            eqs.append((tuple(pos), tuple(neg)))
-        charts.append((tuple(a for a, _ in pairs), tuple(eqs)))
+        eqs = tuple((tuple(a for a, i in pairs for _ in range(row[i])),
+                     tuple(a for a, i in pairs for _ in range(-row[i]))) for row in pairings)
+        charts.append((tuple(a for a, _ in pairs), eqs))
     return EmbeddingEquations(kern, tuple(sorted(charts)))
 
 
@@ -291,16 +289,16 @@ class OrbitClosure(NamedTuple):
 
 
 def _cone_point(r, fan, tau):
-    """(tau, v, S): tau's sorted ray ids, the sum v of its rays, and the simple
-    set S of a chamber containing v.  v is in the relative interior of tau,
-    so tau is a cone iff it is the ``chamber_face`` of v; else NotInSpan."""
+    """(tau, v, S, J): tau's sorted ray ids, the sum v of its rays, and the S
+    and the labels J = {k : u_k = 0} of ``_chamber_and_face(r, v)``.  v is
+    in tau's relative interior, so tau is a cone iff it is v's face."""
     tau = tuple(sorted(set(tau)))
     v = tuple(sum(fan.rays[i][k] for i in tau) for k in range(fan.lattice_rank))
-    s, face = _chamber_and_face(r, v)
+    s, face, u = _chamber_and_face(r, v)
     if face != tau:
         raise NotInSpan(f"the cone spanned by {[list(fan.rays[i]) for i in tau]} "
                         "is not a cone of the fan")
-    return tau, v, s
+    return tau, v, s, tuple(k for k, x in enumerate(u) if x == 0)
 
 
 def orbit_closure(r, f, tau):
@@ -313,39 +311,32 @@ def orbit_closure(r, f, tau):
 
     Only the star of tau is visited.  The sum v of tau's rays lies in the
     relative interior of tau, so a chamber contains tau iff it contains v.
-    ``roots.descend`` finds one, S0 (``_cone_point``).  The others are the
-    images of S0 under the stabilizer of v, reached by reflecting in the
-    simple roots orthogonal to tau: a simple root of a chamber containing tau
-    is >= 0 on each of tau's rays, so it is orthogonal to tau iff <a, v> = 0.
+    ``_cone_point`` finds one, S0 = w(Delta), and the labels J with u_k = 0,
+    u = w^{-1} v.  Crossing only the walls of labels in J (w -> w s_k fixes
+    u) walks the star, the orbit of S0 under the stabilizer w W_J w^{-1} of
+    v, with S kept in label order.  A root has one sign on a whole cone, so
+    it is orthogonal to tau iff <a, v> = 0, as S[k] is iff k is in J.
     ``f`` must be ``weyl_chamber_fan(r)``.
     """
     fan = weyl_chamber_fan(r)
     if f != fan:
         raise ValueError("orbit_closure needs the chamber fan of r")
-    tau, _, start = _cone_point(r, fan, tau)
-    start = tuple(sorted(start))
-    orth = [not any(linalg.vec_dot(c, fan.rays[i]) for i in tau) for c in r.mcoords]
+    tau, v, start, labels = _cone_point(r, fan, tau)
     table = rootsmod.reflection_table(r)
     star, todo = {start}, [start]
     while todo:
         s = todo.pop()
-        for a in s:
-            if orth[a]:
-                t = tuple(sorted(table[a][b] for b in s))
-                if t not in star:
-                    star.add(t)
-                    todo.append(t)
-    charts = tuple(sorted((s, tuple(i for i in s if orth[i]), tuple(i for i in s if not orth[i]))
-                          for s in star))
-    sub_idx = tuple(i for i, o in enumerate(orth) if o)
-    if not tau:
-        sub = r
-    else:
-        base = [r.roots[i] for i in charts[0][1]]
-        sub = rootsmod.root_system_from_roots(
-            [r.roots[i] for i in sub_idx], r.ambient_dim, base=base)
-    factors = rootsmod.dynkin_components(r, charts[0][1]) if charts[0][1] else ()
-    return OrbitClosure(sub, sub_idx, charts, factors)
+        for k in labels:
+            if (t := tuple(map(table[s[k]].__getitem__, s))) not in star:
+                star.add(t)
+                todo.append(t)
+    others = [k for k in range(r.rank) if k not in labels]
+    charts = tuple(sorted((tuple(sorted(s)), tuple(sorted(s[k] for k in labels)),
+                           tuple(sorted(s[k] for k in others))) for s in star))
+    sub_idx = tuple(i for i, c in enumerate(r.mcoords) if not linalg.vec_dot(c, v))
+    sub = rootsmod.root_system_from_roots([r.roots[i] for i in sub_idx], r.ambient_dim,
+                                          base=[r.roots[i] for i in charts[0][1]]) if tau else r
+    return OrbitClosure(sub, sub_idx, charts, rootsmod.dynkin_components(r, charts[0][1]))
 
 
 class SectionPair(NamedTuple):
@@ -362,7 +353,7 @@ def opposite_sections(r, tau):
     -C is the chamber of the simple set -Delta, so -tau is always a cone, the
     face of -v; a missing one is an internal fault."""
     fan = weyl_chamber_fan(r)
-    tau, v, _ = _cone_point(r, fan, tau)
+    tau, v, _, _ = _cone_point(r, fan, tau)
     minus = tuple(sorted(fan.ray_index(linalg.vec_neg(fan.rays[i])) for i in tau))
     internal_check(_chamber_and_face(r, linalg.vec_neg(v))[1] == minus,
                    f"the opposite of the cone {list(tau)} is not a cone of the fan")

@@ -21,17 +21,17 @@ keeps the others (the contragredient action of W on N, Humphreys section
 1.12).  Nothing is sorted: ``fans`` reads the chamber fan off this walk and
 sorts it once.  Finding one chamber with a property never needs the whole
 orbit: ``descend`` walks from a simple set in label order, reflecting in a
-member on the wrong side, in at most |Phi+| steps, and returns the label and
-root of each crossing.  It finds the chart of a point (``rdata``), the face
-containing a vector (``fans`` carries each ray along its label's crossings),
-and, from a chart, the u in W with u(chart) = Delta, the product of the
-reflections crossed (``chart_walk``): u(beta)'s mcoords are beta's
-coefficients in the chart.  Each positive root of height > 1 is a positive
-root plus a simple root (``positive_steps``), and a sum of two roots is
-looked up by an integer key of its mcoords (``additive_triples``).  A root
-multiple a * alpha has a times alpha's mcoords (``mcoords_of_vectors``),
-with no elimination.  ``RootSystemSpec`` and ``RootSystem`` are NamedTuples:
-immutable, and equal to any tuple with the same fields.
+member on the wrong side, in at most |Phi+| steps, and returns the roots
+crossed.  It finds the chart of a point (``rdata``) and, from a chart, the u
+in W with u(chart) = Delta, the product of the reflections crossed
+(``chart_walk``): u(beta)'s mcoords are beta's coefficients in the chart;
+``fans`` finds the face of a vector by the Cartan matrix instead.  Each
+positive root of height > 1 is a positive root plus a simple root
+(``positive_steps``), and a sum of two roots is looked up by an integer key
+of its mcoords (``additive_triples``).  A root multiple a * alpha has a
+times alpha's mcoords (``mcoords_of_vectors``), with no elimination.
+``RootSystemSpec`` and ``RootSystem`` are NamedTuples: immutable, and equal
+to any tuple with the same fields.
 """
 
 from functools import cached_property, lru_cache
@@ -184,8 +184,7 @@ def _finish(spec, dim, base, within=None):
     base = [tuple(b) for b in base]
     if within is not None and not within.issuperset(base):
         raise NotInSpan(f"base root {min(set(base) - within)} is not in the root set")
-    # <v, a_k^vee> = sum_j c_j <a_j, a_k^vee>, over the nonzero entries of column k
-    columns = [[(j, x) for j, b in enumerate(base) if (x := _pairing(b, a))] for a in base]
+    columns = _cartan_columns(base)
     todo = list(zip(linalg.identity_matrix(len(base)), base))
     reached = {c for c, _ in todo}  # mcoords, looked up before a vector is built
     found = {}  # root -> its mcoords
@@ -211,6 +210,12 @@ def _finish(spec, dim, base, within=None):
     return RootSystem(spec, dim, roots, tuple(index[b] for b in base), tuple(base), mcoords,
                       tuple(index[linalg.vec_neg(v)] for v in roots),
                       tuple(i for i, c in enumerate(mcoords) if min(c) >= 0))
+
+
+def _cartan_columns(base):
+    """The Cartan matrix of the simple roots ``base``, by sparse columns:
+    column k holds the nonzero (j, <alpha_j, alpha_k^vee>)."""
+    return [[(j, x) for j, b in enumerate(base) if (x := _pairing(b, a))] for a in base]
 
 
 def _pairing(b, a):
@@ -239,8 +244,8 @@ def reflection_table(r):
     """
     index = {c: i for i, c in enumerate(r.mcoords)}
     table = [None] * len(r.roots)
-    for k, (a, va) in enumerate(zip(r.base_simple_set, r.root_lattice_basis)):
-        column = [(j, x) for j, b in enumerate(r.root_lattice_basis) if (x := _pairing(b, va))]
+    columns = _cartan_columns(r.root_lattice_basis)
+    for k, (a, va, column) in enumerate(zip(r.base_simple_set, r.root_lattice_basis, columns)):
         table[a] = tuple([index.get(c[:k] + (c[k] - sum([c[j] * x for j, x in column]),)
                                     + c[k + 1:]) for c in r.mcoords])
         if None in table[a]:
@@ -320,16 +325,14 @@ def descend(r, wrong, s=None):
     wrong a of smallest root index.  If ``wrong(a)`` excludes ``wrong(-a)``,
     each step removes one wrong root from the positive roots of S (s_a
     permutes the others), so the walk ends within |Phi+| steps.  Returns (S,
-    steps), one (k, a) per step with a = S[k] the root crossed, or None
-    after |Phi+| steps.
+    crossed), the roots crossed in order, or None after |Phi+| steps.
     """
     table = reflection_table(r)
-    s, steps = r.base_simple_set if s is None else s, []
+    s, crossed = r.base_simple_set if s is None else s, []
     for _ in range(len(r.positive) + 1):
-        a = next(filter(wrong, sorted(s)), None)
-        if a is None:
-            return s, tuple(steps)
-        steps.append((s.index(a), a))
+        if (a := next(filter(wrong, sorted(s)), None)) is None:
+            return s, tuple(crossed)
+        crossed.append(a)
         row = table[a]
         s = tuple([row[b] for b in s])
     return None
@@ -343,15 +346,15 @@ def chart_walk(r, s):
 
     ``descend`` from s across its negative members reaches the base set
     within |Phi+| steps when s is a simple set w(Delta), and u is the product
-    of the reflections crossed.  Any other set of roots (mixed-sign, singular
-    or repeated) does not, and raises NotInSpan.
+    of the reflections in the roots it crossed.  Any other set of roots
+    (mixed-sign, singular or repeated) does not, and raises NotInSpan.
     """
     negative = frozenset(r.neg[a] for a in r.positive)
     walk = descend(r, negative.__contains__, s)
     if walk is None or sorted(walk[0]) != sorted(r.base_simple_set):
         raise NotInSpan(f"the roots {[list(r.roots[a]) for a in s]} are not a simple set")
     table, u = reflection_table(r), range(len(r.roots))
-    for _, a in walk[1]:
+    for a in walk[1]:
         row = table[a]
         u = [row[b] for b in u]
     return tuple(u), tuple(r.base_simple_set.index(a) for a in walk[0])

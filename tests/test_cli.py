@@ -650,11 +650,18 @@ def _chain_json(first_label, coord_label=1):
         "extract-block-bool", "fan-rank-float", "fan-rank-half", "fan-rank-string",
         "fan-rank-bool", "validate-root-float", "validate-root-bool",
         "universal-at-chart-float", "membership-root-bool"])
-def test_only_json_integers_are_read_as_integers(argv, capsys):
+def test_only_json_integers_are_read_as_integers(argv, capsys, request):
     """A coefficient, n, rank, label or root entry that is not a JSON integer
     is invalid input: int() would read 1.5 as 1 and true as 1, a float label
-    would be echoed back, and 1.0 == true == 1 would match a root."""
-    assert run_json(argv, capsys, expect_code=1)["error"] == "InvalidInput"
+    would be echoed back, and 1.0 == true == 1 would match a root.  The
+    detail quotes a JSON decimal as the number it spells, and a JSON string
+    as a string."""
+    out = run_json(argv, capsys, expect_code=1)
+    assert out["error"] == "InvalidInput"
+    detail = {"fan-rank-half": "A: the rank must be an integer, not 2.5",
+              "fan-rank-string": "A: the rank must be an integer, not '2'",
+              "validate-root-float": "the entries of (1.0, -1, 0) are not all integers"}
+    assert out["detail"] == detail.get(request.node.callspec.id, out["detail"])
 
 
 def test_chart_point_needs_one_coordinate_per_simple_root(capsys):

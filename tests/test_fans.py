@@ -409,12 +409,11 @@ FACE_SYSTEMS = ([(("A", n),) for n in range(1, 5)] + [(("B", n),) for n in range
                          [pytest.param(fs, False, id=label(fs)) for fs in FACE_SYSTEMS]
                          + [pytest.param(fs, True, id="derived-" + label(fs)) for fs in DERIVED])
 def test_chamber_face_equals_scan(factors, rebuilt):
-    """Descent and the scan over every chamber find the same face, for
-    integer vectors with small entries (often on walls), sums of a few rays
-    (on faces of every dimension) and rational vectors.  The descent takes
-    one step per positive root negative on v, so at most |Phi+| steps.  The
-    rebuilt systems have a generic base, so the coroots that carry the rays
-    are not the standard ones."""
+    """The walk on coweight coordinates and the scan over every chamber find
+    the same face, for integer vectors with small entries (often on walls),
+    sums of a few rays (on faces of every dimension) and rational vectors.
+    The rebuilt systems have a generic base, so the Cartan columns and the
+    coroots that carry the rays are not the standard ones."""
     r = derived(*factors) if rebuilt else sys(*factors)
     f = fans.weyl_chamber_fan(r)
     rng = random.Random("x".join(f"{fam}{n}" for fam, n in factors))
@@ -427,9 +426,6 @@ def test_chamber_face_equals_scan(factors, rebuilt):
                 for _ in range(25)]
     for v in vectors:
         assert fans.chamber_face(r, v) == minimal_containing_cone(f, v), v
-        negative = lambda a: linalg.vec_dot(r.mcoords[a], v) < 0
-        _, steps = roots.descend(r, negative)
-        assert len(steps) == sum(map(negative, r.positive)) <= len(r.positive)
 
 
 @lru_cache(maxsize=None)
@@ -439,21 +435,50 @@ def chamber_map(r):
     return dict(sorted_orbit(r)[1])
 
 
-def chamber_face_by_pairings(r, s, v):
-    """The face of v in the chamber of the simple set s, by testing every ray
-    of the chamber (from the chamber map) against every root of s positive
-    on v: the oracle for the carried rays of ``fans._chamber_and_face``."""
-    fan = fans.weyl_chamber_fan(r)
-    positive = [a for a in s if linalg.vec_dot(r.mcoords[a], v) > 0]
-    return tuple(i for i in sorted(chamber_map(r)[tuple(sorted(s))]) if any(
-        linalg.vec_dot(r.mcoords[a], fan.rays[i]) for a in positive))
+def chamber_face_by_pairings(r, v):
+    """(S, steps, face): the descent by pairings, the oracle for
+    ``fans._chamber_and_face``.  ``roots.descend`` crosses the root a of S of
+    smallest index with <a, v> < 0, a dot product of its mcoords with v, and
+    the face is the set of rays of S's chamber (the dual basis of the mcoords
+    of S) whose roots of S are positive on v."""
+    pairing = lambda a: linalg.vec_dot(r.mcoords[a], v)
+    s, crossed = roots.descend(r, lambda a: pairing(a) < 0)
+    rays = dual_basis(tuple(r.mcoords[a] for a in s))
+    return s, len(crossed), {w for a, w in zip(s, rays) if pairing(a) > 0}
+
+
+class RowsRead(tuple):
+    """A reflection table that records the rows read: one per wall that
+    ``fans._chamber_and_face`` crosses."""
+
+    def __getitem__(self, a):
+        self.read.append(a)
+        return tuple.__getitem__(self, a)
+
+
+def check_face_walk(r, vectors, ray_of, monkeypatch):
+    """For each v: the walk on coweight coordinates reaches the S of the
+    descent by pairings, with u_k = <S[k], v> >= 0, in one step per positive
+    root negative on v, and its face (ray ids, named by ``ray_of``) is the
+    oracle's face.  Both walks cross only walls that strictly separate v from
+    the base chamber, so both end at the minimal coset representative."""
+    table = RowsRead(roots.reflection_table(r))
+    monkeypatch.setattr(roots, "reflection_table", lambda r: table)
+    for v in vectors:
+        table.read = []
+        s, face, u = fans._chamber_and_face(r, v)
+        steps = len(table.read)
+        negative = sum(linalg.vec_dot(r.mcoords[a], v) < 0 for a in r.positive)
+        assert (s, steps, {ray_of(i) for i in face}) == chamber_face_by_pairings(r, v), v
+        assert steps == negative <= len(r.positive), v
+        assert list(u) == [linalg.vec_dot(r.mcoords[a], v) for a in s] and min(u) >= 0, v
 
 
 @pytest.mark.parametrize("factors", UP_TO_RANK_5, ids=label)
-def test_chamber_face_by_position_equals_the_pairings(factors):
+def test_chamber_face_by_position_equals_the_pairings(factors, monkeypatch):
     """On every ray, the ray sum of every max cone, a seeded sum of rays of
     each of 50 max cones and 50 seeded rational vectors: the face read off
-    the rays carried along the descent is the face found by pairings."""
+    the rays carried along the walk is the face found by pairings."""
     r = sys(*factors)
     f = fans.weyl_chamber_fan(r)
     rng = random.Random(label(factors))
@@ -465,9 +490,43 @@ def test_chamber_face_by_position_equals_the_pairings(factors):
                              for k in range(r.rank)))
     vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(r.rank))
                 for _ in range(50)]
-    for v in vectors:
-        s, face = fans._chamber_and_face(r, v)
-        assert face == chamber_face_by_pairings(r, s, v), v
+    check_face_walk(r, vectors, f.rays.__getitem__, monkeypatch)
+
+
+class IdsAsMet(dict):
+    """Ray ids handed out as the rays are met, for fans too large to build:
+    the ray of id i is list(ids)[i]."""
+
+    def __missing__(self, w):
+        self[w] = len(self)
+        return self[w]
+
+
+@pytest.mark.parametrize("factors,rebuilt",
+                         [pytest.param(fs, False, id=label(fs)) for fs in ORACLE_FACTORS]
+                         + [pytest.param(fs, True, id="derived-" + label(fs)) for fs in DERIVED])
+def test_chamber_face_walk_equals_the_descent_by_pairings(factors, rebuilt, monkeypatch):
+    """On seeded integer vectors (often on walls), seeded sums of the rays of
+    seeded chambers (on faces of every dimension) and seeded rational
+    vectors, up to rank 7.  The rebuilt systems have a generic base, so their
+    Cartan columns are not the standard ones.  The chamber fans of rank 7 are
+    too large to build, so the ray ids are handed out as met."""
+    r = derived(*factors) if rebuilt else sys(*factors)
+    ids = IdsAsMet()
+    monkeypatch.setattr(fans, "_chamber_data", lambda r: (None, ids))
+    table, rng = roots.reflection_table(r), random.Random(f"face:{label(factors)}:{rebuilt}")
+    vectors = [tuple(rng.randint(-2, 2) for _ in range(r.rank)) for _ in range(20)]
+    for _ in range(20):
+        s = r.base_simple_set
+        for _ in range(rng.randint(0, 2 * len(r.positive))):
+            row = table[rng.choice(s)]
+            s = tuple(row[b] for b in s)
+        rays = dual_basis(tuple(r.mcoords[a] for a in s))
+        vectors.append(tuple(map(sum, zip(*(linalg.vec_scale(rng.randint(0, 2), w)
+                                              for w in rays)))))
+    vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(r.rank))
+                for _ in range(20)]
+    check_face_walk(r, vectors, lambda i: list(ids)[i], monkeypatch)
 
 
 def test_subsystem_morphism_a2_to_a1():
@@ -665,12 +724,16 @@ def opposite_cone_by_scan(f, tau):
     return None
 
 
-@pytest.mark.parametrize("factors", ORBIT_SYSTEMS,
-                         ids=lambda fs: "x".join(f"{f}{n}" for f, n in fs))
-def test_orbit_closure_walk_equals_scan(factors):
+@pytest.mark.parametrize("factors,rebuilt",
+                         [pytest.param(fs, False, id=label(fs))
+                          for fs in ORBIT_SYSTEMS + [(("G", 2),)]]
+                         + [pytest.param(fs, True, id="derived-" + label(fs)) for fs in DERIVED])
+def test_orbit_closure_walk_equals_scan(factors, rebuilt):
     """Every cone of size <= 2, and pairs of rays that span no cone, for
-    ``orbit_closure`` and ``opposite_sections`` alike."""
-    r = sys(*factors)
+    ``orbit_closure`` and ``opposite_sections`` alike.  G_2 has a Cartan entry
+    of -3, and the rebuilt systems have a generic base, so the star walk
+    over W_J crosses walls of non-standard Cartan columns."""
+    r = derived(*factors) if rebuilt else sys(*factors)
     f = fans.weyl_chamber_fan(r)
     cones = {()} | {c for cone in f.max_cones for k in (1, 2) for c in combinations(cone, k)}
     for tau in sorted(cones):
@@ -723,8 +786,8 @@ def test_a_missing_opposite_cone_is_an_internal_fault(monkeypatch):
 
     def wrong_after_the_first(r, v):
         calls.append(v)
-        s, face = real(r, v)
-        return s, face if len(calls) == 1 else ()
+        s, face, u = real(r, v)
+        return s, face if len(calls) == 1 else (), u
 
     monkeypatch.setattr(fans, "_chamber_and_face", wrong_after_the_first)
     with pytest.raises(InternalCheckFailed, match="opposite"):

@@ -374,9 +374,9 @@ def check_descent(r, d, q):
                       if all(v >= 0 for v in x) and any(v > 0 for v in x)]
     assert not any(ratio_for(r, d, i).is_one_zero for i in chart_positive)
     one_zero = lambda a: ratio_for(r, d, a).is_one_zero
-    chart, steps = roots.descend(r, one_zero)
+    chart, crossed = roots.descend(r, one_zero)
     assert tuple(sorted(chart)) == q.chart
-    assert len(steps) == sum(map(one_zero, r.positive)) <= len(r.positive)
+    assert len(crossed) == sum(map(one_zero, r.positive)) <= len(r.positive)
 
 
 def random_walk_chart(r, rng, length):

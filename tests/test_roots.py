@@ -278,9 +278,9 @@ EXPANSION_IDS = ["x".join(f"{f}{k}" for f, k in fs) for fs in EXPANSION_FACTORS]
 
 @pytest.mark.parametrize("factors", EXPANSION_FACTORS, ids=EXPANSION_IDS)
 def test_descend_steps_cross_the_root_of_their_label(factors):
-    """Each step (k, a) of ``descend`` crosses a = S[k], the wrong member of
-    S of smallest index, and S ends in label order, as the S of its chamber
-    in ``chamber_orbit``.  From S back across its negative members, the walk
+    """Each root a that ``descend`` crosses is the wrong member of S of
+    smallest index, and S ends in label order, as the S of its chamber in
+    ``chamber_orbit``.  From S back across its negative members, the walk
     ends at the base set in label order."""
     r = sys(*factors)
     table, positive = roots.reflection_table(r), set(r.positive)
@@ -289,10 +289,10 @@ def test_descend_steps_cross_the_root_of_their_label(factors):
     for _ in range(40):
         v = tuple(rng.randint(-3, 3) for _ in range(r.rank))
         wrong = lambda a: linalg.vec_dot(r.mcoords[a], v) < 0
-        s, steps = roots.descend(r, wrong)
+        s, crossed = roots.descend(r, wrong)
         t = r.base_simple_set
-        for k, a in steps:
-            assert a == t[k] == min(b for b in t if wrong(b))
+        for a in crossed:
+            assert a == min(b for b in t if wrong(b))
             t = tuple(table[a][b] for b in t)
         assert t == s == label_order[tuple(sorted(s))]
         assert not any(map(wrong, s))
