@@ -188,6 +188,11 @@ class UniversalCurve(NamedTuple):
     fiber_counts: dict        # target max cone -> number of source chambers
 
 
+def _check_marks(n):
+    if n < 0:
+        raise ValueError(f"a chain needs n >= 0, got n = {n}")
+
+
 def _u_diff(i, j, dim):
     """The ambient vector u_i - u_j of length dim."""
     v = [0] * dim
@@ -195,12 +200,13 @@ def _u_diff(i, j, dim):
     return tuple(v)
 
 
-@lru_cache(maxsize=None)
 def universal_curve_structure(n):
     """The chain-of-lines family over the type-A chamber variety, at the
     level of fans: the projection, one section per label, and the two pole
-    divisors."""
+    divisors.  n + 1 marks live on the chains, so n < 0 is refused before
+    the A_{n+1} root system is built."""
     from . import fans
+    _check_marks(n)
     big = rootsmod.build_root_system(rootsmod.RootSystemSpec.parse([("A", n + 1)]))
     dim = n + 2
     sub_roots = [v for v in big.roots if v[-1] == 0]
@@ -287,8 +293,7 @@ def validate_an_data(n, data):
 
 def random_marked_chain(n, rng):
     """A seeded random stable chain with n+1 marks; marks may coincide."""
-    if n < 0:
-        raise ValueError(f"a chain needs n >= 0, got n = {n}")
+    _check_marks(n)
     labels = list(range(1, n + 2))
     rng.shuffle(labels)
     blocks = []

@@ -6,8 +6,8 @@ in this package, and Fractions only pass through the ``vec_*`` helpers.
 
 There are two eliminations and one double description.
 ``hermite_normal_form`` serves the lattices; Bareiss serves ``det``;
-``extreme_rays`` gives both the vertices of a polytope from its facets and
-the facets of a cone from its rays.
+``extreme_rays`` gives the facets of a cone from its rays, and the vertices
+of the root polytope's polar from the roots, with the rows tight on each.
 
 Conventions:
 

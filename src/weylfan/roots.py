@@ -264,7 +264,6 @@ def reflection_table(r):
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
 def chamber_orbit(r):
     """(rays, chambers): the walk over W as it runs, one chamber (S, ids) per
     w in W in walk order, and the ray vectors in the order met.  S is in label
@@ -402,15 +401,6 @@ def dynkin_components(r, s):
         near = [c for c in comps if any(linalg.vec_dot(r.roots[a], r.roots[b]) for b in c)]
         comps = [c for c in comps if c not in near] + [tuple(sorted({a}.union(*near)))]
     return tuple(sorted(comps))
-
-
-def weyl_order(spec):
-    """Order of the Weyl group from the family formulas (product over factors)."""
-    from math import factorial, prod
-    per_factor = {"A": lambda k: factorial(k + 1), "B": lambda k: 2 ** k * factorial(k),
-                  "C": lambda k: 2 ** k * factorial(k), "D": lambda k: 2 ** (k - 1) * factorial(k),
-                  "G": lambda k: 12}
-    return prod(per_factor[f](k) for f, k in spec.factors)
 
 
 def mcoords_of_vectors(r, vs):

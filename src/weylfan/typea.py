@@ -20,16 +20,19 @@ The chambers are the permutations pi of {1, ..., n+1}: the chamber of pi is
 spanned by the rays of its prefix sets {pi_1, ..., pi_t}, and a wall swaps
 two neighbours of pi.  As v_A is linear in the indicator of A, convexity of
 a divisor's support function across a wall is one inequality on a square
-of subsets B, B+i, B+j, B+i+j: no chamber is walked.  The root polytope is
-reflexive, with the v_A as the vertices of its polar; both vertex sets are
-enumerated by the exact integer double description ``linalg.extreme_rays``.
+of subsets B, B+i, B+j, B+i+j: no chamber is walked.  The Betti numbers
+are the h-vector, the Eulerian numbers.  The root polytope is reflexive,
+with the v_A as the vertices of its polar; one exact integer double
+description (``linalg.extreme_rays``) of the polar, on the roots, gives
+those vertices, the polytope's facets and the check that the roots are its
+vertices.
 ``PrimitiveRelationRecord`` and ``PolytopeInfo`` are NamedTuples: immutable,
 and equal to any tuple with the same fields.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import factorial
 from typing import NamedTuple
 
 from . import linalg
@@ -116,20 +119,6 @@ def _subset_fan(n, mask_cones):
     return make_fan(n, _subset_rays(n), cones)
 
 
-def surjection_count(m, t):
-    """Number of surjections from an m-set onto a t-set."""
-    return sum((-1) ** j * comb(t, j) * (t - j) ** m for j in range(t + 1))
-
-
-def cone_counts(n):
-    """Number of k-dimensional cones of the chamber fan, k = 0..n.
-
-    A k-chain of proper nonempty subsets is an ordered partition of the
-    member set into k+1 blocks.
-    """
-    return tuple(surjection_count(n + 1, k + 1) for k in range(n + 1))
-
-
 def eulerian_numbers(m):
     """Row m of the Eulerian triangle: counts of permutations by descents."""
     row = [1]
@@ -143,22 +132,12 @@ def eulerian_numbers(m):
 
 
 def betti_numbers(n):
-    """Even Betti numbers b_0, b_2, ..., b_2n via the h-vector transform.
-
-    Internally cross-checked against the Eulerian recurrence; the total rank
-    is (n+1)!.
+    """Even Betti numbers b_0, b_2, ..., b_2n: the h-vector of the chamber
+    fan, which counts the chambers (permutations) by descents, so it is the
+    Eulerian row n+1 (``eulerian_numbers``); the total rank is (n+1)!.
     """
     _check_n(n)
-    f = cone_counts(n)
-    # h(t) = sum_k f_k (t-1)^{n-k}
-    h = [0] * (n + 1)
-    for k in range(n + 1):
-        e = n - k
-        for j in range(e + 1):
-            h[j] += f[k] * comb(e, j) * (-1) ** (e - j)
-    h = tuple(h)
-    internal_check(h == eulerian_numbers(n + 1),
-                   "h-vector disagrees with the Eulerian recurrence")
+    h = eulerian_numbers(n + 1)
     internal_check(sum(h) == factorial(n + 1), "h-vector does not sum to (n+1)!")
     return h
 
@@ -457,55 +436,45 @@ def _root_mcoords(n):
     return tuple(sorted(pos + [linalg.vec_neg(v) for v in pos]))
 
 
-def _h_polytope_vertices(normals):
-    """Vertices of {x : <x, w> >= -1 for w in normals}: the slice t = 1 of
-    the cone {(x, t) : <x, w> + t >= 0, t >= 0}, whose extreme rays
-    (``linalg.extreme_rays``) with t > 0 are the vertices.  No vertices are
-    returned when the normals do not span.
-    """
-    from fractions import Fraction
-    k = len(normals[0])
-    rays = linalg.extreme_rays([tuple(w) + (1,) for w in normals] + [(0,) * k + (1,)])
-    return {tuple(Fraction(c, v[-1]) for c in v[:-1]) for v, _ in rays or () if v[-1] > 0}
-
-
-@lru_cache(maxsize=None)
 def delta_polytope(n):
     """The convex hull of the roots: vertices, lattice points, reflexivity.
 
-    The polytope is {x : <x, v_A> >= -1 for all A}.  Both vertex sets, of
-    the polytope and of its polar {y : <r, y> >= -1 for all roots r}, are
-    enumerated exactly from these facet descriptions by double description,
-    and the polytope's vertices are checked to be the roots; reflexivity
-    holds iff the polar has only lattice vertices.  Coordinates are in the
-    base simple basis (polytope side) and its dual (polar side).
+    One double description (``linalg.extreme_rays``) gives the polar
+    {y : <r, y> >= -1 for all roots r} as the cone of the (y, t) with
+    <r, y> + t >= 0: as -r is a root with r, each ray has t > 0 and is the
+    vertex y / t, a lattice point iff t = 1 (reflexivity).  Each ray is an
+    integer facet row <(p, 1), (y, t)> >= 0 of the polytope; the rows cut
+    the lattice and then the interior points out of the box {-1, 0, 1}^n.
+    A root is a vertex iff the set of rays tight on it lies in no other
+    root's set, and this is checked.  Coordinates are in the base simple
+    basis (polytope side) and its dual (polar side).
     """
     from fractions import Fraction
     _check_n(n)
     if n < 1:
         raise ValueError("the root polytope needs n >= 1")
     root_pts = _root_mcoords(n)
-    normals = _subset_rays(n)
-    verts = _h_polytope_vertices(normals)
-    internal_check(verts == {tuple(map(Fraction, p)) for p in root_pts},
-                   "facet description disagrees with the hull of the roots")
+    rays = linalg.extreme_rays([p + (1,) for p in root_pts])
+    tight = [sum(1 << k for k, (_, z) in enumerate(rays) if z >> i & 1)
+             for i in range(len(root_pts))]
+    internal_check(not any(a & b == a for i, a in enumerate(tight)
+                           for j, b in enumerate(tight) if i != j),
+                   "a root is not a vertex of the hull of the roots")
 
-    # lattice points: the polytope sits inside the unit box of these coords
     lattice = [p for p in product((-1, 0, 1), repeat=n)
-               if all(linalg.vec_dot(p, w) >= -1 for w in normals)]
-    interior = [p for p in lattice if all(linalg.vec_dot(p, w) > -1 for w in normals)]
-
-    polar_verts = _h_polytope_vertices(root_pts)
-    is_reflexive = all(all(x.denominator == 1 for x in v) for v in polar_verts)
-    polar = tuple(sorted(tuple(int(x) for x in v) for v in polar_verts)) \
-        if is_reflexive else tuple(sorted(polar_verts))
+               if all(linalg.vec_dot(p, v[:-1]) + v[-1] >= 0 for v, _ in rays)]
+    interior = [p for p in lattice
+                if all(linalg.vec_dot(p, v[:-1]) + v[-1] > 0 for v, _ in rays)]
+    is_reflexive = all(v[-1] == 1 for v, _ in rays)
+    polar = sorted(v[:-1] if is_reflexive else tuple(Fraction(c, v[-1]) for c in v[:-1])
+                   for v, _ in rays)
     return PolytopeInfo(
         n=n,
-        vertices=tuple(sorted(root_pts)),
-        lattice_points=tuple(sorted(lattice)),
-        interior_points=tuple(sorted(interior)),
+        vertices=root_pts,
+        lattice_points=tuple(lattice),
+        interior_points=tuple(interior),
         is_reflexive=is_reflexive,
-        polar_vertices=polar,
+        polar_vertices=tuple(polar),
     )
 
 
@@ -523,7 +492,6 @@ def _singleton_cosingletons(n):
             for i in range(1, n + 2) for j in range(1, n + 2) if i != j]
 
 
-@lru_cache(maxsize=None)
 def sigma_delta_fan(n):
     """The normal fan of the root polytope: cones of all subsets nested
     between a singleton and a co-singleton."""
@@ -532,7 +500,6 @@ def sigma_delta_fan(n):
                            for b1, b2 in _singleton_cosingletons(n)))
 
 
-@lru_cache(maxsize=None)
 def crepant_subdivision(n):
     """Subdivide each cone of the root-polytope fan along permutation chains;
     the result is the chamber fan again."""

@@ -800,7 +800,7 @@ def test_every_operation_reachable(capsys):
     }
     # Library operations that no verb reaches; the tests of their modules
     # exercise them.
-    library_only = {fans.check_complete, fans.check_smooth, roots.weyl_order}
+    library_only = {fans.check_complete, fans.check_smooth}
     for fn in covered | library_only:
         assert callable(fn)
     parser = cli.build_parser()
@@ -957,3 +957,17 @@ def test_a_one_mark_chain_has_no_ratio_data(argv, capsys):
         json.loads(ONE_MARK)
     out = run_json(argv, capsys, expect_code=1)
     assert out == {"error": "InvalidInput", "detail": "ratio data need at least two marks"}
+
+
+@pytest.mark.parametrize("verb", ["universal", "roundtrip"])
+def test_a_chain_with_no_mark_is_refused_in_terms_of_marks(verb, capsys, monkeypatch):
+    """n = -1 would be a chain with no mark; both lm verbs that read --n
+    refuse it with one text, before any root system (here A_0) is built."""
+    from weylfan import roots
+
+    def refuse(spec):
+        raise AssertionError(f"a root system was built for {spec}")
+
+    monkeypatch.setattr(roots, "build_root_system", refuse)
+    out = run_json(["lm", verb, "--n", "-1"], capsys, expect_code=1)
+    assert out == {"error": "InvalidInput", "detail": "a chain needs n >= 0, got n = -1"}

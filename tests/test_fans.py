@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from test_linalg import dual_basis, in_rational_span, int_inverse
-from test_roots import ORACLE_FACTORS, simple_sets, sorted_orbit
+from test_roots import ORACLE_FACTORS, simple_sets, sorted_orbit, weyl_order
 from weylfan import fans, linalg, roots, typea
 from weylfan.errors import InternalCheckFailed, NotInSpan, NotRootSpan, NotSurjective
 
@@ -44,7 +44,7 @@ def test_bcdg_fans_complete_smooth():
     for factors in [(("B", 2),), (("B", 3),), (("C", 3),), (("D", 4),), (("G", 2),)]:
         r = sys(*factors)
         f = fans.weyl_chamber_fan(r)
-        assert len(f.max_cones) == roots.weyl_order(r.spec)
+        assert len(f.max_cones) == weyl_order(r.spec)
         assert fans.check_complete(f)
         assert fans.check_smooth(f)
 
@@ -78,7 +78,7 @@ def test_h_vector_is_descent_distribution(factors):
     for s in simple_sets(r):
         descents[sum(i not in r.positive for i in s)] += 1
     assert h == descents
-    assert sum(h) == roots.weyl_order(r.spec) and h == h[::-1]
+    assert sum(h) == weyl_order(r.spec) and h == h[::-1]
     assert fans.check_complete(f) and fans.check_smooth(f)
 
 
@@ -137,7 +137,7 @@ def test_wall_crossed_rays_are_dual_bases(factors, rebuilt):
     walk = roots.chamber_orbit(r)[1]
     assert walk[0] == (r.base_simple_set, tuple(range(r.rank)))
     rays, chambers = sorted_orbit(r)
-    assert len(chambers) == len(walk) == roots.weyl_order(roots.RootSystemSpec(factors))
+    assert len(chambers) == len(walk) == weyl_order(roots.RootSystemSpec(factors))
     assert rays == fans.weyl_chamber_fan(r).rays
     as_vectors = tuple((s, tuple(rays[i] for i in ids)) for s, ids in chambers)
     assert as_vectors == breadth_first_orbit(r)

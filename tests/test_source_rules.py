@@ -62,7 +62,6 @@ def test_every_error_class_is_raised():
 ENTRY_POINTS = {
     "check_complete": "the paper's completeness check; the perfbench chambers workload runs it",
     "check_smooth": "the paper's smoothness check; the perfbench chambers workload runs it",
-    "weyl_order": "the closed form of |W|, for a size guard that refuses before enumerating",
 }
 
 

@@ -99,22 +99,56 @@ def test_betti_against_enumeration(n):
     assert b == typea.eulerian_numbers(n + 1)
 
 
+def surjection_count(m, t):
+    """Number of surjections from an m-set onto a t-set."""
+    return sum((-1) ** j * comb(t, j) * (t - j) ** m for j in range(t + 1))
+
+
+def cone_counts(n):
+    """Closed form: the k-dimensional cones of the chamber fan of A_n, k =
+    0..n, are the k-chains of proper nonempty subsets, that is, the ordered
+    partitions of the n+1 members into k+1 blocks."""
+    return tuple(surjection_count(n + 1, k + 1) for k in range(n + 1))
+
+
+def face_counts(f):
+    """Number of k-dimensional cones of a simplicial fan, k = 0..rank: the
+    distinct sets of rays of the faces of its maximal cones, by size."""
+    faces = {sub for cone in f.max_cones for k in range(len(cone) + 1)
+             for sub in combinations(cone, k)}
+    counts = [0] * (f.lattice_rank + 1)
+    for face in faces:
+        counts[len(face)] += 1
+    return tuple(counts)
+
+
+def h_vector(f):
+    """h_0..h_n from the face counts f_0..f_n of a complete simplicial fan:
+    sum_j h_j t^j = sum_k f_k (t - 1)^(n - k)."""
+    n = len(f) - 1
+    h = [0] * (n + 1)
+    for k, fk in enumerate(f):
+        e = n - k
+        for j in range(e + 1):
+            h[j] += fk * comb(e, j) * (-1) ** (e - j)
+    return tuple(h)
+
+
 def test_cone_counts_against_fan():
     for n in (1, 2, 3):
-        f = chain_fan(n)
-        # count distinct faces by dimension: faces of a chain cone are subchains
-        faces = set()
-        to_mask, _ = ray_masks(n)
-        for cone in f.max_cones:
-            masks = sorted((to_mask[i] for i in cone), key=lambda m: (bin(m).count("1"), m))
-            for r in range(len(masks) + 1):
-                from itertools import combinations
-                for sub in combinations(masks, r):
-                    faces.add(sub)
-        counts = [0] * (n + 1)
-        for face in faces:
-            counts[len(face)] += 1
-        assert tuple(counts) == typea.cone_counts(n)
+        assert face_counts(chain_fan(n)) == cone_counts(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_betti_is_the_h_vector_of_the_built_fan(n):
+    r = roots.build_root_system(roots.RootSystemSpec.parse([("A", n)]))
+    assert typea.betti_numbers(n) == h_vector(face_counts(fans.weyl_chamber_fan(r)))
+
+
+def test_betti_is_the_h_vector_of_the_surjection_counts():
+    """Up to the label cap n = 62, against the closed form of the face counts."""
+    for n in range(typea.MAX_MEMBERS):
+        assert typea.betti_numbers(n) == h_vector(cone_counts(n))
 
 
 def test_descent_basis_small():
@@ -685,10 +719,20 @@ H_SYSTEMS = {
 }
 
 
+def h_polytope_vertices(normals):
+    """Oracle: the vertices of {x : <x, w> >= -1 for w in normals}, the
+    slice t = 1 of the cone {(x, t) : <x, w> + t >= 0, t >= 0}, whose extreme
+    rays (``linalg.extreme_rays``) with t > 0 are the vertices.  No vertices
+    are returned when the normals do not span."""
+    k = len(normals[0])
+    rays = linalg.extreme_rays([tuple(w) + (1,) for w in normals] + [(0,) * k + (1,)])
+    return {tuple(Fraction(c, v[-1]) for c in v[:-1]) for v, _ in rays or () if v[-1] > 0}
+
+
 @pytest.mark.parametrize("name", sorted(H_SYSTEMS))
 def test_h_polytope_vertices_equals_basic_solution_scan(name):
     normals = H_SYSTEMS[name]()
-    assert typea._h_polytope_vertices(normals) == basic_solution_vertices(normals)
+    assert h_polytope_vertices(normals) == basic_solution_vertices(normals)
 
 
 @pytest.mark.parametrize("n,verts,pts", [(1, 2, 3), (2, 6, 7), (3, 12, 13), (4, 20, 21),
@@ -702,6 +746,38 @@ def test_delta_polytope(n, verts, pts):
     assert set(info.polar_vertices) == {
         typea.subset_ray(a, n) for a in range(1, typea.full_mask(n))
     }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_delta_polytope_equals_facet_side(n):
+    """The polytope read from its facets {x : <x, v_A> >= -1}: its vertices
+    (the test's double description), lattice points and interior points
+    equal those that ``delta_polytope`` reads off the polar."""
+    info = typea.delta_polytope(n)
+    normals = typea._subset_rays(n)
+    assert h_polytope_vertices(normals) == set(info.vertices)
+    lattice = tuple(p for p in product((-1, 0, 1), repeat=n)
+                    if all(linalg.vec_dot(p, w) >= -1 for w in normals))
+    assert info.lattice_points == lattice
+    assert info.interior_points == tuple(
+        p for p in lattice if all(linalg.vec_dot(p, w) > -1 for w in normals))
+
+
+def test_delta_polytope_makes_one_double_description(monkeypatch):
+    calls = []
+    real = linalg.extreme_rays
+    monkeypatch.setattr(linalg, "extreme_rays", lambda rows: calls.append(rows) or real(rows))
+    typea.delta_polytope(4)
+    assert len(calls) == 1
+
+
+def test_a_root_that_is_no_vertex_is_an_internal_fault(monkeypatch):
+    """The origin lies inside the hull of the roots: no polar vertex is tight
+    on it, so its empty tight set lies in every root's set."""
+    real = typea._root_mcoords
+    monkeypatch.setattr(typea, "_root_mcoords", lambda n: tuple(sorted(real(n) + ((0,) * n,))))
+    with pytest.raises(InternalCheckFailed, match="not a vertex"):
+        typea.delta_polytope(3)
 
 
 def test_sigma_delta_and_crepant():
