@@ -14,10 +14,12 @@ matrix, carrying each ray across the walls of its label (``chamber_face``).
 The fan morphisms are built from it, and a cone is checked as the face of
 its ray sum (``_cone_point``), from where ``orbit_closure`` walks its star
 by the parabolic subgroup fixing that sum.  Completeness and smoothness
-share one Bareiss determinant per simplicial max cone, whose sign also
-gives the side of each facet (the bitmask of its ray ids) on which the cone
-lies; other cones read their facets off their dual cones
-(``linalg.extreme_rays``).
+are read off the hyperplanes of the facets (``_walls``): a chamber fan's
+walls lie on the |Phi+| root hyperplanes, each found by one kernel, and a
+simplicial cone pairs each facet's primitive normal with the ray off it,
+which gives the cone's side of the facet (the bitmask of its ray ids) and
+its unimodularity, with no determinant; other cones read their facets off
+their dual cones (``linalg.extreme_rays``).
 
 Cones are sorted tuples of ray indices; the empty tuple is the zero cone.
 Rays and max-cone lists are canonicalized (lexicographic) on construction,
@@ -27,6 +29,7 @@ immutable, and equal to any tuple with the same fields.
 """
 
 from functools import lru_cache
+from operator import lt, mul
 from typing import NamedTuple
 
 from . import linalg, roots as rootsmod
@@ -119,70 +122,96 @@ def _chamber_and_face(r, v):
     return s, tuple(sorted(ray_id[w] for w, x in zip(rays, u) if x > 0)), u
 
 
-def _cone_facets(f, cone, d):
-    """(facet, side) for each facet of a max cone with ray determinant ``d``
-    (None if not simplicial); None if the cone is not full-dimensional.  A
-    facet is the bitmask of the ids of the cone's rays on it, and two cones
-    through it lie on opposite sides iff their sides differ.
-
-    Simplicial cones: mask ^ (1 << x) for the ray x at position k, with side
-    sign det(F, x) = sign(d) (-1)^(n-1-k), alternating along the cone.
-    Otherwise each extreme ray y of the dual cone (``linalg.extreme_rays`` on
-    the cone's rays) is the inward normal of the facet on the rays of its
-    zero set.  On a facet F of n-1 rays, sign det(F, y) = sign det(F, x) as
-    above; a larger facet is only shared by two non-simplicial cones, and its
-    side is the sign of y's first nonzero entry.
-    """
-    n = f.lattice_rank
-    if d is not None:
-        mask, first = sum(1 << i for i in cone), 1 if (d > 0) == (n % 2 == 1) else -1
-        return [(mask ^ (1 << i), -first if k % 2 else first) for k, i in enumerate(cone)]
+def _cone_facets(f, cone):
+    """(facet, side) for each facet of a max cone; None if the cone is not
+    full-dimensional.  A facet is the bitmask of the ids of the cone's rays on
+    it.  Each extreme ray y of the dual cone (``linalg.extreme_rays`` on the
+    cone's rays) is the inward normal of the facet on the rays of its zero
+    set, and the side is the sign of y's first nonzero entry: two cones
+    through a facet lie on opposite sides of it iff their sides differ."""
     dual = linalg.extreme_rays([f.rays[i] for i in cone])
     if dual is None:
         return None
-    facets = []
-    for y, zeros in dual:
-        on = [i for k, i in enumerate(cone) if zeros >> k & 1]
-        side = linalg.det(tuple(f.rays[i] for i in on) + (y,)) if len(on) == n - 1 \
-            else next(x for x in y if x)
-        facets.append((sum(1 << i for i in on), 1 if side > 0 else -1))
-    return facets
+    return [(sum(1 << i for k, i in enumerate(cone) if zeros >> k & 1),
+             1 if next(x for x in y if x) > 0 else -1) for y, zeros in dual]
 
 
 @lru_cache(maxsize=None)
-def _cone_dets(f):
-    """Determinant of each max cone's ray matrix; None for a cone that is
-    not simplicial.  Shared by ``check_complete`` and ``check_smooth``."""
-    rays, n = f.rays, f.lattice_rank
-    return tuple(linalg.det(tuple([rays[i] for i in cone])) if len(cone) == n else None
-                 for cone in f.max_cones)
+def _walls(f):
+    """(complete, smooth), read off the hyperplanes of the facets.
+
+    The facet F_k of a simplicial max cone on the rays x_1..x_n, without x_k,
+    lies on a hyperplane with a primitive normal nu, first nonzero entry > 0.
+    The cone is full-dimensional iff no <nu, x_k> is 0: then <nu_i, x_j> is
+    diagonal and invertible, and otherwise some x_k is in the span of F_k.
+    It is then unimodular iff every |<nu, x_k>| is 1 (the rows of a dual
+    basis are primitive normals), and its side at F_k is the sign of
+    <nu, x_k>: the sign of the inward normal's first nonzero entry, as
+    ``_cone_facets`` reads it for a cone that is not simplicial.  Each ray
+    keeps a bitmask of the known hyperplanes through it; F_k's hyperplane is
+    the AND of its rays' masks (prefix and suffix ANDs, O(n) per cone).  A
+    facet on none finds its normal by one ``linalg.kernel_basis`` and pairs
+    it with every ray.  A chamber fan's facets lie on its |Phi+| root
+    hyperplanes, so C cones on R rays cost O(C n + |Phi+| R n); a fan with H
+    distinct facet hyperplanes pays H R dot products.  The fan is complete
+    iff it has a max cone and the sorted facets on the + side equal those
+    on the - side, with no repeat: each facet has one cone per side.
+    """
+    n, rays = f.lattice_rank, f.rays
+    sides = []                 # per hyperplane: <nu, v> for every ray v
+    through = [0] * len(rays)  # per ray: bitmask of the hyperplanes through it
+    up, down, smooth = [], [], True
+    for cone in f.max_cones:
+        if len(cone) != n:
+            if (facets := _cone_facets(f, cone)) is None:
+                return False, False
+            smooth = False
+            for facet, side in facets:
+                (up if side > 0 else down).append(facet)
+            continue
+        mask, masks = sum(1 << i for i in cone), [through[i] for i in cone]
+        acc = (1 << len(sides)) - 1
+        prefix, suffix = [], acc   # ANDs of the masks before and after x_k
+        for m in masks:
+            prefix.append(acc)
+            acc &= m
+        for k in range(n - 1, -1, -1):
+            x, on = cone[k], prefix[k] & suffix
+            suffix &= masks[k]
+            if not on:
+                nu = linalg.kernel_basis(tuple(tuple(rays[i][j] for i in cone if i != x)
+                                               for j in range(n)))[0]
+                on, row = 1 << len(sides), [sum(map(mul, nu, v)) for v in rays]
+                sides.append(row)
+                for i, d in enumerate(row):
+                    if not d:
+                        through[i] |= on
+            d = sides[on.bit_length() - 1][x]
+            if not d:
+                return False, False
+            smooth = smooth and d * d == 1
+            (up if d > 0 else down).append(mask ^ (1 << x))
+    up.sort()
+    down.sort()
+    return bool(f.max_cones) and up == down and all(map(lt, up, up[1:])), smooth
 
 
 def check_complete(f):
-    """Every max cone full-dimensional (det != 0, or a pointed dual cone
-    when not simplicial), and every facet shared by exactly two max cones
-    that lie on opposite sides of it (``_cone_facets``).  A fan with no max cones, not even the
-    zero cone, covers nothing and is not complete.
+    """Every max cone full-dimensional, and every facet shared by exactly two
+    max cones that lie on opposite sides of it (``_walls``).  A fan with no
+    max cones, not even the zero cone, covers nothing and is not complete.
 
     The check is local: a fan that winds around twice passes, such as the
     rank-2 fan on the rays (1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3) with
     consecutive pairs as its cones.
     """
-    sides = {}  # facet -> side of its first cone, 0 once a cone on the other side is met
-    for cone, d in zip(f.max_cones, _cone_dets(f)):
-        if d == 0 or (facets := _cone_facets(f, cone, d)) is None:
-            return False
-        for facet, side in facets:
-            seen = sides.get(facet)
-            if seen is not None and seen + side:   # the same side twice, or a third cone
-                return False
-            sides[facet] = side if seen is None else 0
-    return bool(f.max_cones) and not any(sides.values())
+    return _walls(f)[0]
 
 
 def check_smooth(f):
-    """Each max cone's rays form a Z-basis of N."""
-    return all(d in (1, -1) for d in _cone_dets(f))
+    """Each max cone's rays form a Z-basis of N: every primitive facet
+    normal pairs to +-1 with the ray off its facet (``_walls``)."""
+    return _walls(f)[1]
 
 
 class FanMorphism(NamedTuple):

@@ -4,10 +4,11 @@ Vectors are tuples of Python ints, matrices are tuples of row vectors.
 Everything is arbitrary precision and immutable; no floats appear anywhere
 in this package, and Fractions only pass through the ``vec_*`` helpers.
 
-There are two eliminations and one double description.
-``hermite_normal_form`` serves the lattices; Bareiss serves ``det``;
-``extreme_rays`` gives the facets of a cone from its rays, and the vertices
-of the root polytope's polar from the roots, with the rows tight on each.
+There is one elimination and one double description.
+``hermite_normal_form`` serves the lattices, and the facet normals of a fan
+as kernels; ``extreme_rays`` gives the facets of a cone from its rays, and
+the vertices of the root polytope's polar from the roots, with the rows
+tight on each.
 
 Conventions:
 
@@ -139,42 +140,6 @@ def lattices_equal(a, b):
 
 def rank(m):
     return len(hnf_basis(m)) if m else 0
-
-
-def det(m):
-    """Determinant of a square integer matrix (Bareiss, exact).
-
-    Step k replaces a[i][j] by (a[i][j] * p - a[i][k] * a[k][j]) / prev, p
-    the pivot a[k][k] and prev the pivot before it; the division is exact.
-    A row with a[i][k] = 0 is only rescaled by p / prev, and left alone when
-    p == prev, as in the sparse ray matrices of chamber fans.
-    """
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot_row = a[k]
-        p = pivot_row[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            c = row[k]
-            if c:
-                for j in range(k + 1, n):
-                    row[j] = (row[j] * p - c * pivot_row[j]) // prev
-            elif p != prev:
-                for j in range(k + 1, n):
-                    row[j] = row[j] * p // prev
-        prev = p
-    return sign * a[n - 1][n - 1]
 
 
 def _into_hyperplane(a, p, v):

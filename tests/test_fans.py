@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from test_linalg import dual_basis, in_rational_span, int_inverse
+from test_linalg import bareiss_det, dual_basis, in_rational_span, int_inverse
 from test_roots import ORACLE_FACTORS, simple_sets, sorted_orbit, weyl_order
 from weylfan import fans, linalg, roots, typea
 from weylfan.errors import InternalCheckFailed, NotInSpan, NotRootSpan, NotSurjective
@@ -210,7 +210,7 @@ def test_check_smooth_rejects_a_determinant_two_cone():
     for v, smooth in [((1, 2), False), ((1, 1), True)]:
         f = fans.make_fan(2, [(1, 0), v, (0, 1), (-1, 0), (0, -1)],
                           [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        dets = [abs(linalg.det(tuple(f.rays[i] for i in c))) for c in f.max_cones]
+        dets = [abs(bareiss_det(tuple(f.rays[i] for i in c))) for c in f.max_cones]
         assert sorted(dets) == [1, 1, 1, 1, 1 if smooth else 2]
         assert fans.check_complete(f)
         assert fans.check_smooth(f) == smooth
@@ -266,7 +266,7 @@ def facets_by_subsets(f, cone):
     """{facet: side} of a full-dimensional cone.  A subset of n-1 rays with a
     one-dimensional orthogonal complement, all rays on one side of it, gives
     the facet of the rays on that hyperplane, if they span it; the side is
-    sign det(B, x), B the first such subset and x the first ray off the facet."""
+    the sign of the first nonzero entry of the inward kernel vector."""
     n = f.lattice_rank
     rays = [f.rays[i] for i in cone]
     facets = {}
@@ -279,8 +279,8 @@ def facets_by_subsets(f, cone):
         if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
             on = tuple(cone[i] for i, x in enumerate(vals) if x == 0)
             if on not in facets and linalg.rank(tuple(f.rays[i] for i in on)) == n - 1:
-                off = next(ray for ray, x in zip(rays, vals) if x)
-                facets[on] = 1 if linalg.det(mat + (off,)) > 0 else -1
+                inward = kern[0] if max(vals) > 0 else linalg.vec_neg(kern[0])
+                facets[on] = 1 if next(x for x in inward if x) > 0 else -1
     return facets
 
 
@@ -301,17 +301,29 @@ def ray_ids(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def normal_side(f, on, x):
+    """The sign of <nu, x>, nu the primitive normal of the hyperplane spanned
+    by the rays ``on`` with its first nonzero entry positive."""
+    (nu,) = linalg.kernel_basis(linalg.transpose(tuple(f.rays[i] for i in on)))
+    assert next(c for c in nu if c) > 0 and linalg.vec_primitive(nu) == nu
+    return 1 if linalg.vec_dot(nu, f.rays[x]) > 0 else -1
+
+
 def test_pyramid_shares_its_facets_with_simplicial_cones():
     """A facet of n - 1 rays gets the same side from the dual extreme ray of
-    the pyramid as from the determinant of a simplicial cone."""
+    the pyramid as from the normal of its hyperplane paired with the ray off
+    it in a simplicial cone, which is the side that ``fans._walls`` reads."""
     complete, doubled = pyramid_fan((0, 0, -1)), pyramid_fan((0, 0, 1))
     assert fans.check_complete(complete)
     assert not fans.check_complete(doubled)
     for f in (complete, doubled):
         sides = {}
-        for cone, d in zip(f.max_cones, fans._cone_dets(f)):
-            for facet, side in fans._cone_facets(f, cone, d):
-                sides.setdefault(ray_ids(facet), []).append(side)
+        for cone in f.max_cones:
+            for facet, side in fans._cone_facets(f, cone):
+                on = ray_ids(facet)
+                if len(cone) == 3:
+                    assert side == normal_side(f, on, *set(cone) - set(on))
+                sides.setdefault(on, []).append(side)
         assert sorted(map(len, sides.values())) == [2] * 8
         assert all(len(facet) == 2 for facet in sides)
         opposite = [facet for facet, (a, b) in sides.items() if a + b == 0]
@@ -322,28 +334,249 @@ def test_coplanar_rays_are_not_a_full_dimensional_cone():
     """Four rays of one plane in rank 3, as one max cone: its dual cone holds
     a line, so the fan is not complete."""
     f = fans.make_fan(3, [(1, 0, 0), (1, 1, 0), (0, 1, 0), (-1, 1, 0)], [(0, 1, 2, 3)])
-    assert fans._cone_facets(f, f.max_cones[0], None) is None
+    assert fans._cone_facets(f, f.max_cones[0]) is None
     assert not fans.check_complete(f)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_cone_facets_equal_the_subset_search(n):
     """On every max cone of sigma_delta_fan(n) and of the pyramid fans: the
-    same facets as the oracle, and the same sides on facets of n - 1 rays
-    (all of them at n = 3; at n = 4 each facet has four rays)."""
+    same facets and the same sides as the oracle (at n = 4 each facet has
+    four rays)."""
     fs = [typea.sigma_delta_fan(n)] + ([pyramid_fan((0, 0, -1)), pyramid_fan((0, 0, 1))]
                                         if n == 3 else [])
     sides_checked = 0
     for f in fs:
-        for cone, d in zip(f.max_cones, fans._cone_dets(f)):
-            got = [(ray_ids(mask), side) for mask, side in fans._cone_facets(f, cone, d)]
-            want = facets_by_subsets(f, cone)
-            assert len(got) == len(want) and dict(got).keys() == want.keys(), cone
-            for facet, side in got:
-                if len(facet) == n - 1:
-                    assert side == want[facet], (cone, facet)
-                    sides_checked += 1
-    assert sides_checked == (48 + 2 * 16 if n == 3 else 0)
+        for cone in f.max_cones:
+            got = {ray_ids(mask): side for mask, side in fans._cone_facets(f, cone)}
+            assert got == facets_by_subsets(f, cone), cone
+            sides_checked += len(got)
+    assert sides_checked == (48 + 2 * 16 if n == 3 else 120)
+
+
+def complete_and_smooth_by_dets(f):
+    """(complete, smooth) by one Bareiss determinant per simplicial max cone
+    and a dict of facet sides: the oracle for ``fans._walls``.  The facet of
+    a simplicial cone without its ray at position k has the side sign
+    det(F, x) = sign(d) (-1)^(n-1-k), d the cone's determinant.  Other cones
+    read their facets off the extreme rays y of their dual cones, with the
+    side sign det(F, y) on a facet F of n - 1 rays and the sign of y's first
+    nonzero entry on a larger one.  Complete iff every cone is
+    full-dimensional and every facet has one cone on each side; smooth iff
+    every determinant is +-1."""
+    n = f.lattice_rank
+    dets = [bareiss_det(tuple(f.rays[i] for i in cone)) if len(cone) == n else None
+            for cone in f.max_cones]
+
+    def complete():
+        sides = {}  # facet -> side of its first cone, 0 once a cone on the other side is met
+        for cone, d in zip(f.max_cones, dets):
+            if d is not None:
+                if d == 0:
+                    return False
+                mask, first = sum(1 << i for i in cone), 1 if (d > 0) == (n % 2 == 1) else -1
+                facets = [(mask ^ (1 << i), -first if k % 2 else first)
+                          for k, i in enumerate(cone)]
+            elif (dual := linalg.extreme_rays([f.rays[i] for i in cone])) is None:
+                return False
+            else:
+                facets = []
+                for y, zeros in dual:
+                    on = [i for k, i in enumerate(cone) if zeros >> k & 1]
+                    side = bareiss_det(tuple(f.rays[i] for i in on) + (y,)) \
+                        if len(on) == n - 1 else next(x for x in y if x)
+                    facets.append((sum(1 << i for i in on), 1 if side > 0 else -1))
+            for facet, side in facets:
+                seen = sides.get(facet)
+                if seen is not None and seen + side:   # the same side twice, or a third cone
+                    return False
+                sides[facet] = side if seen is None else 0
+        return bool(f.max_cones) and not any(sides.values())
+
+    return complete(), all(d in (1, -1) for d in dets)
+
+
+def broken_fans(f):
+    """{name: fan} for four ways to break a complete smooth fan ``f`` at its
+    middle max cone sigma: deleted; copied over its neighbour across a facet,
+    so that both copies lie on one side of it; one ray a of sigma moved to
+    2a + b, b the next ray, so that sigma has determinant +-2; and the last
+    ray of sigma replaced by the negative of its first, which leaves a
+    degenerate cone (not for rank 1, where every ray spans the line)."""
+    n, cones = f.lattice_rank, f.max_cones
+    k = len(cones) // 2
+    sigma = cones[k]
+    j = next(j for j, other in enumerate(cones)
+             if other != sigma and len(set(sigma) & set(other)) == n - 1)
+    a, *rest = sigma
+    moved = linalg.vec_add(linalg.vec_scale(2, f.rays[a]), f.rays[rest[0]] if rest else (0,))
+    out = {
+        "deleted": fans.Fan(n, f.rays, cones[:k] + cones[k + 1:]),
+        "copied": fans.Fan(n, f.rays, cones[:j] + (sigma,) + cones[j + 1:]),
+        "det2": fans.Fan(n, f.rays + (moved,),
+                         cones[:k] + (tuple(rest) + (len(f.rays),),) + cones[k + 1:]),
+    }
+    if n > 1:
+        degenerate = tuple(sorted(sigma[:-1] + (f.ray_index(linalg.vec_neg(f.rays[a])),)))
+        out["degenerate"] = fans.Fan(n, f.rays, cones[:k] + (degenerate,) + cones[k + 1:])
+    return out
+
+
+# The oracle systems up to the 5,040 chambers of A_6, and A_2 x B_2: every
+# rung of the ``chambers`` benchmark ladder is among them.
+WALL_SYSTEMS = [fs for fs in ORACLE_FACTORS
+                if weyl_order(roots.RootSystemSpec(fs)) <= 5040] + [(("A", 2), ("B", 2))]
+
+
+@pytest.mark.parametrize("factors", WALL_SYSTEMS, ids=label)
+def test_walls_equal_the_determinant_oracle(factors):
+    """The chamber fan is complete and smooth by both checks, and each of the
+    four broken fans gets the oracle's verdicts: not complete (but for the
+    moved ray of rank 1, which keeps its side of the origin), and smooth only
+    when the cones left are all unimodular."""
+    f = fans.weyl_chamber_fan(sys(*factors))
+    assert fans._walls(f) == complete_and_smooth_by_dets(f) == (True, True)
+    for name, broken in broken_fans(f).items():
+        want = complete_and_smooth_by_dets(broken)
+        assert fans._walls(broken) == want, name
+        assert want[0] == (name == "det2" and f.lattice_rank == 1), name   # no facet to miss
+        assert want[1] == (name in ("deleted", "copied")), name
+        assert (fans.check_complete(broken), fans.check_smooth(broken)) == want
+
+
+def test_chamber_fans_find_one_kernel_per_positive_root(monkeypatch):
+    """The walls of the chambers lie on the root hyperplanes, one per
+    positive root: ``fans._walls`` finds each by one ``kernel_basis`` call."""
+    built = [(r, fans.weyl_chamber_fan(r)) for r in (sys(*fs) for fs in WALL_SYSTEMS)]
+    calls = []
+    kernel_basis = linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m))
+    for r, f in built:
+        fans._walls.cache_clear()   # A_1, B_1 and C_1 have equal fans
+        calls.clear()
+        assert fans._walls(f) == (True, True)
+        assert len(calls) == len(r.positive), r.spec
+
+
+def test_walls_is_a_pair_of_bools():
+    """Only the two verdicts are cached, not the facet lists."""
+    for f in (fans.weyl_chamber_fan(sys(("B", 3),)), typea.sigma_delta_fan(3),
+              fans.make_fan(2, [], []), fans.make_fan(0, [], [()])):
+        walls = fans._walls(f)
+        assert type(walls) is tuple and [type(x) for x in walls] == [bool, bool]
+
+
+def test_walls_of_small_and_mixed_fans():
+    """Rank 0 and rank 1, the root polytope fans sigma_delta_fan(3..5), the
+    pyramid fans and the plane fans of the tests above."""
+    line = [(-1,), (1,), (2,), (-3,)]
+    plane = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, 2)]
+    cases = {
+        "rank0": fans.make_fan(0, [], [()]), "rank0-empty": fans.make_fan(0, [], []),
+        "rank1": fans.Fan(1, ((-1,), (1,)), ((0,), (1,))),
+        "rank1-one-side": fans.Fan(1, ((-1,), (1,)), ((1,),)),
+        "rank1-twice": fans.Fan(1, ((-1,), (1,)), ((0,), (1,), (1,))),
+        "rank1-det2": fans.Fan(1, ((-1,), (2,)), ((0,), (1,))),
+        "rank1-line": fans.Fan(1, ((-1,), (1,)), ((0, 1),)),
+        "rank1-both": fans.Fan(1, tuple(line), ((0,), (1,), (2,), (3,))),
+        "pyramid": pyramid_fan((0, 0, -1)), "pyramid-doubled": pyramid_fan((0, 0, 1)),
+        "square": fans.Fan(2, tuple(plane[:4]), ((0, 1), (1, 2), (2, 3), (0, 3))),
+        "det2": fans.Fan(2, tuple(plane[:4]) + ((1, 2),), ((0, 4), (1, 4), (1, 2), (2, 3), (0, 3))),
+        "quadrant": fans.Fan(2, tuple(plane[:5]), ((0, 1, 4), (1, 2), (2, 3), (0, 3))),
+        "overlap": fans.Fan(2, tuple(plane[:2]) + ((1, 1),), ((0, 1), (1, 2), (0, 2))),
+        "segment": fans.Fan(2, tuple(plane[:4]), ((0, 2), (1, 2), (0, 1))),
+        "too-few": fans.Fan(2, tuple(plane[:4]), ((0,), (1, 2), (2, 3), (0, 3))),
+    }
+    cases.update({f"sigma-delta-{n}": typea.sigma_delta_fan(n) for n in range(3, 6)})
+    verdicts = {}
+    for name, f in cases.items():
+        verdicts[name] = complete_and_smooth_by_dets(f)
+        assert fans._walls(f) == verdicts[name], name
+    assert verdicts["rank0"] == verdicts["rank1"] == verdicts["square"] == (True, True)
+    assert verdicts["rank0-empty"] == (False, True)
+    assert verdicts["rank1-det2"] == verdicts["det2"] == (True, False)
+    assert verdicts["sigma-delta-3"] == verdicts["pyramid"] == verdicts["quadrant"] == (True, False)
+    assert verdicts["overlap"] == verdicts["rank1-twice"] == (False, True)
+    assert verdicts["segment"] == verdicts["too-few"] == (False, False)
+    assert verdicts["rank1-line"] == (True, False)   # one cone, the whole line
+
+
+def angle_order(rays):
+    """Plane vectors sorted by their angle in [0, 2 pi), exactly."""
+    half = lambda v: 0 if v[1] > 0 or v[1] == 0 and v[0] > 0 else 1
+    cross = lambda v, w: v[0] * w[1] - v[1] * w[0]
+    return sorted(rays, key=cmp_to_key(lambda v, w: half(v) - half(w) or -cross(v, w)))
+
+
+def random_fan(rng):
+    """(fan, winds): a seeded random fan of rank 2 or 3, often complete before its
+    mutations: a plane fan on angle-sorted rays, some cones merged into
+    three-ray cones and some fans winding twice; or a rank-3 chamber fan, a
+    root polytope fan or a pyramid fan.  Then up to two mutations: a cone
+    deleted, copied over another, merged with a neighbour, given an extra
+    ray, or replaced by rays drawn at random (often degenerate).  ``winds``
+    tells a plane fan made to wind twice."""
+    if rng.random() < 0.5:
+        pool = {tuple(linalg.vec_primitive(v)) for v in
+                ((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 11)))}
+        rays = angle_order(pool - {(0, 0)})
+        if len(rays) < 2:
+            return fans.Fan(2, tuple(rays), ((0,),) if rays else ()), False
+        step = 1
+        if len(rays) > 4 and rng.random() < 0.4:   # wind twice, on an odd number of rays
+            rays, step = rays[:len(rays) - 1 + len(rays) % 2], 2
+        order = [(step * k) % len(rays) for k in range(len(rays))]
+        cones = [tuple(sorted((order[k], order[(k + 1) % len(rays)]))) for k in range(len(rays))]
+        if len(cones) > 3 and rng.random() < 0.5:
+            k = rng.randrange(len(cones))
+            merged = tuple(sorted(set(cones[k]) | set(cones[k - 1])))
+            cones = [c for i, c in enumerate(cones) if i not in (k, (k - 1) % len(cones))] + [merged]
+        f = fans.Fan(2, tuple(rays), tuple(cones))
+    else:
+        step, f = 1, rng.choice([fans.weyl_chamber_fan(sys(*fs)) for fs in
+                                 [(("A", 3),), (("B", 3),), (("C", 3),), (("A", 1), ("A", 2))]]
+                                + [typea.sigma_delta_fan(3), pyramid_fan((0, 0, -1)),
+                                   pyramid_fan((0, 0, 1))])
+    cones = list(f.max_cones)
+    for _ in range(rng.randint(0, 2)):
+        if not cones:
+            break
+        k, kind = rng.randrange(len(cones)), rng.randrange(5)
+        if kind == 0:
+            del cones[k]
+        elif kind == 1:
+            cones[rng.randrange(len(cones))] = cones[k]
+        elif kind == 2:
+            other = next((c for c in cones if len(set(c) & set(cones[k])) == f.lattice_rank - 1
+                          and c != cones[k]), cones[k])
+            cones[k] = tuple(sorted(set(cones[k]) | set(other)))
+        elif kind == 3:
+            cones[k] = tuple(sorted(set(cones[k]) | {rng.randrange(len(f.rays))}))
+        else:
+            size = rng.choice([f.lattice_rank] * 3 + [f.lattice_rank + 1])
+            cones[k] = tuple(sorted(rng.sample(range(len(f.rays)), min(size, len(f.rays)))))
+    return fans.Fan(f.lattice_rank, f.rays, tuple(cones)), step == 2
+
+
+def test_walls_equal_the_oracle_on_random_fans():
+    """200 seeded random fans of rank 2 and 3, with cones that are not
+    simplicial, fans that wind twice and degenerate cones among them."""
+    rng = random.Random(29)
+    seen = {"complete": 0, "smooth": 0, "incomplete": 0, "not simplicial": 0, "degenerate": 0,
+            "winding": 0}
+    for _ in range(200):
+        f, winds = random_fan(rng)
+        want = complete_and_smooth_by_dets(f)
+        assert fans._walls(f) == want, f
+        seen["complete"] += want[0]
+        seen["smooth"] += want[1]
+        seen["incomplete"] += not want[0]
+        seen["not simplicial"] += any(len(c) != f.lattice_rank for c in f.max_cones)
+        seen["degenerate"] += any(len(c) == f.lattice_rank
+                                  and bareiss_det(tuple(f.rays[i] for i in c)) == 0
+                                  for c in f.max_cones)
+        seen["winding"] += want[0] and winds
+    assert min(seen.values()) >= 5, seen
 
 
 # Oracle for chamber_face: a scan of every max cone of a complete simplicial
@@ -354,7 +587,7 @@ def _cone_inverses(f):
     out = []
     for cone in f.max_cones:
         mat = tuple(f.rays[i] for i in cone)
-        if len(mat) != f.lattice_rank or abs(linalg.det(mat)) != 1:
+        if len(mat) != f.lattice_rank or abs(bareiss_det(mat)) != 1:
             out.append(None)
         else:
             out.append(int_inverse(mat))

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from test_linalg import int_inverse
+from test_linalg import bareiss_det, int_inverse
 from weylfan import fans, linalg, roots, typea
 from weylfan.errors import InternalCheckFailed
 
@@ -665,14 +665,14 @@ def test_walls_are_the_shared_facets(n):
 
 
 def _solve_cramer(rows, rhs):
-    d = linalg.det(rows)
+    d = bareiss_det(rows)
     if d == 0:
         return None
     k = len(rows)
     sol = []
     for t in range(k):
         mt = tuple(r[:t] + (rhs[idx],) + r[t + 1:] for idx, r in enumerate(rows))
-        sol.append(Fraction(linalg.det(mt), d))
+        sol.append(Fraction(bareiss_det(mt), d))
     return tuple(sol)
 
 
