@@ -348,8 +348,9 @@ def test_cone_facets_equal_the_subset_search(n):
     sides_checked = 0
     for f in fs:
         for cone in f.max_cones:
-            got = {ray_ids(mask): side for mask, side in fans._cone_facets(f, cone)}
-            assert got == facets_by_subsets(f, cone), cone
+            pairs = [(ray_ids(mask), side) for mask, side in fans._cone_facets(f, cone)]
+            got = dict(pairs)
+            assert len(pairs) == len(got) and got == facets_by_subsets(f, cone), cone
             sides_checked += len(got)
     assert sides_checked == (48 + 2 * 16 if n == 3 else 120)
 
