@@ -254,12 +254,13 @@ def subsystem_morphism(r, subspace_basis):
     and the morphism is the induced surjection of chamber fans.
     Raises NotRootSpan if the intersection does not span the subspace.
     A root is in the span iff it is orthogonal to ``perp``, the kernel of
-    the matrix whose columns are the basis vectors: one kernel for all roots.
+    the matrix whose columns are the basis vectors: one kernel for all roots,
+    and by rank-nullity the basis has rank ambient_dim - len(perp).
     """
     basis = tuple(tuple(v) for v in subspace_basis)
     perp = linalg.kernel_basis(tuple(tuple(v[i] for v in basis) for i in range(r.ambient_dim)))
     sub = [v for v in r.roots if not any(linalg.vec_dot(x, v) for x in perp)]
-    if linalg.rank(tuple(sub)) != linalg.rank(basis):
+    if linalg.rank(tuple(sub)) != r.ambient_dim - len(perp):
         raise NotRootSpan("subspace is not spanned by the roots it contains")
     if len(sub) == len(r.roots):
         f = weyl_chamber_fan(r)

@@ -5,19 +5,20 @@ Everything is arbitrary precision and immutable; no floats appear anywhere
 in this package, and Fractions only pass through the ``vec_*`` helpers.
 
 There is one elimination and one double description.
-``hermite_normal_form`` serves the lattices, and the facet normals of a fan
-as kernels; ``extreme_rays`` gives the facets of a cone from its rays, and
-the vertices of the root polytope's polar from the roots, with the rows
-tight on each.
+``hermite_normal_form`` serves the lattices, and the kernels, read off the
+Hermite form of (m | I) with no transform carried: the relations among the
+characters and the facet normals of a fan.  ``extreme_rays`` gives the
+facets of a cone from its rays, and the vertices of the root polytope's
+polar from the roots, with the rows tight on each.
 
 Conventions:
 
 * lattices are row spans: the lattice generated by a matrix is the set of
   integer combinations of its rows;
 * ``hermite_normal_form`` is row-style: echelon shape, positive pivots,
-  entries above each pivot reduced into [0, pivot).  This makes the nonzero
-  rows a canonical basis of the row span, so lattice equality is a direct
-  comparison.
+  entries above each pivot reduced into [0, pivot).  It returns only the
+  nonzero rows, a canonical basis of the row span, so lattice equality is a
+  direct comparison, and a canonical kernel needs no second elimination.
 """
 
 from math import gcd
@@ -77,15 +78,13 @@ def vec_matmul(v, m):
 
 
 def hermite_normal_form(m):
-    """Return (h, u) with u unimodular, u*m = h, h in row Hermite normal form.
-
-    h has the same shape as m; zero rows sink to the bottom.  Pivots are
-    positive and entries above a pivot are reduced into [0, pivot).
+    """The nonzero rows of the row Hermite normal form of m: a canonical
+    basis of its row span, in echelon shape, with positive pivots and the
+    entries above each pivot reduced into [0, pivot).
     """
     h = [list(row) for row in m]
     k = len(h)
     ncols = len(h[0]) if k else 0
-    u = [[int(i == j) for j in range(k)] for i in range(k)]
     row = 0
     for col in range(ncols):
         if row == k:
@@ -95,51 +94,43 @@ def hermite_normal_form(m):
             continue
         if piv != row:
             h[row], h[piv] = h[piv], h[row]
-            u[row], u[piv] = u[piv], u[row]
         for i in range(row + 1, k):
             # Euclid on (h[row][col], h[i][col]) by alternating row subtractions.
             while h[i][col] != 0:
                 q = h[row][col] // h[i][col]
                 h[row] = [x - q * y for x, y in zip(h[row], h[i])]
-                u[row] = [x - q * y for x, y in zip(u[row], u[i])]
                 h[row], h[i] = h[i], h[row]
-                u[row], u[i] = u[i], u[row]
         if h[row][col] < 0:
             h[row] = [-x for x in h[row]]
-            u[row] = [-x for x in u[row]]
         p = h[row][col]
         for i in range(row):
             q = h[i][col] // p
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[row])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[row])]
         row += 1
-    return tuple(map(tuple, h)), tuple(map(tuple, u))
-
-
-def hnf_basis(m):
-    """Canonical basis of the row span: nonzero rows of the HNF."""
-    h, _ = hermite_normal_form(m)
-    return tuple(row for row in h if not vec_is_zero(row))
+    return tuple(map(tuple, h[:row]))
 
 
 def kernel_basis(m):
-    """Canonical Z-basis of the left integer kernel {x : x*m = 0}.
+    """Canonical Z-basis of the left integer kernel {x : x*m = 0}: the tails
+    of the rows of the Hermite form of (m | I) whose heads are zero.
 
+    The rows with a pivot in the head are independent there, so the zero-head
+    rows span every x with x*m = 0, and they are already in Hermite form.
     Empty tuple iff the kernel is trivial.
     """
-    h, u = hermite_normal_form(m)
-    kern = tuple(u[i] for i in range(len(h)) if vec_is_zero(h[i]))
-    return hnf_basis(kern) if kern else ()
+    n = len(m[0]) if m else 0
+    h = hermite_normal_form(tuple(tuple(row) + e for row, e in zip(m, identity_matrix(len(m)))))
+    return tuple(row[n:] for row in h if not any(row[:n]))
 
 
 def lattices_equal(a, b):
     """True iff the row spans of a and b coincide as lattices."""
-    return hnf_basis(a) == hnf_basis(b)
+    return hermite_normal_form(a) == hermite_normal_form(b)
 
 
 def rank(m):
-    return len(hnf_basis(m)) if m else 0
+    return len(hermite_normal_form(m))
 
 
 def _into_hyperplane(a, p, v):

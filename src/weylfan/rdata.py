@@ -198,9 +198,10 @@ def rdata_to_point(r, d):
 def verify_relation_generation(r):
     """Do the additive triples of positive roots generate all linear relations?
 
-    Compares the lattice spanned by e_i + e_j - e_k (over positive triples
-    root_k = root_i + root_j) with the kernel of the evaluation map
-    Z^{R+} -> M(R).
+    Compares the Hermite form of the lattice spanned by e_i + e_j - e_k (over
+    positive triples root_k = root_i + root_j) with the kernel of the
+    evaluation map Z^{R+} -> M(R), which ``kernel_basis`` returns in Hermite
+    form already.
     """
     pos = list(r.positive)
     pos_index = {i: t for t, i in enumerate(pos)}
@@ -214,7 +215,7 @@ def verify_relation_generation(r):
             v[pos_index[j]] += 1
             v[pos_index[k]] -= 1
             gens.append(tuple(v))
-    return linalg.lattices_equal(tuple(gens), kern)
+    return linalg.hermite_normal_form(tuple(gens)) == kern
 
 
 def rdata_to_json(r, d):

@@ -20,13 +20,13 @@ replaces the ray w_a by w_a - a^vee, read off the reflection table, and
 keeps the others (the contragredient action of W on N, Humphreys section
 1.12).  Nothing is sorted: ``fans`` reads the chamber fan off this walk and
 sorts it once.  Finding one chamber with a property never needs the whole
-orbit: ``descend`` walks from a simple set in label order, reflecting in a
-member on the wrong side, in at most |Phi+| steps, and returns the roots
-crossed.  It finds the chart of a point (``rdata``) and, from a chart, the u
-in W with u(chart) = Delta, the product of the reflections crossed
-(``chart_walk``): u(beta)'s mcoords are beta's coefficients in the chart;
-``fans`` finds the face of a vector by the Cartan matrix instead.  Each
-positive root of height > 1 is a positive root plus a simple root
+orbit: ``descend`` walks from a simple set in label order, reflecting in its
+first member on the wrong side, in at most |Phi+| steps, and returns the
+roots crossed.  It finds the chart of a point (``rdata``) and, from a
+chart, the u in W with u(chart) = Delta, the product of the reflections
+crossed (``chart_walk``): u(beta)'s mcoords are beta's coefficients in the
+chart; ``fans`` finds the face of a vector by the Cartan matrix instead.
+Each positive root of height > 1 is a positive root plus a simple root
 (``positive_steps``), and a sum of two roots is looked up by an integer key
 of its mcoords (``additive_triples``).  A root multiple a * alpha has a
 times alpha's mcoords (``mcoords_of_vectors``), with no elimination.
@@ -321,7 +321,7 @@ def descend(r, wrong, s=None):
     ``wrong`` member, keeping S in label order, S[k] = w(s[k]).
 
     While some a in S is ``wrong``, S becomes s_a(S) entry by entry, for the
-    wrong a of smallest root index.  If ``wrong(a)`` excludes ``wrong(-a)``,
+    first wrong a in label order.  If ``wrong(a)`` excludes ``wrong(-a)``,
     each step removes one wrong root from the positive roots of S (s_a
     permutes the others), so the walk ends within |Phi+| steps.  Returns (S,
     crossed), the roots crossed in order, or None after |Phi+| steps.
@@ -329,7 +329,7 @@ def descend(r, wrong, s=None):
     table = reflection_table(r)
     s, crossed = r.base_simple_set if s is None else s, []
     for _ in range(len(r.positive) + 1):
-        if (a := next(filter(wrong, sorted(s)), None)) is None:
+        if (a := next(filter(wrong, s), None)) is None:
             return s, tuple(crossed)
         crossed.append(a)
         row = table[a]

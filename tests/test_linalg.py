@@ -1,41 +1,63 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from weylfan import linalg
 
 
+def hnf_with_transform(m):
+    """(heads, u) from the Hermite form of (m | I): u * m = heads, and u is
+    unimodular, so the nonzero heads span the row lattice of m."""
+    n = len(m[0]) if m else 0
+    h = linalg.hermite_normal_form(tuple(tuple(row) + e
+                                         for row, e in zip(m, linalg.identity_matrix(len(m)))))
+    return tuple(row[:n] for row in h), tuple(row[n:] for row in h)
+
+
 def test_hnf_example():
     m = ((2, 4), (1, 3))
-    h, u = linalg.hermite_normal_form(m)
     # Canonical reduced form: entry above the pivot 2 lies in [0, 2).
-    assert h == ((1, 1), (0, 2))
-    assert linalg.matmul(u, m) == h
+    assert linalg.hermite_normal_form(m) == ((1, 1), (0, 2))
+    heads, u = hnf_with_transform(m)
+    assert heads == ((1, 1), (0, 2))
+    assert linalg.matmul(u, m) == heads
     assert abs(bareiss_det(u)) == 1
 
 
 def test_hnf_identity_and_zero():
     ident = linalg.identity_matrix(3)
-    h, u = linalg.hermite_normal_form(ident)
-    assert h == ident and u == ident
-    h, u = linalg.hermite_normal_form(((0, 0),))
-    assert h == ((0, 0),)
-    assert u == ((1,),)
+    assert linalg.hermite_normal_form(ident) == ident
+    assert hnf_with_transform(ident) == (ident, ident)
+    assert linalg.hermite_normal_form(((0, 0),)) == ()
+    assert hnf_with_transform(((0, 0),)) == (((0, 0),), ((1,),))
+    # no rows, and rows with no columns
+    for m in ((), ((),), ((), ())):
+        assert linalg.hermite_normal_form(m) == ()
+        assert linalg.rank(m) == 0
+        assert linalg.kernel_basis(m) == linalg.identity_matrix(len(m))
 
 
 def test_hnf_idempotent_and_unimodular_random():
+    """Echelon shape, positive pivots, entries above each pivot in
+    [0, pivot), idempotence, and the row lattice of m."""
     rng = random.Random(11)
     for _ in range(150):
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
         m = tuple(tuple(rng.randrange(-9, 10) for _ in range(cols)) for _ in range(rows))
-        h, u = linalg.hermite_normal_form(m)
-        assert linalg.matmul(u, m) == h
+        h = linalg.hermite_normal_form(m)
+        pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+        assert pivots == sorted(set(pivots))
+        for i, j in enumerate(pivots):
+            assert h[i][j] > 0
+            assert all(0 <= h[k][j] < h[i][j] for k in range(i))
+        assert linalg.hermite_normal_form(h) == h
+        heads, u = hnf_with_transform(m)
+        assert linalg.matmul(u, m) == heads
         assert abs(bareiss_det(u)) == 1
-        h2, _ = linalg.hermite_normal_form(h)
-        assert h2 == h
+        assert tuple(row for row in heads if any(row)) == h
 
 
 def test_kernel_examples():
@@ -58,6 +80,34 @@ def test_kernel_property_random():
         assert len(kern) == rows - linalg.rank(m)
 
 
+def test_kernel_spans_every_small_relation():
+    """Every x in [-2, 2]^rows with x * m = 0 is an integer combination of
+    the ``kernel_basis`` rows: adding x leaves their Hermite form as it is."""
+    rng = random.Random(17)
+    seen = 0
+    for _ in range(40):
+        rows = rng.randrange(1, 5)
+        cols = rng.randrange(1, 4)
+        m = tuple(tuple(rng.choice((0, 0, 1, -1, 2, -2)) for _ in range(cols)) for _ in range(rows))
+        kern = linalg.kernel_basis(m)
+        for x in product(range(-2, 3), repeat=rows):
+            if not linalg.vec_is_zero(linalg.vec_matmul(x, m)):
+                continue
+            assert linalg.hermite_normal_form(kern + (x,)) == kern, (m, x)
+            seen += x not in kern and any(x)
+    assert seen > 100, seen
+
+
+def test_kernel_basis_runs_one_elimination(monkeypatch):
+    calls = []
+    hermite_normal_form = linalg.hermite_normal_form
+    monkeypatch.setattr(linalg, "hermite_normal_form",
+                        lambda m: calls.append(m) or hermite_normal_form(m))
+    m = ((1, 0), (0, 1), (1, 1), (2, 2))
+    assert linalg.kernel_basis(m) == ((1, 1, 1, -1), (0, 0, 2, -1))
+    assert calls == [tuple(row + e for row, e in zip(m, linalg.identity_matrix(4)))]
+
+
 def test_lattices_equal():
     assert linalg.lattices_equal(((1, 1, -1),), ((-1, -1, 1),))
     assert not linalg.lattices_equal(((1, 0),), ((2, 0),))
@@ -76,14 +126,14 @@ def test_lattices_equal_is_equivalence():
 
 def int_inverse(b):
     """Exact inverse of a square unimodular integer matrix: the u with
-    u * b = h = identity from its Hermite normal form.  Raises ValueError
+    u * b = h = identity from the Hermite form of (b | I).  Raises ValueError
     when b is not square or |det b| != 1.  The oracle for the expansions in
     a chart (``roots.chart_walk``, ``test_roots``) and for the dual bases of
     cones (``test_fans``, ``test_typea``)."""
     n = len(b)
     if any(len(row) != n for row in b):
         raise ValueError("matrix is not square")
-    h, u = linalg.hermite_normal_form(b)
+    h, u = hnf_with_transform(b)
     if h != linalg.identity_matrix(n):
         raise ValueError(f"determinant {bareiss_det(b)} is not ±1")
     return u

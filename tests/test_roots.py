@@ -288,8 +288,8 @@ EXPANSION_IDS = ["x".join(f"{f}{k}" for f, k in fs) for fs in EXPANSION_FACTORS]
 
 @pytest.mark.parametrize("factors", EXPANSION_FACTORS, ids=EXPANSION_IDS)
 def test_descend_steps_cross_the_root_of_their_label(factors):
-    """Each root a that ``descend`` crosses is the wrong member of S of
-    smallest index, and S ends in label order, as the S of its chamber in
+    """Each root a that ``descend`` crosses is the first wrong member of S
+    in label order, and S ends in label order, as the S of its chamber in
     ``chamber_orbit``.  From S back across its negative members, the walk
     ends at the base set in label order."""
     r = sys(*factors)
@@ -302,7 +302,7 @@ def test_descend_steps_cross_the_root_of_their_label(factors):
         s, crossed = roots.descend(r, wrong)
         t = r.base_simple_set
         for a in crossed:
-            assert a == min(b for b in t if wrong(b))
+            assert a == next(b for b in t if wrong(b))
             t = tuple(table[a][b] for b in t)
         assert t == s == label_order[tuple(sorted(s))]
         assert not any(map(wrong, s))
