@@ -49,7 +49,7 @@ class Fan(NamedTuple):
 
 
 def make_fan(rank, rays, cones):
-    """Canonicalize rays and cones into a Fan."""
+    """Canonicalize rays and cones into a Fan; each cone names distinct rays."""
     rays = [tuple(v) for v in rays]
     if len(set(rays)) != len(rays):
         raise ValueError("duplicate rays")
@@ -57,8 +57,13 @@ def make_fan(rank, rays, cones):
         if linalg.vec_is_zero(v) or linalg.vec_primitive(v) != v:
             raise ValueError(f"ray {v} is not primitive")
     order = sorted(range(len(rays)), key=rays.__getitem__)
-    remap = sorted(range(len(rays)), key=order.__getitem__)  # the inverse of order
-    new_cones = sorted({tuple(sorted([remap[i] for i in cone])) for cone in cones})
+    remap = dict(zip(order, range(len(rays))))  # the inverse of order; -1 names no ray
+    try:
+        new_cones = sorted({tuple(sorted(map(remap.__getitem__, cone))) for cone in cones})
+    except KeyError as e:
+        raise ValueError(f"the cone id {e.args[0]!r} names no ray") from None
+    if any(len(set(cone)) < len(cone) for cone in new_cones):
+        raise ValueError("a cone repeats a ray")
     return Fan(rank, tuple(rays[i] for i in order), tuple(new_cones))
 
 
@@ -151,15 +156,17 @@ def _walls(f):
     keeps a bitmask of the known hyperplanes through it; F_k's hyperplane is
     the AND of its rays' masks (prefix and suffix ANDs, O(n) per cone).  A
     facet on none finds its normal by one ``linalg.kernel_basis`` and pairs
-    it with every ray.  A chamber fan's facets lie on its |Phi+| root
-    hyperplanes, so C cones on R rays cost O(C n + |Phi+| R n); a fan with H
-    distinct facet hyperplanes pays H R dot products.  The fan is complete
-    iff it has a max cone and the sorted facets on the + side equal those
-    on the - side, with no repeat: each facet has one cone per side.
+    it with every ray; the pairings +-1 of a smooth fan are tested first.  A
+    chamber fan's facets lie on its |Phi+| root hyperplanes, so C cones on R
+    rays cost O(C n + |Phi+| R n); a fan with H distinct facet hyperplanes
+    pays H R dot products.  The fan is complete iff it has a max cone and the
+    sorted facets on the + side equal those on the - side, with no repeat:
+    each facet has one cone per side.
     """
     n, rays = f.lattice_rank, f.rays
     sides = []                 # per hyperplane: <nu, v> for every ray v
     through = [0] * len(rays)  # per ray: bitmask of the hyperplanes through it
+    bit = [1 << i for i in range(len(rays))]
     up, down, smooth = [], [], True
     for cone in f.max_cones:
         if len(cone) != n:
@@ -169,15 +176,15 @@ def _walls(f):
             for facet, side in facets:
                 (up if side > 0 else down).append(facet)
             continue
-        mask, masks = sum(1 << i for i in cone), [through[i] for i in cone]
         acc = (1 << len(sides)) - 1
-        prefix, suffix = [], acc   # ANDs of the masks before and after x_k
-        for m in masks:
+        mask, prefix, suffix = 0, [], acc   # ANDs of the masks before and after x_k
+        for i in cone:
             prefix.append(acc)
-            acc &= m
+            acc &= through[i]
+            mask |= bit[i]
         for k in range(n - 1, -1, -1):
             x, on = cone[k], prefix[k] & suffix
-            suffix &= masks[k]
+            suffix &= through[x]   # it has no bit of a hyperplane found in this cone
             if not on:
                 nu = linalg.kernel_basis(tuple(tuple(rays[i][j] for i in cone if i != x)
                                                for j in range(n)))[0]
@@ -187,10 +194,15 @@ def _walls(f):
                     if not d:
                         through[i] |= on
             d = sides[on.bit_length() - 1][x]
-            if not d:
+            if d == 1:
+                up.append(mask ^ bit[x])
+            elif d == -1:
+                down.append(mask ^ bit[x])
+            elif not d:
                 return False, False
-            smooth = smooth and d * d == 1
-            (up if d > 0 else down).append(mask ^ (1 << x))
+            else:
+                smooth = False
+                (up if d > 0 else down).append(mask ^ bit[x])
     up.sort()
     down.sort()
     return bool(f.max_cones) and up == down and all(map(lt, up, up[1:])), smooth

@@ -146,6 +146,45 @@ def test_wall_crossed_rays_are_dual_bases(factors, rebuilt):
         assert ws == dual_basis(tuple(r.mcoords[i] for i in s)), s
 
 
+class CountingList(list):
+    """A list that counts the items read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+# Coroots read by the walk, one per distinct (ray id, wall) pair it crosses.
+CROSSED_PAIRS = {"A6": 321, "B5": 599, "D5": 504}
+
+
+@pytest.mark.parametrize("factors,rebuilt",
+                         [pytest.param(fs, False, id=label(fs))
+                          for fs in [(("A", 6),), (("B", 5),), (("D", 5),)]]
+                         + [pytest.param(fs, True, id="derived-" + label(fs)) for fs in DERIVED])
+def test_the_walk_builds_each_crossed_ray_once_per_ray_and_wall(factors, rebuilt, monkeypatch):
+    """Crossing the wall of a sends the ray w to w - a^vee, so the walk reads
+    a coroot only for a (ray id, wall) pair it has not crossed before.  Each
+    chamber but the base one is entered across the wall of its first descent
+    k, the first negative label: its pair (ids[k], S[k]) is the entering
+    crossing seen from the other side, (w - a^vee, -a) for the parent's (w,
+    a), so the distinct pairs count the crossings the walk builds.  The walk
+    is the same with the counting coroots as without."""
+    r = derived(*factors) if rebuilt else sys(*factors)
+    walk = roots.chamber_orbit(r)
+    negative = set(range(len(r.roots))) - set(r.positive)
+    pairs = {next((ids[k], a) for k, a in enumerate(s) if a in negative)
+             for s, ids in walk[1][1:]}
+    coroots = CountingList(roots._coroots(r))
+    monkeypatch.setattr(roots, "_coroots", lambda r: coroots)
+    assert roots.chamber_orbit(r) == walk
+    assert coroots.reads == len(pairs) <= len(walk[1]) - 1   # derived G_2: 11 of 11
+    if not rebuilt:
+        assert coroots.reads == CROSSED_PAIRS[label(factors)] < len(walk[1]) - 1
+
+
 def test_a_chamber_walked_twice_is_caught(monkeypatch):
     """The fan has one max cone per chamber of the walk: a walk that yields
     one chamber twice makes ``weyl_chamber_fan`` raise, not return a fan."""
@@ -204,6 +243,21 @@ def test_check_complete_is_local():
     assert fans.check_complete(f)
 
 
+def test_make_fan_refuses_cone_ids_that_name_no_ray():
+    """A negative id would wrap to the last ray, an id past the rays has no
+    ray, and a repeated id would keep a cone on fewer rays than it lists;
+    like a repeated ray, each is refused."""
+    with pytest.raises(ValueError, match="the cone id -1 names no ray"):
+        fans.make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, -1), (1, 2), (2, 0)])
+    with pytest.raises(ValueError, match="the cone id 5 names no ray"):
+        fans.make_fan(2, [(1, 0), (0, 1)], [(0, 5)])
+    with pytest.raises(ValueError, match="a cone repeats a ray"):
+        fans.make_fan(2, [(1, 0), (0, 1)], [(0, 0)])
+    with pytest.raises(ValueError, match="duplicate rays"):
+        fans.make_fan(2, [(1, 0), (1, 0)], [(0, 1)])
+    assert fans.make_fan(2, [(0, 1), (1, 0)], [(1, 0)]).max_cones == ((0, 1),)
+
+
 def test_check_smooth_rejects_a_determinant_two_cone():
     """A complete plane fan with one cone of determinant 2: complete, not
     smooth.  Moving the ray (1, 2) to (1, 1) makes it smooth."""
@@ -214,6 +268,20 @@ def test_check_smooth_rejects_a_determinant_two_cone():
         assert sorted(dets) == [1, 1, 1, 1, 1 if smooth else 2]
         assert fans.check_complete(f)
         assert fans.check_smooth(f) == smooth
+
+
+def test_walls_of_a_facet_with_determinant_two_on_both_sides():
+    """The plane fan on (1, 0), (1, 2), (-1, 0), (-1, -2), with consecutive
+    pairs as its cones, is complete and every cone has determinant 2.  The
+    normal (2, -1) of the facet (1, 2) pairs to 2 with (1, 0) and to -2 with
+    (-1, 0): the two cones through it lie on opposite sides although neither
+    pairing is +-1."""
+    rays = [(1, 0), (1, 2), (-1, 0), (-1, -2)]
+    f = fans.make_fan(2, rays, [(k, (k + 1) % 4) for k in range(4)])
+    assert [abs(bareiss_det(tuple(f.rays[i] for i in c))) for c in f.max_cones] == [2] * 4
+    (nu,) = linalg.kernel_basis(linalg.transpose(((1, 2),)))
+    assert nu == (2, -1) and [linalg.vec_dot(nu, v) for v in rays[::2]] == [2, -2]
+    assert fans._walls(f) == complete_and_smooth_by_dets(f) == (True, False)
 
 
 def test_fan_negation_symmetric():
