@@ -6,11 +6,12 @@ ray is the dot product of the root's base-coordinates with the ray vector.
 
 The Weyl chambers are the simple sets S of ``roots.chamber_orbit``, the one
 walk over W that the package makes, one step per chamber.  The walk carries
-the ids of each chamber's rays across the walls by the contragredient action
-of W on N (Humphreys, section 1.12), so no chamber's root matrix is inverted
-and the fan is read off the ids.  The face containing a vector is found by
-walking its coweight coordinates to the dominant chamber by the Cartan
-matrix, carrying each ray across the walls of its label (``chamber_face``).
+the ids of each chamber's rays, the sorted coweight orbits of ``roots._rays``,
+across the walls by the contragredient action of W on N (Humphreys, section
+1.12), so no chamber's root matrix is inverted and only the cones are sorted.
+The face containing a vector is found by walking its coweight coordinates to
+the dominant chamber by the Cartan matrix, carrying each ray across the walls
+of its label (``chamber_face``), and named by those ids with no fan built.
 The fan morphisms are built from it, and a cone is checked as the face of
 its ray sum (``_cone_point``), from where ``orbit_closure`` walks its star
 by the parabolic subgroup fixing that sum.  Completeness and smoothness
@@ -49,7 +50,8 @@ class Fan(NamedTuple):
 
 
 def make_fan(rank, rays, cones):
-    """Canonicalize rays and cones into a Fan; each cone names distinct rays."""
+    """Canonicalize rays and cones into a Fan; each cone names distinct rays.
+    It serves input and ``typea``'s subset fans, not the chamber fan."""
     rays = [tuple(v) for v in rays]
     if len(set(rays)) != len(rays):
         raise ValueError("duplicate rays")
@@ -77,25 +79,25 @@ def fan_to_json(f):
 
 @lru_cache(maxsize=None)
 def _chamber_data(r):
-    """(fan, ray ids): the fan of Weyl chambers of ``r``, and the index of
-    each ray vector in it.  ``roots.chamber_orbit`` walks the chambers with
-    their ray ids, unsorted, and ``make_fan`` sorts rays and cones once; W is
-    simply transitive on the chambers, so there is one max cone per chamber."""
+    """The fan of Weyl chambers of ``r``.  ``roots.chamber_orbit`` walks the
+    chambers with the ids of the sorted rays, so only the cones are sorted;
+    W is simply transitive on the chambers, so the sorted cones, one per
+    chamber, strictly increase."""
     rays, chambers = rootsmod.chamber_orbit(r)
-    fan = make_fan(r.rank, rays, [ids for _, ids in chambers])
-    internal_check(len(fan.max_cones) == len(chambers),
+    cones = sorted([tuple(sorted(ids)) for _, ids in chambers])
+    internal_check(all(map(lt, cones, cones[1:])),
                    "the first-descent walk reached a chamber twice")
-    return fan, {v: i for i, v in enumerate(fan.rays)}
+    return Fan(r.rank, rays, tuple(cones))
 
 
 def weyl_chamber_fan(r):
     """The complete smooth fan whose maximal cones are the Weyl chambers."""
-    return _chamber_data(r)[0]
+    return _chamber_data(r)
 
 
 def chamber_face(r, v):
     """The cone of ``weyl_chamber_fan(r)`` with v (rational entries allowed)
-    in its relative interior, as a sorted tuple of ray indices.
+    in its relative interior, as sorted ray ids of ``roots._rays`` (no fan).
 
     N is written dual to the base, so v_k = <alpha_k, v>; for S = w(Delta),
     <S[k], v> = u_k with u = w^{-1} v.  If no u_k < 0, then v = sum u_k w_k
@@ -123,7 +125,7 @@ def _chamber_and_face(r, v):
         rays[k] = tuple([y - z for y, z in zip(rays[k], coroots[a])])
         s = tuple(map(table[a].__getitem__, s))
     internal_check(k is None, f"the walk for {tuple(v)} did not end")
-    ray_id = _chamber_data(r)[1]
+    ray_id = rootsmod._rays(r)[1]
     return s, tuple(sorted(ray_id[w] for w, x in zip(rays, u) if x > 0)), u
 
 
@@ -330,15 +332,15 @@ class OrbitClosure(NamedTuple):
     factors: tuple           # Dynkin components of the first chart's S'
 
 
-def _cone_point(r, fan, tau):
-    """(tau, v, S, J): tau's sorted ray ids, the sum v of its rays, and the S
-    and the labels J = {k : u_k = 0} of ``_chamber_and_face(r, v)``.  v is
-    in tau's relative interior, so tau is a cone iff it is v's face."""
-    tau = tuple(sorted(set(tau)))
-    v = tuple(sum(fan.rays[i][k] for i in tau) for k in range(fan.lattice_rank))
+def _cone_point(r, tau):
+    """(tau, v, S, J): tau's sorted ray ids, the sum v of its rays (``_rays``),
+    and the S and the labels J = {k : u_k = 0} of ``_chamber_and_face(r, v)``.
+    v is in tau's relative interior, so tau is a cone iff it is v's face."""
+    tau, rays = tuple(sorted(set(tau))), rootsmod._rays(r)[0]
+    v = tuple(sum(rays[i][k] for i in tau) for k in range(r.rank))
     s, face, u = _chamber_and_face(r, v)
     if face != tau:
-        raise NotInSpan(f"the cone spanned by {[list(fan.rays[i]) for i in tau]} "
+        raise NotInSpan(f"the cone spanned by {[list(rays[i]) for i in tau]} "
                         "is not a cone of the fan")
     return tau, v, s, tuple(k for k, x in enumerate(u) if x == 0)
 
@@ -360,10 +362,9 @@ def orbit_closure(r, f, tau):
     it is orthogonal to tau iff <a, v> = 0, as S[k] is iff k is in J.
     ``f`` must be ``weyl_chamber_fan(r)``.
     """
-    fan = weyl_chamber_fan(r)
-    if f != fan:
+    if f != weyl_chamber_fan(r):
         raise ValueError("orbit_closure needs the chamber fan of r")
-    tau, v, start, labels = _cone_point(r, fan, tau)
+    tau, v, start, labels = _cone_point(r, tau)
     table = rootsmod.reflection_table(r)
     star, todo = {start}, [start]
     while todo:
@@ -393,10 +394,10 @@ def opposite_sections(r, tau):
     characters vanish on the corresponding orbit closures.  tau is a cone iff
     it is the ``chamber_face`` of the sum v of its rays (``_cone_point``).
     -C is the chamber of the simple set -Delta, so -tau is always a cone, the
-    face of -v; a missing one is an internal fault."""
-    fan = weyl_chamber_fan(r)
-    tau, v, _, _ = _cone_point(r, fan, tau)
-    minus = tuple(sorted(fan.ray_index(linalg.vec_neg(fan.rays[i])) for i in tau))
+    face of -v; a missing one is an internal fault.  No fan is built."""
+    rays, ray_id = rootsmod._rays(r)
+    tau, v, _, _ = _cone_point(r, tau)
+    minus = tuple(sorted(ray_id[linalg.vec_neg(rays[i])] for i in tau))
     internal_check(_chamber_and_face(r, linalg.vec_neg(v))[1] == minus,
                    f"the opposite of the cone {list(tau)} is not a cone of the fan")
     plus_vanish = tuple(i for i, c in enumerate(r.mcoords) if linalg.vec_dot(c, v) > 0)

@@ -12,14 +12,15 @@ M(R).  A root is *positive* when its mcoords are componentwise >= 0.
 W acts on root indices: ``reflection_table`` reads the simple rows off the
 Cartan matrix <alpha_j, alpha_k^vee> and the mcoords, with no vector
 reflected, and conjugates, s_{w(a)} = w s_a w^{-1} (Humphreys section 1.2).
-Sets of simple roots are identified with Weyl chambers.  ``chamber_orbit``
-walks W once, reaching each element from its prefix before the first
-descent, found by an AND of two bitmasks over root ids, and carries
+Sets of simple roots are identified with Weyl chambers.  Their rays, the
+W-orbits of the fundamental coweights, are numbered first (``_rays``).
+``chamber_orbit`` walks W once, reaching each element from its prefix before
+the first descent, found by an AND of two bitmasks over root ids, and carries
 the ids of each chamber's rays across the walls: crossing the wall of a in S
 replaces the ray w_a by w_a - a^vee, read off the reflection table, and
 keeps the others (the contragredient action of W on N, Humphreys section
-1.12); each new ray is built once per (ray id, wall) pair.  Nothing is
-sorted: ``fans`` reads the chamber fan off this walk and sorts it once.
+1.12); each crossed id is looked up once per (ray id, wall) pair, and
+``fans`` sorts only the cones.
 Finding one chamber with a property never needs the whole orbit:
 ``descend`` walks from a simple set in label order, reflecting in its
 first member on the wrong side, in at most |Phi+| steps, and returns the
@@ -267,18 +268,17 @@ def reflection_table(r):
 
 def chamber_orbit(r):
     """(rays, chambers): the walk over W as it runs, one chamber (S, ids) per
-    w in W in walk order, and the ray vectors in the order met.  S is in label
+    w in W in walk order, and the lex-sorted rays of ``_rays``.  S is in label
     order, S[j] = w(alpha_j) for the j-th base simple root, and rays[ids[j]]
     is the ray w_j of the chamber {v : <alpha, v> >= 0 for alpha in S}, with
     <S[k], w_j> = 1 if k = j, else 0.  The walk starts at the base chamber,
     whose rays are the unit vectors of N.  Crossing the wall of label k (to
     w s_k) maps S to s_a(S) entry by entry, a = S[k].  W acts on N
     contragrediently, so each ray keeps its label, and the ray of label k
-    becomes w_k - a^vee (``_coroots``), the ray of -a, with a new id when
-    first met.  It depends on (w_k, a) alone and an id names one vector, so a
-    table keyed by (ray id, a) gives the new id exactly: w_k - a^vee is built
-    only on a miss (321 pairs for the 5,039 crossings of A_6).  Nothing is
-    sorted: ``fans`` canonicalizes the fan once.
+    becomes w_k - a^vee (``_coroots``), the ray of -a, whose id is looked up.
+    It depends on (w_k, a) alone and an id names one vector, so a table keyed
+    by (ray id, a) gives the new id exactly: w_k - a^vee is built only on a
+    miss (321 pairs for the 5,039 crossings of A_6).  The ids are the fan's.
 
     Each w != 1 is reached exactly once, from w s_k for the first descent k
     of w, the smallest label with w(alpha_k) < 0 (Bjorner-Brenti,
@@ -292,25 +292,40 @@ def chamber_orbit(r):
     is_pos = [min(c) >= 0 for c in r.mcoords]
     # turns_neg[a]: the bitmask of the roots b with s_a(b) negative
     turns_neg = [sum(1 << b for b, c in enumerate(row) if not is_pos[c]) for row in table]
-    coroots, size = _coroots(r), len(r.roots)
-    rays = list(linalg.identity_matrix(r.rank))
-    ray_id = {v: i for i, v in enumerate(rays)}
+    coroots, size, (rays, ray_id) = _coroots(r), len(r.roots), _rays(r)
     crossed_id = {}  # ray id * size + a -> the id of that ray across the wall of a
-    orbit = [(r.base_simple_set, tuple(range(r.rank)))]
+    orbit = [(r.base_simple_set, tuple(map(ray_id.__getitem__, linalg.identity_matrix(r.rank))))]
     for s, ids in orbit:
         prefix = 0  # the bitmask of s[:k]
         for k, a in enumerate(s):
             if is_pos[a] and not prefix & turns_neg[a]:
                 if (i := crossed_id.get(key := ids[k] * size + a)) is None:
                     crossed = tuple([x - y for x, y in zip(rays[ids[k]], coroots[a])])
-                    if (i := ray_id.get(crossed)) is None:
-                        i = ray_id[crossed] = len(rays)
-                        rays.append(crossed)
-                    crossed_id[key] = i
+                    i = crossed_id[key] = ray_id.get(crossed)
+                    internal_check(i is not None, "a crossed ray is not in the coweight orbits")
                 image = table[a]
                 orbit.append((tuple([image[b] for b in s]), ids[:k] + (i,) + ids[k + 1:]))
             prefix |= 1 << a
-    return tuple(rays), tuple(orbit)
+    return rays, tuple(orbit)
+
+
+@lru_cache(maxsize=None)
+def _rays(r):
+    """(rays, ray_id): the rays of the chamber fan, lex-sorted, and the index
+    of each.  The rays of w(C) are the w(omega_k^vee), so they are the W-orbits
+    of the unit vectors e_k of N.  s_k sends v to v - v_k alpha_k^vee, and from
+    e_k the steps with v_k > 0 reach the whole orbit with no chamber walked
+    (the numbers game, Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 4)."""
+    columns = [_coroots(r)[a] for a in r.base_simple_set]
+    todo = list(linalg.identity_matrix(r.rank))
+    seen = set(todo)
+    for v in todo:
+        for x, column in zip(v, columns):
+            if x > 0 and (w := tuple([y - x * c for y, c in zip(v, column)])) not in seen:
+                seen.add(w)
+                todo.append(w)
+    rays = tuple(sorted(seen))
+    return rays, {v: i for i, v in enumerate(rays)}
 
 
 @lru_cache(maxsize=None)

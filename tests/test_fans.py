@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from test_linalg import bareiss_det, dual_basis, in_rational_span, int_inverse
-from test_roots import ORACLE_FACTORS, simple_sets, sorted_orbit, weyl_order
+from test_roots import ORACLE_FACTORS, refuse_the_fan, simple_sets, sorted_orbit, weyl_order
 from weylfan import fans, linalg, roots, typea
 from weylfan.errors import InternalCheckFailed, NotInSpan, NotRootSpan, NotSurjective
 
@@ -128,14 +128,17 @@ DERIVED = [(("B", 3),), (("G", 2),), (("A", 2), ("B", 2))]
                           for fs in UP_TO_RANK_5 + [(("A", 6),)]]
                          + [pytest.param(fs, True, id="derived-" + label(fs)) for fs in DERIVED])
 def test_wall_crossed_rays_are_dual_bases(factors, rebuilt):
-    """The walk starts at the base chamber with the unit vectors as rays.
-    Sorted, its chambers are the breadth-first orbit, the ray ids of each
-    chamber name the dual basis of its simple set, and the rays are the
-    lex-sorted union of those bases, which are the rays of the chamber fan."""
+    """The walk returns the rays of the chamber fan, lex-sorted, and starts at
+    the base chamber with the ids of the unit vectors in them.  Sorted, its
+    chambers are the breadth-first orbit, the ray ids of each chamber name
+    the dual basis of its simple set, and the rays are the lex-sorted union
+    of those bases."""
     r = derived(*factors) if rebuilt else sys(*factors)
     assert (r.positive != sys(*factors).positive) == rebuilt
-    walk = roots.chamber_orbit(r)[1]
-    assert walk[0] == (r.base_simple_set, tuple(range(r.rank)))
+    walk_rays, walk = roots.chamber_orbit(r)
+    assert walk_rays == fans.weyl_chamber_fan(r).rays
+    assert walk[0] == (r.base_simple_set,
+                       tuple(map(walk_rays.index, linalg.identity_matrix(r.rank))))
     rays, chambers = sorted_orbit(r)
     assert len(chambers) == len(walk) == weyl_order(roots.RootSystemSpec(factors))
     assert rays == fans.weyl_chamber_fan(r).rays
@@ -194,6 +197,48 @@ def test_a_chamber_walked_twice_is_caught(monkeypatch):
     fans._chamber_data.cache_clear()  # so that the patched walk is read
     with pytest.raises(InternalCheckFailed, match="reached a chamber twice"):
         fans.weyl_chamber_fan(r)
+
+
+def test_a_crossed_ray_missing_from_the_rays_is_caught(monkeypatch):
+    """The walk looks each crossed ray up in ``roots._rays``: rays with one
+    vector (not a unit vector) left out make ``weyl_chamber_fan`` raise a
+    named internal check, not a bare KeyError."""
+    r = sys(("B", 3))
+    rays = roots._rays(r)[0]
+    missing = next(v for v in rays if v not in linalg.identity_matrix(r.rank))
+    kept = tuple(v for v in rays if v != missing)
+    monkeypatch.setattr(roots, "_rays", lambda r: (kept, {v: i for i, v in enumerate(kept)}))
+    fans._chamber_data.cache_clear()  # so that the patched rays are read
+    with pytest.raises(InternalCheckFailed, match="not in the coweight orbits"):
+        fans.weyl_chamber_fan(r)
+
+
+def ray_count(factors):
+    """Oracle: the number of rays of the chamber fan, the sum over the
+    fundamental coweights of |W| / |W_{Delta - {i}}|, in closed form per
+    family; a product adds its factors."""
+    per_factor = {"A": lambda n: 2 ** (n + 1) - 2, "B": lambda n: 3 ** n - 1,
+                  "C": lambda n: 3 ** n - 1, "G": lambda n: 12,
+                  "D": lambda n: sum(comb(n, k) * 2 ** k for k in range(1, n - 1)) + 2 ** n}
+    return sum(per_factor[f](n) for f, n in factors)
+
+
+@pytest.mark.parametrize("factors,rebuilt",
+                         [pytest.param(fs, False, id=label(fs)) for fs in ORACLE_FACTORS]
+                         + [pytest.param(fs, True, id="derived-" + label(fs)) for fs in DERIVED])
+def test_rays_without_chambers(factors, rebuilt, monkeypatch):
+    """The orbits of the unit vectors by the numbers game are the rays of the
+    chamber fan, lex-sorted, with their ids, where the fan is small enough
+    to build; with the walk refused, their number is the closed form, up to
+    rank 7 (B_7 and C_7: 2,186 rays, 645,120 chambers)."""
+    r = derived(*factors) if rebuilt else sys(*factors)
+    rays, ray_id = roots._rays(r)
+    assert ray_id == {v: i for i, v in enumerate(rays)} and list(rays) == sorted(set(rays))
+    if weyl_order(roots.RootSystemSpec(factors)) <= 5040:
+        assert rays == fans.weyl_chamber_fan(r).rays
+    roots._rays.cache_clear()
+    monkeypatch.setattr(roots, "chamber_orbit", lambda r: pytest.fail("the walk was called"))
+    assert len(roots._rays(r)[0]) == ray_count(factors)
 
 
 def test_check_complete_rejects_a_degenerate_cone():
@@ -795,15 +840,6 @@ def test_chamber_face_by_position_equals_the_pairings(factors, monkeypatch):
     check_face_walk(r, vectors, f.rays.__getitem__, monkeypatch)
 
 
-class IdsAsMet(dict):
-    """Ray ids handed out as the rays are met, for fans too large to build:
-    the ray of id i is list(ids)[i]."""
-
-    def __missing__(self, w):
-        self[w] = len(self)
-        return self[w]
-
-
 @pytest.mark.parametrize("factors,rebuilt",
                          [pytest.param(fs, False, id=label(fs)) for fs in ORACLE_FACTORS]
                          + [pytest.param(fs, True, id="derived-" + label(fs)) for fs in DERIVED])
@@ -811,11 +847,11 @@ def test_chamber_face_walk_equals_the_descent_by_pairings(factors, rebuilt, monk
     """On seeded integer vectors (often on walls), seeded sums of the rays of
     seeded chambers (on faces of every dimension) and seeded rational
     vectors, up to rank 7.  The rebuilt systems have a generic base, so their
-    Cartan columns are not the standard ones.  The chamber fans of rank 7 are
-    too large to build, so the ray ids are handed out as met."""
+    Cartan columns are not the standard ones.  No face walks the chambers or
+    builds the fan, which is too large to build at rank 7: the ray ids are
+    those of ``roots._rays``."""
     r = derived(*factors) if rebuilt else sys(*factors)
-    ids = IdsAsMet()
-    monkeypatch.setattr(fans, "_chamber_data", lambda r: (None, ids))
+    refuse_the_fan(monkeypatch)
     table, rng = roots.reflection_table(r), random.Random(f"face:{label(factors)}:{rebuilt}")
     vectors = [tuple(rng.randint(-2, 2) for _ in range(r.rank)) for _ in range(20)]
     for _ in range(20):
@@ -828,7 +864,24 @@ def test_chamber_face_walk_equals_the_descent_by_pairings(factors, rebuilt, monk
                                               for w in rays)))))
     vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(r.rank))
                 for _ in range(20)]
-    check_face_walk(r, vectors, lambda i: list(ids)[i], monkeypatch)
+    check_face_walk(r, vectors, roots._rays(r)[0].__getitem__, monkeypatch)
+
+
+@pytest.mark.parametrize("factors", [(("B", 7),), (("D", 7),)], ids=label)
+def test_opposite_sections_build_no_fan(factors, monkeypatch):
+    """For each ray e_k of the base chamber of B_7 (645,120 chambers) and D_7:
+    the minus cone is the ray -e_k, and the vanishing sets are the roots
+    positive and negative on e_k, those whose k-th mcoord is > 0 and < 0,
+    with no chamber walked and no fan built."""
+    r = sys(*factors)
+    refuse_the_fan(monkeypatch)
+    rays = roots._rays(r)[0]
+    for e in linalg.identity_matrix(r.rank):
+        sec = fans.opposite_sections(r, (rays.index(e),))
+        pairings = [linalg.vec_dot(c, e) for c in r.mcoords]
+        assert sec == ((rays.index(e),), (rays.index(linalg.vec_neg(e)),),
+                       tuple(i for i, x in enumerate(pairings) if x > 0),
+                       tuple(i for i, x in enumerate(pairings) if x < 0)), e
 
 
 def test_subsystem_morphism_a2_to_a1():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from test_roots import (ORACLE_FACTORS, TRIPLE_FACTORS, TRIPLE_IDS, expansions_by_inverse,
-                        simple_set_expansions, sorted_orbit)
-from weylfan import fans, linalg, rdata, roots
+                        refuse_the_fan, simple_set_expansions, sorted_orbit)
+from weylfan import linalg, rdata, roots
 from weylfan.errors import MissingPair
 from weylfan.rdata import ChartPoint, ProjectiveRatio, RData
 
@@ -393,13 +393,7 @@ def random_walk_chart(r, rng, length):
 def test_roundtrip_without_chamber_enumeration(factors, monkeypatch):
     """Points of A_7 (|W| = 40,320) and D_6 go to ratios and back without
     enumerating the chambers."""
-    def refuse(name):
-        def call(r):
-            raise AssertionError(f"{name} was called")
-        return call
-
-    for module, name in ((roots, "chamber_orbit"), (fans, "_chamber_data")):
-        monkeypatch.setattr(module, name, refuse(name))
+    refuse_the_fan(monkeypatch)
     r = sys(*factors)
     rng = random.Random(factors[0][0])
     for _ in range(12):

@@ -42,6 +42,17 @@ def sorted_orbit(r):
     return tuple(rays[i] for i in order), tuple(sorted(out))
 
 
+def refuse_the_fan(monkeypatch):
+    """Make the chamber walk and the chamber fan raise if they are called."""
+    def refuse(name):
+        def call(r):
+            raise AssertionError(f"{name} was called")
+        return call
+
+    for module, name in ((roots, "chamber_orbit"), (fans, "_chamber_data")):
+        monkeypatch.setattr(module, name, refuse(name))
+
+
 def simple_sets(r):
     """The simple sets of ``roots.chamber_orbit``, one per chamber, sorted."""
     return tuple(s for s, _ in sorted_orbit(r)[1])
