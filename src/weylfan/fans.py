@@ -23,10 +23,11 @@ its unimodularity, with no determinant; other cones read their facets off
 their dual cones (``linalg.extreme_rays``).
 
 Cones are sorted tuples of ray indices; the empty tuple is the zero cone.
-Rays and max-cone lists are canonicalized (lexicographic) on construction,
-so equal fans compare equal structurally.  The records (``Fan``,
-``FanMorphism`` and the results of the operations) are NamedTuples:
-immutable, and equal to any tuple with the same fields.
+Every fan is built in ray order: its rays are numbered in lex order first,
+then each cone sorts its ids and the max cones are sorted, so equal fans
+compare equal structurally.  The records (``Fan``, ``FanMorphism`` and the
+results of the operations) are NamedTuples: immutable, and equal to any
+tuple with the same fields.
 """
 
 from functools import lru_cache
@@ -49,26 +50,6 @@ class Fan(NamedTuple):
             raise NotInSpan(f"{tuple(vec)} is not a ray of the fan") from None
 
 
-def make_fan(rank, rays, cones):
-    """Canonicalize rays and cones into a Fan; each cone names distinct rays.
-    It serves input and ``typea``'s subset fans, not the chamber fan."""
-    rays = [tuple(v) for v in rays]
-    if len(set(rays)) != len(rays):
-        raise ValueError("duplicate rays")
-    for v in rays:
-        if linalg.vec_is_zero(v) or linalg.vec_primitive(v) != v:
-            raise ValueError(f"ray {v} is not primitive")
-    order = sorted(range(len(rays)), key=rays.__getitem__)
-    remap = dict(zip(order, range(len(rays))))  # the inverse of order; -1 names no ray
-    try:
-        new_cones = sorted({tuple(sorted(map(remap.__getitem__, cone))) for cone in cones})
-    except KeyError as e:
-        raise ValueError(f"the cone id {e.args[0]!r} names no ray") from None
-    if any(len(set(cone)) < len(cone) for cone in new_cones):
-        raise ValueError("a cone repeats a ray")
-    return Fan(rank, tuple(rays[i] for i in order), tuple(new_cones))
-
-
 def fan_to_json(f):
     return {
         "rank": f.lattice_rank,
@@ -78,21 +59,16 @@ def fan_to_json(f):
 
 
 @lru_cache(maxsize=None)
-def _chamber_data(r):
-    """The fan of Weyl chambers of ``r``.  ``roots.chamber_orbit`` walks the
-    chambers with the ids of the sorted rays, so only the cones are sorted;
-    W is simply transitive on the chambers, so the sorted cones, one per
-    chamber, strictly increase."""
+def weyl_chamber_fan(r):
+    """The complete smooth fan whose maximal cones are the Weyl chambers.
+    ``roots.chamber_orbit`` walks the chambers with the ids of the sorted
+    rays, so only the cones are sorted; W is simply transitive on the
+    chambers, so the sorted cones, one per chamber, strictly increase."""
     rays, chambers = rootsmod.chamber_orbit(r)
     cones = sorted([tuple(sorted(ids)) for _, ids in chambers])
     internal_check(all(map(lt, cones, cones[1:])),
                    "the first-descent walk reached a chamber twice")
     return Fan(r.rank, rays, tuple(cones))
-
-
-def weyl_chamber_fan(r):
-    """The complete smooth fan whose maximal cones are the Weyl chambers."""
-    return _chamber_data(r)
 
 
 def chamber_face(r, v):

@@ -33,6 +33,7 @@ and equal to any tuple with the same fields.
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
+from operator import lt
 from typing import NamedTuple
 
 from . import linalg
@@ -112,11 +113,20 @@ def _subset_rays(n):
 
 
 def _subset_fan(n, mask_cones):
-    """The fan on the rays v_A, with cones given as iterables of masks; at
-    n = 0 there is no proper nonempty subset, and the fan is the zero cone."""
-    from .fans import make_fan
-    cones = [tuple(a - 1 for a in cone) for cone in mask_cones] if n else [()]
-    return make_fan(n, _subset_rays(n), cones)
+    """The fan on the rays v_A, with cones given as iterables of distinct
+    masks, built in ray order as ``fans.weyl_chamber_fan`` is.  The v_A are
+    distinct and primitive (entries in {-1, 0, 1}, and v_A fixes A), so the
+    one check is that the sorted cones strictly increase.  At n = 0 there is
+    no proper nonempty subset, and the fan is the zero cone."""
+    from .fans import Fan
+    rays = _subset_rays(n)
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    ray_id = [0] * full_mask(n)
+    for i, k in enumerate(order):
+        ray_id[k + 1] = i
+    cones = sorted([tuple(sorted(map(ray_id.__getitem__, c))) for c in mask_cones]) if n else [()]
+    internal_check(all(map(lt, cones, cones[1:])), "a max cone of the subset fan is listed twice")
+    return Fan(n, tuple(map(rays.__getitem__, order)), tuple(cones))
 
 
 def eulerian_numbers(m):

@@ -135,11 +135,21 @@ PINNED_STDOUT += [
 ]
 
 
+# sha256 of the stdout of the subset fans of type A, pinned while ``typea``'s
+# subset fans went through ``make_fan``; crepant --n 6 prints fan-A6.
+PINNED_STDOUT += [
+    (["sigma-delta", "--n", "5"],
+     "9edfa69bca231be54c29c92f31548ed8449534eddb78c6409a8299f6c2498e6f"),
+    (["crepant", "--n", "6"],
+     "d5102b5ba7ba2de969f3c575ac707553a73d579401959a3647738874fa39e4e8"),
+]
+
+
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[
     "fan-D4", "fan-B4", "fan-C3", "fan-A2xB2", "embed-A2", "embed-B2", "lm-universal-3",
     "universal-at-B3", "to-point-A3", "lm-extract-4", "lm-from-data-3", "lm-contract-4",
     "lm-roundtrip-4", "fan-A6", "fan-B5", "orbit-D4", "orbit-A5", "polytope-4", "polytope-5",
-    "morphism-C3-sub", "morphism-G2-sub", "lm-universal-2"])
+    "morphism-C3-sub", "morphism-G2-sub", "lm-universal-2", "sigma-delta-5", "crepant-6"])
 def test_stdout_pinned(argv, digest, capsys):
     assert cli.run(argv) == 0
     out = capsys.readouterr().out

@@ -16,6 +16,27 @@ def sys(*factors):
     return roots.build_root_system(roots.RootSystemSpec.parse(factors))
 
 
+def make_fan(rank, rays, cones):
+    """Canonicalize rays and cones into a Fan; each cone names distinct rays.
+    The builder of the tests' hand-made fans, and the oracle for ``typea``'s
+    subset fans, which the library builds in ray order."""
+    rays = [tuple(v) for v in rays]
+    if len(set(rays)) != len(rays):
+        raise ValueError("duplicate rays")
+    for v in rays:
+        if linalg.vec_is_zero(v) or linalg.vec_primitive(v) != v:
+            raise ValueError(f"ray {v} is not primitive")
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    remap = dict(zip(order, range(len(rays))))  # the inverse of order; -1 names no ray
+    try:
+        new_cones = sorted({tuple(sorted(map(remap.__getitem__, cone))) for cone in cones})
+    except KeyError as e:
+        raise ValueError(f"the cone id {e.args[0]!r} names no ray") from None
+    if any(len(set(cone)) < len(cone) for cone in new_cones):
+        raise ValueError("a cone repeats a ray")
+    return fans.Fan(rank, tuple(rays[i] for i in order), tuple(new_cones))
+
+
 def test_a1_fan():
     f = fans.weyl_chamber_fan(sys(("A", 1)))
     assert f.rays == ((-1,), (1,))
@@ -194,7 +215,7 @@ def test_a_chamber_walked_twice_is_caught(monkeypatch):
     r = sys(("B", 3))
     rays, chambers = roots.chamber_orbit(r)
     monkeypatch.setattr(roots, "chamber_orbit", lambda r: (rays, chambers + chambers[5:6]))
-    fans._chamber_data.cache_clear()  # so that the patched walk is read
+    fans.weyl_chamber_fan.cache_clear()  # so that the patched walk is read
     with pytest.raises(InternalCheckFailed, match="reached a chamber twice"):
         fans.weyl_chamber_fan(r)
 
@@ -208,7 +229,7 @@ def test_a_crossed_ray_missing_from_the_rays_is_caught(monkeypatch):
     missing = next(v for v in rays if v not in linalg.identity_matrix(r.rank))
     kept = tuple(v for v in rays if v != missing)
     monkeypatch.setattr(roots, "_rays", lambda r: (kept, {v: i for i, v in enumerate(kept)}))
-    fans._chamber_data.cache_clear()  # so that the patched rays are read
+    fans.weyl_chamber_fan.cache_clear()  # so that the patched rays are read
     with pytest.raises(InternalCheckFailed, match="not in the coweight orbits"):
         fans.weyl_chamber_fan(r)
 
@@ -244,26 +265,26 @@ def test_rays_without_chambers(factors, rebuilt, monkeypatch):
 def test_check_complete_rejects_a_degenerate_cone():
     """Three plane cones whose facets (rays) all pair up; the cone spanned by
     (1, 0) and (-1, 0) has determinant 0, so the fan is not complete."""
-    f = fans.make_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2), (2, 0)])
+    f = make_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2), (2, 0)])
     assert len(f.max_cones) == 3
     assert not fans.check_complete(f)
-    square = fans.make_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
-                           [(0, 1), (1, 2), (2, 3), (3, 0)])
+    square = make_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                      [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert fans.check_complete(square) and fans.check_smooth(square)
 
 
 def test_check_complete_needs_a_max_cone():
     """A fan with no max cones covers nothing, with or without rays; the
     rank-0 fan of the zero cone alone is complete."""
-    assert not fans.check_complete(fans.make_fan(2, [], []))
-    assert not fans.check_complete(fans.make_fan(2, [(1, 0), (0, 1)], []))
-    assert fans.check_complete(fans.make_fan(0, [], [()]))
+    assert not fans.check_complete(make_fan(2, [], []))
+    assert not fans.check_complete(make_fan(2, [(1, 0), (0, 1)], []))
+    assert fans.check_complete(make_fan(0, [], [()]))
 
 
 def test_check_complete_rejects_overlapping_cones():
     """Three unimodular cones in the first quadrant, each ray a facet of two
     of them: the two cones on the ray (1, 0) both lie above it."""
-    f = fans.make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (2, 0)])
+    f = make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (2, 0)])
     assert fans.check_smooth(f)
     assert not fans.check_complete(f)
 
@@ -273,9 +294,9 @@ def test_check_complete_sides_of_a_non_simplicial_cone():
     neighbours: the side of a facet is the same whichever kind of cone
     reports it, so the complete fan passes and the overlapping one fails."""
     quadrant = [(1, 0), (1, 1), (0, 1)]
-    complete = fans.make_fan(2, quadrant + [(-1, 0), (0, -1)],
-                             [(0, 1, 2), (2, 3), (3, 4), (4, 0)])
-    overlapping = fans.make_fan(2, quadrant + [(2, 1)], [(0, 1, 2), (2, 3), (3, 0)])
+    complete = make_fan(2, quadrant + [(-1, 0), (0, -1)],
+                        [(0, 1, 2), (2, 3), (3, 4), (4, 0)])
+    overlapping = make_fan(2, quadrant + [(2, 1)], [(0, 1, 2), (2, 3), (3, 0)])
     assert fans.check_complete(complete)
     assert not fans.check_complete(overlapping)
 
@@ -284,7 +305,7 @@ def test_check_complete_is_local():
     """A plane fan that winds twice around the origin: every ray has one cone
     on each side, so the check, which looks at one facet at a time, passes."""
     rays = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
-    f = fans.make_fan(2, rays, [(k, (k + 1) % 5) for k in range(5)])
+    f = make_fan(2, rays, [(k, (k + 1) % 5) for k in range(5)])
     assert fans.check_complete(f)
 
 
@@ -293,22 +314,22 @@ def test_make_fan_refuses_cone_ids_that_name_no_ray():
     ray, and a repeated id would keep a cone on fewer rays than it lists;
     like a repeated ray, each is refused."""
     with pytest.raises(ValueError, match="the cone id -1 names no ray"):
-        fans.make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, -1), (1, 2), (2, 0)])
+        make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, -1), (1, 2), (2, 0)])
     with pytest.raises(ValueError, match="the cone id 5 names no ray"):
-        fans.make_fan(2, [(1, 0), (0, 1)], [(0, 5)])
+        make_fan(2, [(1, 0), (0, 1)], [(0, 5)])
     with pytest.raises(ValueError, match="a cone repeats a ray"):
-        fans.make_fan(2, [(1, 0), (0, 1)], [(0, 0)])
+        make_fan(2, [(1, 0), (0, 1)], [(0, 0)])
     with pytest.raises(ValueError, match="duplicate rays"):
-        fans.make_fan(2, [(1, 0), (1, 0)], [(0, 1)])
-    assert fans.make_fan(2, [(0, 1), (1, 0)], [(1, 0)]).max_cones == ((0, 1),)
+        make_fan(2, [(1, 0), (1, 0)], [(0, 1)])
+    assert make_fan(2, [(0, 1), (1, 0)], [(1, 0)]).max_cones == ((0, 1),)
 
 
 def test_check_smooth_rejects_a_determinant_two_cone():
     """A complete plane fan with one cone of determinant 2: complete, not
     smooth.  Moving the ray (1, 2) to (1, 1) makes it smooth."""
     for v, smooth in [((1, 2), False), ((1, 1), True)]:
-        f = fans.make_fan(2, [(1, 0), v, (0, 1), (-1, 0), (0, -1)],
-                          [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        f = make_fan(2, [(1, 0), v, (0, 1), (-1, 0), (0, -1)],
+                     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         dets = [abs(bareiss_det(tuple(f.rays[i] for i in c))) for c in f.max_cones]
         assert sorted(dets) == [1, 1, 1, 1, 1 if smooth else 2]
         assert fans.check_complete(f)
@@ -322,7 +343,7 @@ def test_walls_of_a_facet_with_determinant_two_on_both_sides():
     (-1, 0): the two cones through it lie on opposite sides although neither
     pairing is +-1."""
     rays = [(1, 0), (1, 2), (-1, 0), (-1, -2)]
-    f = fans.make_fan(2, rays, [(k, (k + 1) % 4) for k in range(4)])
+    f = make_fan(2, rays, [(k, (k + 1) % 4) for k in range(4)])
     assert [abs(bareiss_det(tuple(f.rays[i] for i in c))) for c in f.max_cones] == [2] * 4
     (nu,) = linalg.kernel_basis(linalg.transpose(((1, 2),)))
     assert nu == (2, -1) and [linalg.vec_dot(nu, v) for v in rays[::2]] == [2, -2]
@@ -406,7 +427,7 @@ def pyramid_fan(apex):
     ``apex``: complete for an apex below the square, and the pyramid
     subdivided, lying twice over itself, for an apex inside it."""
     sides = [(k, (k + 1) % 4, 4) for k in range(4)]
-    return fans.make_fan(3, PYRAMID + [apex], [(0, 1, 2, 3)] + sides)
+    return make_fan(3, PYRAMID + [apex], [(0, 1, 2, 3)] + sides)
 
 
 def ray_ids(mask):
@@ -446,7 +467,7 @@ def test_pyramid_shares_its_facets_with_simplicial_cones():
 def test_coplanar_rays_are_not_a_full_dimensional_cone():
     """Four rays of one plane in rank 3, as one max cone: its dual cone holds
     a line, so the fan is not complete."""
-    f = fans.make_fan(3, [(1, 0, 0), (1, 1, 0), (0, 1, 0), (-1, 1, 0)], [(0, 1, 2, 3)])
+    f = make_fan(3, [(1, 0, 0), (1, 1, 0), (0, 1, 0), (-1, 1, 0)], [(0, 1, 2, 3)])
     assert fans._cone_facets(f, f.max_cones[0]) is None
     assert not fans.check_complete(f)
 
@@ -575,7 +596,7 @@ def test_chamber_fans_find_one_kernel_per_positive_root(monkeypatch):
 def test_walls_is_a_pair_of_bools():
     """Only the two verdicts are cached, not the facet lists."""
     for f in (fans.weyl_chamber_fan(sys(("B", 3),)), typea.sigma_delta_fan(3),
-              fans.make_fan(2, [], []), fans.make_fan(0, [], [()])):
+              make_fan(2, [], []), make_fan(0, [], [()])):
         walls = fans._walls(f)
         assert type(walls) is tuple and [type(x) for x in walls] == [bool, bool]
 
@@ -586,7 +607,7 @@ def test_walls_of_small_and_mixed_fans():
     line = [(-1,), (1,), (2,), (-3,)]
     plane = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, 2)]
     cases = {
-        "rank0": fans.make_fan(0, [], [()]), "rank0-empty": fans.make_fan(0, [], []),
+        "rank0": make_fan(0, [], [()]), "rank0-empty": make_fan(0, [], []),
         "rank1": fans.Fan(1, ((-1,), (1,)), ((0,), (1,))),
         "rank1-one-side": fans.Fan(1, ((-1,), (1,)), ((1,),)),
         "rank1-twice": fans.Fan(1, ((-1,), (1,)), ((0,), (1,), (1,))),
@@ -1113,10 +1134,10 @@ def test_orbit_closure_refuses_a_foreign_fan():
     r = sys(("A", 2))
     f = fans.weyl_chamber_fan(r)
     ray = (f.ray_index((1, 0)),)
-    copy = fans.make_fan(2, f.rays, f.max_cones)
+    copy = make_fan(2, f.rays, f.max_cones)
     assert copy is not f
     assert fans.orbit_closure(r, copy, ray).charts == orbit_charts_by_scan(r, ray)
-    for other in [fans.make_fan(2, f.rays, f.max_cones[1:]),
+    for other in [make_fan(2, f.rays, f.max_cones[1:]),
                   fans.weyl_chamber_fan(sys(("B", 2))), fans.weyl_chamber_fan(sys(("G", 2)))]:
         with pytest.raises(ValueError, match="chamber fan"):
             fans.orbit_closure(r, other, ray)

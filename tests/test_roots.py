@@ -49,7 +49,7 @@ def refuse_the_fan(monkeypatch):
             raise AssertionError(f"{name} was called")
         return call
 
-    for module, name in ((roots, "chamber_orbit"), (fans, "_chamber_data")):
+    for module, name in ((roots, "chamber_orbit"), (fans, "weyl_chamber_fan")):
         monkeypatch.setattr(module, name, refuse(name))
 
 

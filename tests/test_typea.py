@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from test_fans import make_fan
 from test_linalg import bareiss_det, int_inverse
 from weylfan import fans, linalg, roots, typea
 from weylfan.errors import InternalCheckFailed
@@ -782,7 +783,7 @@ def test_a_root_that_is_no_vertex_is_an_internal_fault(monkeypatch):
 
 def test_sigma_delta_and_crepant():
     for f in (typea.sigma_delta_fan(0), typea.crepant_subdivision(0)):
-        assert f == fans.make_fan(0, [], [()])
+        assert f == make_fan(0, [], [()])
         assert fans.check_complete(f) and fans.check_smooth(f)
     assert typea.sigma_delta_fan(2) == chain_fan(2)
     assert fans.check_smooth(typea.sigma_delta_fan(2))
@@ -793,6 +794,43 @@ def test_sigma_delta_and_crepant():
         assert typea.crepant_subdivision(n) == chain_fan(n)
         assert fans.check_complete(typea.sigma_delta_fan(n))
         assert fans.check_smooth(typea.sigma_delta_fan(n)) == (n < 3)
+
+
+def canonicalized_subset_fan(n, mask_cones):
+    """The oracle for ``typea._subset_fan``: the generic canonicalizer
+    ``make_fan`` on the rays v_A, with mask a at ray id a - 1."""
+    cones = [tuple(a - 1 for a in cone) for cone in mask_cones] if n else [()]
+    return make_fan(n, typea._subset_rays(n), cones)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_subset_fans_equal_the_canonicalized_fans(n):
+    """The subset fans, built in ray order, equal ``make_fan`` on the same
+    rays: a cone of the root-polytope fan is every mask between {i} and the
+    complement of {j}, found here by a scan of all masks."""
+    full = typea.full_mask(n)
+    between = [[a for a in range(1, full) if a >> (i - 1) & 1 and not a >> (j - 1) & 1]
+               for i in range(1, n + 2) for j in range(1, n + 2) if i != j]
+    assert typea.sigma_delta_fan(n) == canonicalized_subset_fan(n, between)
+    chains = [chain for b1, b2 in typea._singleton_cosingletons(n)
+              for chain in typea.subdivide_cone(b1, b2)]
+    assert typea.crepant_subdivision(n) == canonicalized_subset_fan(n, chains)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_crepant_subdivision_is_the_chamber_fan(n):
+    """The crepant subdivision of the root-polytope fan is the fan of Weyl
+    chambers of A_n, built by ``roots`` with no subset in sight."""
+    r = roots.build_root_system(roots.RootSystemSpec.parse([("A", n)]))
+    assert typea.crepant_subdivision(n) == fans.weyl_chamber_fan(r)
+
+
+def test_a_subset_cone_given_twice_is_caught():
+    """``_subset_fan`` makes one check: a max cone listed twice, even with
+    its masks in another order, raises rather than return a fan."""
+    chains = [typea._prefix_masks(perm[:-1]) for perm in permutations(range(1, 5))]
+    with pytest.raises(InternalCheckFailed, match="listed twice"):
+        typea._subset_fan(3, chains + [chains[7][::-1]])
 
 
 def test_subdivide_cone_counts():
